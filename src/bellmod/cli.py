@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,6 +28,7 @@ from . import congruences as cg
 from . import oracle
 from .congruences import Identity, VerificationReport, report_sort_key
 from .modarith import (
+    IndexTooLargeError,
     NotPrimeError,
     make_context,
     primes_in_range,
@@ -63,6 +65,8 @@ IDENTITY_GROUPS: dict[str, tuple[Identity, ...]] = {
 # past this prime, "--x all" switches to a seeded sample of this many points
 X_ALL_LIMIT = 101
 X_SAMPLE_SIZE = 32
+# at most this many weights are recomputed by the direct s_m loop in bench
+BENCH_SAMPLE = 32
 
 SEQ_FAMILIES = ("bell", "derangement", "stirling", "touchard")
 
@@ -190,6 +194,13 @@ def _sweep_prime(job: tuple[int, SweepConfig]) -> list[VerificationReport]:
     return reports
 
 
+def _pool_size(workers: int, n_jobs: int) -> int:
+    """Worker processes worth starting: no more than the jobs or the CPUs."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return max(1, min(workers, n_jobs, os.cpu_count() or 1))
+
+
 def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[VerificationReport]]:
     """Run every selected verifier over every prime in the range.
 
@@ -200,8 +211,9 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[VerificationReport]]
     t0 = perf_counter()
     primes = primes_in_range(cfg.prime_lo, cfg.prime_hi)
     jobs = [(p, cfg) for p in primes]
-    if cfg.workers > 1 and len(primes) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    size = _pool_size(cfg.workers, len(jobs))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             chunks = list(pool.map(_sweep_prime, jobs))
     else:
         chunks = [_sweep_prime(job) for job in jobs]
@@ -358,6 +370,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.m is not None and args.m < 1:
         print(f"--m must be a positive weight, got {args.m}", file=sys.stderr)
         return 2
+    if args.workers < 1:
+        print(f"--workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
     cfg = SweepConfig(
         prime_lo=lo,
         prime_hi=hi,
@@ -399,6 +414,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rate = p * (p - 1) / 2 / t_row / 1e6 if t_row > 0 else float("inf")
     print(f"bell_row({p}): {t_row:.3f}s ({rate:.1f}M term-ops/s)")
     ms = [m for m in range(1, 2 * p + 1) if m % p]
+    t0 = perf_counter()
+    table = cg.s_m_all_units(ctx, row)
+    t_table = perf_counter() - t0
+    print(f"all-units route over {p - 1} units: {t_table:.3f}s")
+    sample = ms[:: -(-len(ms) // BENCH_SAMPLE)]
+    t0 = perf_counter()
+    direct = [cg.s_m(ctx, m, row).value for m in sample]
+    t_direct = perf_counter() - t0
+    print(f"direct s_m loop over {len(sample)} sampled weights: {t_direct:.3f}s")
+    for m, dv in zip(sample, direct):
+        if table[m % p] != dv:
+            print(
+                f"ROUTE MISMATCH at m = {m}: all-units {table[m % p]}, direct s_m {dv}",
+                file=sys.stderr,
+            )
+            return 1
     t0 = perf_counter()
     lhs = cg.s_m_many(ctx, ms, row)
     drow = derangement_row(ctx)
@@ -465,6 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         NotPrimeError,
+        IndexTooLargeError,
         OverflowError,
         cg.BadModulusError,
         cg.BadPointError,

@@ -21,7 +21,10 @@ from .modarith import (
     IndexTooLargeError,
     PrimeContext,
     Residue,
+    mod_convolve,
     normalize,
+    powers_mod,
+    primitive_root,
 )
 from .sequences import (
     BellRow,
@@ -43,6 +46,7 @@ __all__ = [
     "make_report",
     "report_sort_key",
     "s_m",
+    "s_m_all_units",
     "s_m_many",
     "s_m_chain",
     "theorem1_rhs",
@@ -163,25 +167,61 @@ def s_m(ctx: PrimeContext, m: int, row: BellRow | None = None) -> Residue:
     return Residue(acc, ctx)
 
 
+def s_m_all_units(ctx: PrimeContext, row: BellRow | None = None) -> list[int]:
+    """S_m for every unit weight at once, as a list indexed by m mod p
+    (slot 0 unused).
+
+    S_m is f(u) = sum_{0<k<p} B_k u^k at u = 1/(-m), and u^(p-1) = 1, so
+    with a generator g and n = p - 1 the values E_j = f(g^j) form one
+    length-n DFT of (B_{p-1}, B_1, ..., B_{n-1}).  Bluestein's identity
+    jk = C(j+k, 2) - C(j, 2) - C(k, 2) turns it into one correlation, which
+    mod_convolve computes exactly, so the whole table costs O(p log p).
+    Weight m then reads E at dlog(1/(-m)) = dlog(-1) - dlog(m) (mod n).
+    Raises OverflowError where the convolution would not be exact.
+    """
+    p = ctx.p
+    if row is None:
+        row = bell_row(ctx)
+    n = p - 1
+    g = primitive_root(p)
+    pw = powers_mod(g, n, p)  # pw[e] = g^e
+    dlog = np.zeros(p, dtype=np.int64)
+    dlog[pw] = np.arange(n, dtype=np.int64)
+    # tri[t] = C(t, 2) mod n; the partial sums stay below n**2 < 2**62
+    tri = np.zeros(2 * n - 1, dtype=np.int64)
+    tri[1:] = np.cumsum(np.arange(2 * n - 2, dtype=np.int64) % n) % n
+    chirp = pw[tri]
+    unchirp = pw[-tri[:n] % n]
+    coeffs = np.roll(row.values[1:], 1)  # B_{p-1} stands in for B_0 u^0
+    x = coeffs * unchirp % p
+    corr = mod_convolve(x[::-1], chirp, p)[n - 1 : 2 * n - 1]
+    evals = corr * unchirp % p
+    table = np.zeros(p, dtype=np.int64)
+    table[1:] = evals[(n // 2 - dlog[1:]) % n]
+    return table.tolist()
+
+
 def s_m_many(
     ctx: PrimeContext, ms: Sequence[int], row: BellRow | None = None
 ) -> list[int]:
-    """Vectorized s_m for many weights at once; aligned with ms."""
-    p = ctx.p
+    """s_m for many weights at once; aligned with ms.
+
+    Reads every weight from the s_m_all_units table, or takes the direct
+    s_m loop per weight at a prime where that table's convolution would
+    not be exact.
+    """
     for m in ms:
         _require_unit(ctx, m)
     if not ms:
         return []
     if row is None:
         row = bell_row(ctx)
-    u = np.array([_neg_inv(ctx, m) for m in ms], dtype=np.int64)
-    acc = np.zeros(len(ms), dtype=np.int64)
-    cur = np.ones(len(ms), dtype=np.int64)
-    vals = row.values
-    for k in range(1, p):
-        cur = cur * u % p
-        acc = (acc + int(vals[k]) * cur) % p
-    return acc.tolist()
+    try:
+        table = s_m_all_units(ctx, row)
+    except OverflowError:
+        return [s_m(ctx, m, row).value for m in ms]
+    p = ctx.p
+    return [table[m % p] for m in ms]
 
 
 def theorem1_rhs(

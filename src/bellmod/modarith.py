@@ -8,7 +8,7 @@ normalized dense polynomials over GF(p).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -26,9 +26,27 @@ __all__ = [
     "mod_inv",
     "binomial_mod",
     "primes_in_range",
+    "primitive_root",
+    "powers_mod",
+    "mod_convolve",
+    "CONV_EXACT_LIMIT",
 ]
 
 MAX_PRIME = 2**31  # exclusive upper bound for context moduli
+
+# NTT-friendly primes q = c * 2**k + 1, each with primitive root 3.  All are
+# below 2**30, so a product of two residues fits int64.
+_NTT_PRIMES = (998244353, 167772161, 469762049)
+_NTT_ROOT = 3
+# the largest power of two dividing every q - 1 caps the transform length
+_NTT_MAX_LENGTH = 2**23
+
+# mod_convolve is exact when every coefficient of the integer convolution is
+# below this product of the NTT primes, because the CRT then recovers it
+# uniquely.  With entries in [0, p) a coefficient sums at most
+# min(len(a), len(b)) products, so the condition is
+# min(len(a), len(b)) * (p - 1)**2 < CONV_EXACT_LIMIT.
+CONV_EXACT_LIMIT = _NTT_PRIMES[0] * _NTT_PRIMES[1] * _NTT_PRIMES[2]
 
 
 class NotPrimeError(ValueError):
@@ -267,6 +285,148 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [lo + i for i, flag in enumerate(seg) if flag]
 
 
+def primitive_root(p: int) -> int:
+    """The least generator of GF(p)* for a prime p.
+
+    g generates exactly when g**((p-1)/q) != 1 for every prime q dividing
+    p - 1; the primes come from trial division of p - 1.
+    """
+    n = p - 1
+    factors = []
+    rest = n
+    q = 2
+    while q * q <= rest:
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        factors.append(rest)
+    for g in range(1, p):
+        if all(pow(g, n // q, p) != 1 for q in factors):
+            return g
+    raise NotPrimeError(f"{p} has no primitive root")
+
+
+def powers_mod(base, count: int, mod) -> np.ndarray:
+    """base**i % mod for 0 <= i < count, as int64.
+
+    ``base`` and ``mod`` are ints, or equal-shaped int arrays giving one row
+    of powers each; every modulus must be below 2**31 so that products of
+    residues fit int64.  The table doubles per numpy step, so the work is
+    O(count) in O(log count) steps.
+    """
+    mod = np.asarray(mod, dtype=np.int64)[..., None]
+    step = np.asarray(base, dtype=np.int64)[..., None] % mod
+    out = np.empty(step.shape[:-1] + (count,), dtype=np.int64)
+    filled = min(count, 1)
+    out[..., :filled] = 1 % mod
+    while filled < count:
+        take = min(filled, count - filled)
+        out[..., filled : filled + take] = out[..., :take] * step % mod
+        filled += take
+        step = step * step % mod
+    return out
+
+
+def _ntt_forward(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
+    """In-place decimation-in-frequency NTT along the last axis.
+
+    a has shape (..., 3, n) with one row per NTT prime, w[:, i] is the
+    i-th power of that prime's primitive n-th root for i < n/2, and q is
+    the primes as a (3, 1) column.  Output is in bit-reversed order.
+    """
+    n = a.shape[-1]
+    qb = q[:, :, None]
+    h = n // 2
+    while h >= 1:
+        blocks = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
+        u, v = blocks[..., 0, :], blocks[..., 1, :]
+        total = (u + v) % qb
+        diff = (u - v + qb) * w[:, None, :: n // (2 * h)] % qb
+        blocks[..., 0, :] = total
+        blocks[..., 1, :] = diff
+        h //= 2
+
+
+def _ntt_inverse(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
+    """In-place decimation-in-time transform, undoing _ntt_forward up to the
+    factor n when w holds the inverse roots; takes bit-reversed input."""
+    n = a.shape[-1]
+    qb = q[:, :, None]
+    h = 1
+    while h < n:
+        blocks = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
+        u = blocks[..., 0, :]
+        t = blocks[..., 1, :] * w[:, None, :: n // (2 * h)] % qb
+        total = (u + t) % qb
+        diff = (u - t) % qb
+        blocks[..., 0, :] = total
+        blocks[..., 1, :] = diff
+        h *= 2
+
+
+def mod_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The linear convolution of two residue vectors, reduced mod p.
+
+    Entries must lie in [0, p) with p < 2**31.  The integer convolution is
+    taken by number-theoretic transforms modulo the three NTT primes and
+    recombined by the CRT, with integer arithmetic only, so the result is
+    exact whenever min(len(a), len(b)) * (p - 1)**2 < CONV_EXACT_LIMIT;
+    OverflowError is raised when that bound or the transform length cap
+    fails.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    la, lb = a.shape[0], b.shape[0]
+    if la == 0 or lb == 0:
+        return np.zeros(0, dtype=np.int64)
+    if p >= MAX_PRIME:
+        raise OverflowError(f"modulus {p} is not below 2**31")
+    for v in (a, b):
+        if v.min() < 0 or v.max() >= p:
+            raise ValueError(f"entries must be residues in [0, {p})")
+    if min(la, lb) * (p - 1) ** 2 >= CONV_EXACT_LIMIT:
+        raise OverflowError(
+            f"a length-{min(la, lb)} convolution mod {p} can exceed CONV_EXACT_LIMIT"
+        )
+    size = la + lb - 1
+    n = 1 << (size - 1).bit_length()
+    if n > _NTT_MAX_LENGTH:
+        raise OverflowError(f"transform length {n} exceeds {_NTT_MAX_LENGTH}")
+
+    q = np.array(_NTT_PRIMES, dtype=np.int64)[:, None]
+    roots = [pow(_NTT_ROOT, (qi - 1) // n, qi) for qi in _NTT_PRIMES]
+    inv_roots = [pow(r, -1, qi) for r, qi in zip(roots, _NTT_PRIMES)]
+    w = powers_mod(roots, n // 2, _NTT_PRIMES)
+    w_inv = powers_mod(inv_roots, n // 2, _NTT_PRIMES)
+
+    spec = np.zeros((2, 3, n), dtype=np.int64)
+    spec[0, :, :la] = a % q
+    spec[1, :, :lb] = b % q
+    _ntt_forward(spec, w, q)
+    prod = spec[0] * spec[1] % q
+    _ntt_inverse(prod, w_inv, q)
+    n_inv = np.array([[pow(n, -1, qi)] for qi in _NTT_PRIMES], dtype=np.int64)
+    r = prod[:, :size] * n_inv % q
+
+    # Garner: c = x1 + x2*q1 + x3*q1*q2 with x_i in [0, q_i); every product
+    # below stays under 2**61.
+    q1, q2, q3 = _NTT_PRIMES
+    x1 = r[0]
+    x2 = (r[1] - x1) % q2 * pow(q1, -1, q2) % q2
+    x3 = ((r[2] - x1) % q3 - x2 * (q1 % q3)) % q3 * pow(q1 * q2, -1, q3) % q3
+    return (x1 % p + x2 * (q1 % p) % p + x3 * (q1 * q2 % p) % p) % p
+
+
+def _coeff_value(c: ResidueLike, ctx: PrimeContext) -> int:
+    """A non-int coefficient reduced into ctx; a Residue must belong to it."""
+    if isinstance(c, Residue):
+        _same_ctx(ctx, c.ctx)
+    return int(c) % ctx.p
+
+
 class DensePoly:
     """Dense polynomial over one prime context.
 
@@ -278,7 +438,7 @@ class DensePoly:
 
     def __init__(self, ctx: PrimeContext, coeffs: Iterable[ResidueLike] = ()):
         p = ctx.p
-        vals = [int(c) % p for c in coeffs]
+        vals = [c % p if c.__class__ is int else _coeff_value(c, ctx) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         object.__setattr__(self, "ctx", ctx)
@@ -376,9 +536,3 @@ class DensePoly:
     def __repr__(self) -> str:
         return f"DensePoly(p={self.ctx.p}, coeffs={list(self.coeffs)})"
 
-
-def poly_from_residues(ctx: PrimeContext, values: Sequence[Residue]) -> DensePoly:
-    """Build a polynomial from residues, checking each one's context."""
-    for v in values:
-        _same_ctx(ctx, v.ctx)
-    return DensePoly(ctx, [v.value for v in values])

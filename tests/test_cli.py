@@ -8,6 +8,7 @@ from bellmod import congruences as cg
 from bellmod.cli import (
     SweepConfig,
     _m_grid,
+    _pool_size,
     _parse_range,
     _x_grid,
     main,
@@ -118,6 +119,33 @@ def test_verify_usage_errors(capsys):
     assert run_main(capsys, "verify", "--primes", "3..7", "--x", "abc")[0] == 2
     assert run_main(capsys, "verify", "--primes", "3..7", "--m", "-3")[0] == 2
     assert run_main(capsys, "verify", "--primes", "3..7", "--m", "0")[0] == 2
+    assert run_main(capsys, "verify", "--primes", "3..7", "--workers", "0")[0] == 2
+    assert run_main(capsys, "verify", "--primes", "3..7", "--workers", "-2")[0] == 2
+
+
+def test_verify_weight_past_oracle_cap_is_usage_error(capsys):
+    # the intro constant takes D_{m-1} exactly, and the oracle stops at 1200
+    code, out, err = run_main(
+        capsys, "verify", "--identities", "intro", "--primes", "3..7", "--m", "5000"
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_pool_size_clamps_to_jobs_and_cpus(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _pool_size(1, 10) == 1
+    assert _pool_size(3, 10) == 3
+    assert _pool_size(64, 10) == 4
+    assert _pool_size(64, 2) == 2
+    assert _pool_size(8, 0) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _pool_size(8, 10) == 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            _pool_size(bad, 10)
 
 
 def test_verify_jsonl_schema(capsys):
@@ -216,12 +244,25 @@ def test_run_sweep_first_failure_is_canonical(monkeypatch):
     assert (summary.first_failure.p, summary.first_failure.params["m"]) == (3, 1)
 
 
-def test_bench(capsys):
+def test_bench(capsys, monkeypatch):
     code, out, _ = run_main(capsys, "bench", "101")
     assert code == 0
     assert "bell_row(101):" in out
+    assert "all-units route over 100 units:" in out
+    assert "direct s_m loop over 29 sampled weights:" in out
     assert "all weighted sums match" in out
     assert run_main(capsys, "bench", "4")[0] == 2
+
+    real = cg.s_m
+
+    def crooked(ctx, m, row=None):
+        return real(ctx, m, row) + 1
+
+    monkeypatch.setattr(cg, "s_m", crooked)
+    code, out, err = run_main(capsys, "bench", "101")
+    assert code == 1
+    assert "ROUTE MISMATCH at m = 1:" in err
+    assert "all weighted sums match" not in out
 
 
 def test_parse_range():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from bellmod import oracle
+from bellmod import congruences as cg
+from bellmod import modarith, oracle
 from bellmod.congruences import (
     BadModulusError,
     BadPointError,
@@ -11,6 +14,7 @@ from bellmod.congruences import (
     proof_intermediate,
     report_sort_key,
     s_m,
+    s_m_all_units,
     s_m_chain,
     s_m_many,
     theorem1_rhs,
@@ -51,6 +55,41 @@ def test_s_m_many_matches_scalar(cache):
         got = s_m_many(ctx, ms, row)
         assert got == [s_m(ctx, m, row).value for m in ms]
     assert s_m_many(cache.ctx(7), []) == []
+
+
+def test_s_m_many_all_units_route(cache):
+    # the chain never touches a Bell number and s_m sums powers directly,
+    # so both are independent of the chirp-z table behind s_m_many
+    for p in (2, 3, 5, 1009, 9973):
+        ctx, row = cache.ctx(p), cache.bell(p)
+        units = list(range(1, p))
+        got = s_m_many(ctx, units, row)
+        if p >= 3:
+            assert got == s_m_chain(ctx)[1:], p
+        sample = random.Random(p).sample(units, min(p - 1, 24))
+        assert [got[m - 1] for m in sample] == [s_m(ctx, m, row).value for m in sample]
+        above = [m + k * p for m, k in zip(sample, (1, 2, 7, 10**30) * 6)]
+        assert s_m_many(ctx, above, row) == [got[m - 1] for m in sample], p
+        assert s_m_all_units(ctx, row)[1:] == got
+
+
+def test_s_m_many_falls_back_to_scalar_loop(cache, monkeypatch):
+    ctx, row = cache.ctx(101), cache.bell(101)
+    ms = [1, 2, 50, 100, 102, 304, 10**30 + 2]
+    expected = s_m_many(ctx, ms, row)
+    calls = []
+    real = cg.s_m
+
+    def counted(ctx, m, row=None):
+        calls.append(m)
+        return real(ctx, m, row)
+
+    monkeypatch.setattr(cg, "s_m", counted)
+    monkeypatch.setattr(modarith, "CONV_EXACT_LIMIT", 100 * 100**2)  # one term short
+    with pytest.raises(OverflowError):
+        s_m_all_units(ctx, row)
+    assert s_m_many(ctx, ms, row) == expected
+    assert calls == ms
 
 
 def test_s_m_depends_only_on_m_mod_p(cache):

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from bellmod import modarith
 from bellmod.modarith import (
     ContextMismatchError,
     DensePoly,
@@ -11,10 +13,13 @@ from bellmod.modarith import (
     binomial_mod,
     is_prime,
     make_context,
+    mod_convolve,
     mod_inv,
     mod_pow,
     normalize,
+    powers_mod,
     primes_in_range,
+    primitive_root,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -211,3 +216,75 @@ def test_poly_context_guard():
     with pytest.raises(ContextMismatchError):
         a.equals(b)
     assert a != b  # __eq__ compares moduli without raising
+    ctx7, ctx11 = make_context(7), make_context(11)
+    with pytest.raises(ContextMismatchError):
+        DensePoly(ctx7, [1, Residue(5, ctx11)])
+    assert DensePoly(ctx7, [Residue(5, ctx7), 9]).coeffs == (5, 2)
+
+
+def test_primitive_root():
+    for p in SMALL_PRIMES + [1009]:
+        g = primitive_root(p)
+        orders = [len({pow(h, e, p) for e in range(p - 1)}) for h in range(1, g + 1)]
+        assert orders[-1] == p - 1, p  # g generates GF(p)*
+        assert all(k < p - 1 for k in orders[:-1]), p  # and is the least one
+    for q in modarith._NTT_PRIMES:
+        assert primitive_root(q) == modarith._NTT_ROOT
+
+
+def test_powers_mod():
+    for base, mod in ((3, 7), (0, 5), (10, 11), (2**31 - 2, 2**31 - 1)):
+        for count in (0, 1, 2, 3, 17):
+            assert powers_mod(base, count, mod).tolist() == [
+                pow(base, e, mod) for e in range(count)
+            ]
+    rows = powers_mod([2, 3], 6, [5, 7])
+    assert rows.tolist() == [[pow(2, e, 5) for e in range(6)], [pow(3, e, 7) for e in range(6)]]
+
+
+def _exact_convolution(a, b):
+    return np.convolve(np.array(a, dtype=object), np.array(b, dtype=object)).tolist()
+
+
+def test_mod_convolve_matches_exact_convolution():
+    rng = random.Random(5)
+    for p in (2, 3, 101, 9973, 2**31 - 1):
+        # the whole range, then the top of it: entries near 2**31 at the last p
+        for lo in (0, max(0, p - 1000)):
+            for la, lb in ((1, 1), (1, 7), (5, 2), (33, 64), (300, 1000)):
+                a = [rng.randrange(lo, p) for _ in range(la)]
+                b = [rng.randrange(lo, p) for _ in range(lb)]
+                got = mod_convolve(a, b, p).tolist()
+                assert got == [c % p for c in _exact_convolution(a, b)], (p, lo, la, lb)
+    assert mod_convolve([], [1, 2], 7).tolist() == []
+
+
+def test_mod_convolve_long_extreme_vectors():
+    # every entry p - 1 near 2**31 gives the largest coefficients, up to
+    # 2**15 * (p - 1)**2 ~ 2**77, far past int64; each is (p-1)**2 times
+    # its number of terms
+    p, length = 2**31 - 1, 2**15
+    top = np.full(length, p - 1, dtype=np.int64)
+    got = mod_convolve(top, top, p).tolist()
+    terms = [min(t + 1, 2 * length - 1 - t) for t in range(2 * length - 1)]
+    assert got == [(p - 1) ** 2 * k % p for k in terms]
+
+
+def test_mod_convolve_bounds(monkeypatch):
+    p = 101
+    a, b = [p - 1] * 4, [p - 1] * 9
+    with pytest.raises(ValueError):
+        mod_convolve([p], b, p)
+    with pytest.raises(ValueError):
+        mod_convolve([-1], b, p)
+    with pytest.raises(OverflowError):
+        mod_convolve([1], [1], 2**31)
+    monkeypatch.setattr(modarith, "CONV_EXACT_LIMIT", 4 * (p - 1) ** 2 + 1)
+    assert mod_convolve(a, b, p).tolist() == [c % p for c in _exact_convolution(a, b)]
+    with pytest.raises(OverflowError):
+        mod_convolve(a + [0], b, p)
+    monkeypatch.setattr(modarith, "CONV_EXACT_LIMIT", 10**30)
+    monkeypatch.setattr(modarith, "_NTT_MAX_LENGTH", 16)
+    assert len(mod_convolve(a, b, p)) == 12
+    with pytest.raises(OverflowError):
+        mod_convolve(a, b + [0] * 5, p)
