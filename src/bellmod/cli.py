@@ -42,7 +42,7 @@ from .sequences import (
     stirling2_mod,
     touchard_coeff_matrix,
     touchard_poly,
-    touchard_polys_from_matrix,
+    touchard_polys_from_matrix,  # unused here; perfbench/child.py traces it by this name
     touchard_value_table,
 )
 
@@ -140,14 +140,14 @@ def _sweep_prime(job: tuple[int, SweepConfig]) -> list[VerificationReport]:
 
     needs_row = wanted & {"touchard", "theorem1", "intro", "corollary", "eq4", "bellp"}
     row = bell_row(ctx) if needs_row else None
-    needs_polys = wanted & {"theorem2", "intermediate"}
+    needs_sums = wanted & {"theorem2", "intermediate"}
     needs_values = wanted & {"eq10", "special"}
-    matrix = touchard_coeff_matrix(ctx) if (needs_polys or needs_values) else None
-    polys = touchard_polys_from_matrix(ctx, matrix) if needs_polys else None
+    matrix = touchard_coeff_matrix(ctx) if (needs_sums or needs_values) else None
     values = touchard_value_table(ctx, matrix) if needs_values else None
 
     ms = _m_grid(cfg, p)
     xs = _x_grid(cfg, p) if needs_values else []
+    sums = cg.weighted_touchard_sums(ctx, ms, matrix) if needs_sums else None
 
     if "touchard" in wanted:
         n_max = cfg.n_max if cfg.n_max is not None else p
@@ -173,18 +173,13 @@ def _sweep_prime(job: tuple[int, SweepConfig]) -> list[VerificationReport]:
     if "bellp" in wanted:
         reports.append(cg.verify_bell_p(ctx, row))
     if "theorem2" in wanted:
-        for m in ms:
-            reports.append(cg.verify_theorem2(ctx, m, polys))
+        reports.extend(cg.verify_theorem2_many(ctx, ms, sums))
     if "eq10" in wanted:
-        for m in ms:
-            for x in xs:
-                reports.append(cg.verify_theorem2_eval(ctx, m, x, values))
+        reports.extend(cg.verify_theorem2_eval_many(ctx, ms, xs, values))
     if "special" in wanted:
-        for x in xs:
-            reports.extend(cg.verify_special_cases(ctx, x, values))
+        reports.extend(cg.verify_special_cases_many(ctx, xs, values))
     if "intermediate" in wanted:
-        for m in ms:
-            reports.append(cg.verify_proof_intermediate(ctx, m, polys))
+        reports.extend(cg.verify_proof_intermediate_many(ctx, ms, sums))
     if "factorial" in wanted:
         for m in ms:
             reports.extend(cg.verify_factorial_lemma(ctx, m))

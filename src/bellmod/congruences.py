@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,11 +30,12 @@ from .modarith import (
 from .sequences import (
     BellRow,
     DerangementRow,
+    _mod_matmul,
     bell_mod,
     bell_row,
     derangement_row,
     signed_series_row,
-    touchard_polys_from_matrix,
+    touchard_coeff_matrix,
     touchard_value_table,
 )
 
@@ -57,13 +59,18 @@ __all__ = [
     "verify_bell_p",
     "verify_touchard",
     "weighted_touchard_sum",
+    "weighted_touchard_sums",
     "theorem2_lhs",
     "theorem2_rhs",
     "verify_theorem2",
+    "verify_theorem2_many",
     "verify_theorem2_eval",
+    "verify_theorem2_eval_many",
     "verify_special_cases",
+    "verify_special_cases_many",
     "proof_intermediate",
     "verify_proof_intermediate",
+    "verify_proof_intermediate_many",
     "verify_factorial_lemma",
     "geometric_sum_lemma_check",
 ]
@@ -99,6 +106,11 @@ _IDENTITY_RANK = {ident: i for i, ident in enumerate(Identity)}
 
 # canonical key order for params, report sorting and serialization
 PARAM_ORDER = ("m", "n", "x", "k", "l", "j", "r")
+
+# weights handled per block by the batched Touchard-sum kernels: a block
+# holds one (block x p) array of powers of u, and one (block x (p + max m))
+# array of closed-form coefficients, whatever the number of weights
+WEIGHT_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +310,7 @@ def verify_corollary(
     cur = np.ones(p - 1, dtype=np.int64)
     for n in range(1, p):
         cur = cur * base % p
-        rhs = int(weights @ cur % p) if p * p * p < 2**62 else _chunk_dot(weights, cur, p)
+        rhs = int(_mod_matmul(weights, cur, p))
         lhs = int(row.values[n])
         reports.append(make_report(Identity.COROLLARY, ctx, {"n": n}, lhs, rhs))
     # kernel power sums K[e] = sum_m (-m)^e
@@ -307,7 +319,7 @@ def verify_corollary(
     kernel[0] = (p - 1) % p
     for e in range(1, p - 1):
         cur = cur * base % p
-        kernel[e] = int(cur.sum() % p) if p * p * p < 2**62 else _chunk_sum(cur, p)
+        kernel[e] = cur.sum() % p  # p - 1 residues sum below p**2 < 2**62
     for n in range(1, p):
         for k in range(1, p):
             lhs = int(kernel[(n - k) % (p - 1)])
@@ -316,22 +328,6 @@ def verify_corollary(
                 make_report(Identity.COROLLARY, ctx, {"n": n, "k": k}, lhs, rhs)
             )
     return reports
-
-
-def _chunk_dot(a: np.ndarray, b: np.ndarray, p: int) -> int:
-    chunk = max(1, 2**62 // (p * p))
-    total = 0
-    for i in range(0, a.shape[0], chunk):
-        total = (total + int(a[i : i + chunk] @ b[i : i + chunk])) % p
-    return total
-
-
-def _chunk_sum(v: np.ndarray, p: int) -> int:
-    chunk = max(1, 2**62 // p)
-    total = 0
-    for i in range(0, v.shape[0], chunk):
-        total = (total + int(v[i : i + chunk].sum())) % p
-    return total
 
 
 def verify_eq4(
@@ -381,7 +377,7 @@ def verify_bell_p(ctx: PrimeContext, row: BellRow | None = None) -> Verification
     if row is None:
         row = bell_row(ctx)
     w = ctx.inv_fact_np * ctx.inv_fact_np[::-1] % p
-    lhs = int(ctx.fact[p - 1]) * _chunk_dot(w, row.values, p) % p
+    lhs = int(ctx.fact[p - 1]) * int(_mod_matmul(w, row.values, p)) % p
     return make_report(Identity.BELL_P, ctx, {}, lhs, 2 % p)
 
 
@@ -408,22 +404,94 @@ def verify_touchard(
     return reports
 
 
+def _weighted_power_rows(
+    ctx: PrimeContext, ms: Sequence[int], table: np.ndarray
+) -> np.ndarray:
+    """sum_{0<n<p} table[n] u^n mod p with u = 1/(-m), one row per weight.
+
+    table holds residues in p rows indexed by n.  Each block of WEIGHT_BLOCK
+    weights is one exact product of its powers of u with table[1:].
+    """
+    p = ctx.p
+    out = np.empty((len(ms), table.shape[1]), dtype=np.int64)
+    for lo in range(0, len(ms), WEIGHT_BLOCK):
+        block = ms[lo : lo + WEIGHT_BLOCK]
+        for m in block:
+            _require_unit(ctx, m)
+        upow = powers_mod([_neg_inv(ctx, m) for m in block], p, p)
+        out[lo : lo + len(block)] = _mod_matmul(upow[:, 1:], table[1:], p)
+    return out
+
+
+def _eval_rows(
+    ctx: PrimeContext, polys: Iterable[DensePoly], xs: Sequence[int]
+) -> np.ndarray:
+    """Every polynomial at every point x, one row per polynomial.
+
+    The polynomials are taken WEIGHT_BLOCK at a time, and each block gets
+    one Horner pass over its stacked dense coefficients.
+    """
+    p = ctx.p
+    x = np.array(xs, dtype=np.int64)
+    rows = []
+    it = iter(polys)
+    while block := list(islice(it, WEIGHT_BLOCK)):
+        coeffs = np.zeros((len(block), max(len(f.coeffs) for f in block)), dtype=np.int64)
+        for i, f in enumerate(block):
+            coeffs[i, : len(f.coeffs)] = f.coeffs
+        acc = np.zeros((len(block), len(x)), dtype=np.int64)
+        for col in coeffs.T[::-1]:
+            acc = (acc * x + col[:, None]) % p
+        rows.append(acc)
+    return np.concatenate(rows)
+
+
+def _inv_pow(ctx: PrimeContext, bases: Sequence[int], exps: Sequence[int]) -> np.ndarray:
+    """b**(-e) mod p for every exponent e (rows) and unit b (columns)."""
+    p = ctx.p
+    table = powers_mod([pow(b, p - 2, p) for b in bases], p - 1, p)
+    return table[:, [e % (p - 1) for e in exps]].T
+
+
+def _require_points(ctx: PrimeContext, xs: Sequence[int]) -> list[int]:
+    """xs reduced mod p; a multiple of p raises BadPointError."""
+    p = ctx.p
+    for x in xs:
+        if x % p == 0:
+            raise BadPointError(f"x = {x} is a multiple of p = {p}")
+    return [x % p for x in xs]
+
+
+def _grid_reports(
+    identity: Identity, ctx: PrimeContext, ms: Sequence[int], xs: Sequence[int],
+    lhs: np.ndarray, rhs: np.ndarray,
+) -> list[VerificationReport]:
+    """One report per (m, x), m-major, from (len(ms), len(xs)) residues."""
+    return [
+        make_report(identity, ctx, {"m": m, "x": x}, lv, rv)
+        for m, lrow, rrow in zip(ms, lhs.tolist(), rhs.tolist())
+        for x, lv, rv in zip(xs, lrow, rrow)
+    ]
+
+
+def weighted_touchard_sums(
+    ctx: PrimeContext, ms: Sequence[int], matrix: np.ndarray | None = None
+) -> list[DensePoly]:
+    """sum_{0<n<p} T_n(x) / (-m)^n as a polynomial mod p for every weight
+    in ms, from the coefficient matrix M[n, k] = S(n, k) mod p."""
+    if matrix is None:
+        matrix = touchard_coeff_matrix(ctx)
+    return [DensePoly(ctx, row) for row in _weighted_power_rows(ctx, ms, matrix).tolist()]
+
+
 def weighted_touchard_sum(
     ctx: PrimeContext, m: int, polys: Sequence[DensePoly] | None = None
 ) -> DensePoly:
     """sum_{0<n<p} T_n(x) / (-m)^n as a polynomial mod p."""
-    _require_unit(ctx, m)
-    p = ctx.p
-    if polys is None:
-        polys = touchard_polys_from_matrix(ctx)
-    u = _neg_inv(ctx, m)
-    acc = [0] * p
-    upow = 1
-    for n in range(1, p):
-        upow = upow * u % p
-        for k, c in enumerate(polys[n].coeffs):
-            acc[k] = (acc[k] + upow * c) % p
-    return DensePoly(ctx, acc)
+    matrix = None
+    if polys is not None:
+        matrix = np.array([f._padded(ctx.p) for f in polys], dtype=np.int64)
+    return weighted_touchard_sums(ctx, [m], matrix)[0]
 
 
 def theorem2_lhs(
@@ -454,16 +522,53 @@ def theorem2_rhs(ctx: PrimeContext, m: int) -> DensePoly:
     return DensePoly(ctx, coeffs)
 
 
+def verify_theorem2_many(
+    ctx: PrimeContext, ms: Sequence[int], sums: Sequence[DensePoly]
+) -> list[VerificationReport]:
+    """verify_theorem2 for every weight in ms, given their weighted
+    Touchard sums from weighted_touchard_sums."""
+    reports = []
+    for m, inner in zip(ms, sums):
+        lhs = inner.mul_monomial(m, 1 if m % 2 == 0 else -1)
+        rhs = theorem2_rhs(ctx, m)
+        reports.append(
+            make_report(Identity.THEOREM2_POLY, ctx, {"m": m}, lhs.coeffs, rhs.coeffs)
+        )
+    return reports
+
+
 def verify_theorem2(
     ctx: PrimeContext, m: int, polys: Sequence[DensePoly] | None = None
 ) -> VerificationReport:
     """Compare both sides of the polynomial congruence as coefficient
     tuples; they agree identically in x when the identity holds."""
-    lhs = theorem2_lhs(ctx, m, polys)
-    rhs = theorem2_rhs(ctx, m)
-    return make_report(
-        Identity.THEOREM2_POLY, ctx, {"m": m}, tuple(lhs.coeffs), tuple(rhs.coeffs)
-    )
+    return verify_theorem2_many(ctx, [m], [weighted_touchard_sum(ctx, m, polys)])[0]
+
+
+def verify_theorem2_eval_many(
+    ctx: PrimeContext,
+    ms: Sequence[int],
+    xs: Sequence[int],
+    values: np.ndarray | None = None,
+) -> list[VerificationReport]:
+    """Check the evaluated form at every weight m of ms and every point x
+    of xs with p not dividing x, in m-major order:
+
+    sum_{0<n<p} T_n(x) / (-m)^n = -x^p sum_l ((m-1)!/l!) (-x)^l / (-x)^m.
+
+    The left side weights the tabulated T_n(x); the right side evaluates
+    the closed-form polynomial, built once per m, and divides by (-x)^m.
+    """
+    p = ctx.p
+    xs = _require_points(ctx, xs)
+    if not ms or not xs:
+        return []
+    if values is None:
+        values = touchard_value_table(ctx)
+    lhs = _weighted_power_rows(ctx, ms, values[:, xs])
+    num = _eval_rows(ctx, (theorem2_rhs(ctx, m) for m in ms), xs)
+    rhs = num * _inv_pow(ctx, [p - x for x in xs], ms) % p
+    return _grid_reports(Identity.THEOREM2_EVAL, ctx, ms, xs, lhs, rhs)
 
 
 def verify_theorem2_eval(
@@ -472,29 +577,8 @@ def verify_theorem2_eval(
     x: int,
     values: np.ndarray | None = None,
 ) -> VerificationReport:
-    """Check the evaluated form at one point x with p not dividing x:
-
-    sum_{0<n<p} T_n(x) / (-m)^n = -x^p sum_l ((m-1)!/l!) (-x)^l / (-x)^m.
-
-    The left side sums the tabulated T_n(x); the right side evaluates the
-    closed-form polynomial and divides by (-x)^m.
-    """
-    _require_unit(ctx, m)
-    p = ctx.p
-    if x % p == 0:
-        raise BadPointError(f"x = {x} is a multiple of p = {p}")
-    if values is None:
-        values = touchard_value_table(ctx)
-    xv = x % p
-    u = _neg_inv(ctx, m)
-    acc = 0
-    upow = 1
-    for n in range(1, p):
-        upow = upow * u % p
-        acc = (acc + int(values[n, xv]) * upow) % p
-    denom = pow(-xv % p, m, p)
-    rhs = theorem2_rhs(ctx, m).eval(xv).value * pow(denom, p - 2, p) % p
-    return make_report(Identity.THEOREM2_EVAL, ctx, {"m": m, "x": xv}, acc, rhs)
+    """verify_theorem2_eval_many at one weight m and one point x."""
+    return verify_theorem2_eval_many(ctx, [m], [x], values)[0]
 
 
 # numerators of the displayed low-weight cases, ascending; the denominator
@@ -506,35 +590,31 @@ _SPECIAL_NUMERATORS = {
 }
 
 
+def verify_special_cases_many(
+    ctx: PrimeContext, xs: Sequence[int], values: np.ndarray | None = None
+) -> list[VerificationReport]:
+    """Check the displayed m = 2, 3, 4 evaluations of the weighted sum
+    against their hard-coded rational forms, at every point of xs coprime
+    to p, in m-major order.  Weights divisible by p are skipped.
+    """
+    p = ctx.p
+    xs = _require_points(ctx, xs)
+    if not xs:
+        return []
+    if values is None:
+        values = touchard_value_table(ctx)
+    ms = [m for m in _SPECIAL_NUMERATORS if m % p]
+    lhs = _weighted_power_rows(ctx, ms, values[:, xs])
+    num = _eval_rows(ctx, (DensePoly(ctx, _SPECIAL_NUMERATORS[m]) for m in ms), xs)
+    rhs = num * _inv_pow(ctx, xs, [m - 1 for m in ms]) % p
+    return _grid_reports(Identity.SPECIAL_CASE_M, ctx, ms, xs, lhs, rhs)
+
+
 def verify_special_cases(
     ctx: PrimeContext, x: int, values: np.ndarray | None = None
 ) -> list[VerificationReport]:
-    """Check the displayed m = 2, 3, 4 evaluations of the weighted sum
-    against their hard-coded rational forms, at one point x coprime to p.
-    Weights divisible by p are skipped.
-    """
-    p = ctx.p
-    if x % p == 0:
-        raise BadPointError(f"x = {x} is a multiple of p = {p}")
-    if values is None:
-        values = touchard_value_table(ctx)
-    xv = x % p
-    reports = []
-    for m, numer in _SPECIAL_NUMERATORS.items():
-        if m % p == 0:
-            continue
-        u = _neg_inv(ctx, m)
-        acc = 0
-        upow = 1
-        for n in range(1, p):
-            upow = upow * u % p
-            acc = (acc + int(values[n, xv]) * upow) % p
-        num = DensePoly(ctx, numer).eval(xv).value
-        rhs = num * pow(pow(xv, m - 1, p), p - 2, p) % p
-        reports.append(
-            make_report(Identity.SPECIAL_CASE_M, ctx, {"m": m, "x": xv}, acc, rhs)
-        )
-    return reports
+    """verify_special_cases_many at one point x."""
+    return verify_special_cases_many(ctx, [x], values)
 
 
 def least_positive_residue_of_neg(ctx: PrimeContext, m: int) -> int:
@@ -558,20 +638,26 @@ def proof_intermediate(ctx: PrimeContext, m: int) -> DensePoly:
     return DensePoly(ctx, coeffs)
 
 
+def verify_proof_intermediate_many(
+    ctx: PrimeContext, ms: Sequence[int], sums: Sequence[DensePoly]
+) -> list[VerificationReport]:
+    """Compare each weight's direct weighted Touchard sum, from
+    weighted_touchard_sums, against its closed form."""
+    reports = []
+    for m, lhs in zip(ms, sums):
+        r = least_positive_residue_of_neg(ctx, m)
+        rhs = proof_intermediate(ctx, m).coeffs
+        reports.append(
+            make_report(Identity.PROOF_INTERMEDIATE, ctx, {"m": m, "r": r}, lhs.coeffs, rhs)
+        )
+    return reports
+
+
 def verify_proof_intermediate(
     ctx: PrimeContext, m: int, polys: Sequence[DensePoly] | None = None
 ) -> VerificationReport:
     """Compare the direct weighted Touchard sum against its closed form."""
-    r = least_positive_residue_of_neg(ctx, m)
-    lhs = weighted_touchard_sum(ctx, m, polys)
-    rhs = proof_intermediate(ctx, m)
-    return make_report(
-        Identity.PROOF_INTERMEDIATE,
-        ctx,
-        {"m": m, "r": r},
-        tuple(lhs.coeffs),
-        tuple(rhs.coeffs),
-    )
+    return verify_proof_intermediate_many(ctx, [m], [weighted_touchard_sum(ctx, m, polys)])[0]
 
 
 def verify_factorial_lemma(ctx: PrimeContext, m: int) -> list[VerificationReport]:

@@ -223,8 +223,9 @@ class Residue:
             return self.value == other % self.ctx.p
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.value, self.ctx.p))
+    # == equates a residue with every congruent int, so no hash can agree
+    # with it: residues are unhashable
+    __hash__ = None
 
     def __int__(self) -> int:
         return self.value

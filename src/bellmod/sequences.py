@@ -38,48 +38,25 @@ __all__ = [
     "touchard_value_table",
 ]
 
-# int64 products of two residues stay below p**2; a dot product over at
-# most p terms stays below p**3.  Chunk whenever that could reach 2**63.
+# int64 products of two residues stay below p**2, so a chunk of
+# _DOT_LIMIT // p**2 of them sums below 2**62, and adding the running
+# residue to it cannot reach 2**63.
 _DOT_LIMIT = 2**62
 
 
-def _mod_dot(a: np.ndarray, b: np.ndarray, p: int) -> int:
-    """Exact dot product of residue vectors, reduced mod p."""
-    n = a.shape[0]
-    if n == 0:
-        return 0
-    chunk = max(1, _DOT_LIMIT // (p * p))
-    if n <= chunk:
-        return int(a @ b) % p
-    total = 0
-    for i in range(0, n, chunk):
-        total = (total + int(a[i : i + chunk] @ b[i : i + chunk])) % p
-    return total
-
-
-def _mod_vecmat(v: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
-    """Exact v @ m for residue entries, reduced mod p."""
-    n = v.shape[0]
-    if n == 0:
-        return np.zeros(m.shape[1], dtype=np.int64)
-    chunk = max(1, _DOT_LIMIT // (p * p))
-    if n <= chunk:
-        return (v @ m) % p
-    acc = np.zeros(m.shape[1], dtype=np.int64)
-    for i in range(0, n, chunk):
-        acc = (acc + v[i : i + chunk] @ m[i : i + chunk]) % p
-    return acc
-
-
 def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b for residue entries, reduced mod p."""
-    inner = a.shape[1]
+    """Exact a @ b for residue entries, reduced mod p.
+
+    As with np.matmul, a 1-D operand is a vector, so this is also the dot
+    product and the vector-matrix product.
+    """
+    inner = a.shape[-1]
     chunk = max(1, _DOT_LIMIT // (p * p))
     if inner <= chunk:
         return (a @ b) % p
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    acc = 0
     for i in range(0, inner, chunk):
-        acc = (acc + a[:, i : i + chunk] @ b[i : i + chunk]) % p
+        acc = (acc + a[..., i : i + chunk] @ b[i : i + chunk]) % p
     return acc
 
 
@@ -121,7 +98,7 @@ def bell_row(ctx: PrimeContext) -> BellRow:
     values[0] = 1 % p
     for n in range(p - 1):
         w = invf[: n + 1] * invf[n::-1] % p
-        values[n + 1] = int(fact[n]) * _mod_dot(w, values[: n + 1], p) % p
+        values[n + 1] = int(fact[n]) * int(_mod_matmul(w, values[: n + 1], p)) % p
     values.setflags(write=False)
     return BellRow(ctx, values)
 
@@ -139,20 +116,11 @@ def bell_triangle_row(ctx: PrimeContext) -> BellRow:
     row = np.array([1 % p], dtype=np.int64)
     for n in range(1, p):
         nxt = np.concatenate((row[-1:], row))
-        # prefix sums never exceed p * p before each reduction
-        row = np.cumsum(nxt) % p if p * p < _DOT_LIMIT else _slow_cumsum(nxt, p)
+        # prefix sums stay below p * p < 2**62 before each reduction
+        row = np.cumsum(nxt) % p
         values[n] = row[0]
     values.setflags(write=False)
     return BellRow(ctx, values)
-
-
-def _slow_cumsum(v: np.ndarray, p: int) -> np.ndarray:
-    out = v.copy()
-    acc = 0
-    for i in range(out.shape[0]):
-        acc = (acc + int(out[i])) % p
-        out[i] = acc
-    return out
 
 
 def bell_mod(n: int, ctx: PrimeContext, row: BellRow | None = None) -> Residue:
@@ -254,7 +222,7 @@ def signed_series_row(ctx: PrimeContext) -> np.ndarray:
     p = ctx.p
     alt = ctx.inv_fact_np.copy()
     alt[1::2] = (p - alt[1::2]) % p
-    acc = np.cumsum(alt) % p if p * p < _DOT_LIMIT else _slow_cumsum(alt, p)
+    acc = np.cumsum(alt) % p  # prefix sums stay below p * p < 2**62
     sigma = ctx.fact_np * acc % p
     sigma[1::2] = (p - sigma[1::2]) % p
     sigma.setflags(write=False)
@@ -321,7 +289,7 @@ def touchard_coeff_matrix(ctx: PrimeContext) -> np.ndarray:
     binrow = np.zeros(p, dtype=np.int64)
     binrow[0] = 1 % p
     for n in range(p - 1):
-        acc = _mod_vecmat(binrow[: n + 1], m[: n + 1], p)
+        acc = _mod_matmul(binrow[: n + 1], m[: n + 1], p)
         m[n + 1, 1:] = acc[:-1]
         nxt = binrow.copy()
         nxt[1 : n + 2] = (binrow[1 : n + 2] + binrow[0 : n + 1]) % p

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -226,6 +227,23 @@ def test_run_sweep_deterministic_across_workers():
     assert s1.reports_failed == s2.reports_failed == 0
     for fmt in ("text", "jsonl", "csv"):
         assert render_reports(r1, fmt) == render_reports(r2, fmt)
+
+
+# sha256 of `verify --identities all --primes 2..31 --format jsonl`, pinned
+# before the Touchard-sum verifiers were batched
+ALL_2_31_SHA256 = "4eab9f4e132e0b2ccbe8cc2014bc173f6fcccf0cf81e7d51a8a22999ff2e5255"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_all_stream_is_pinned(capsys, tmp_path, workers):
+    target = tmp_path / "all.jsonl"
+    code, _, err = run_main(
+        capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", "jsonl",
+        "--workers", workers, "--out", str(target),
+    )
+    assert code == 0, err
+    assert "checked 23466 reports across 11 primes" in err
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256
 
 
 def test_run_sweep_first_failure_is_canonical(monkeypatch):

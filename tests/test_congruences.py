@@ -26,14 +26,24 @@ from bellmod.congruences import (
     verify_factorial_lemma,
     verify_intro_constant,
     verify_proof_intermediate,
+    verify_proof_intermediate_many,
     verify_special_cases,
+    verify_special_cases_many,
     verify_theorem1,
     verify_theorem2,
     verify_theorem2_eval,
+    verify_theorem2_eval_many,
+    verify_theorem2_many,
     verify_touchard,
+    weighted_touchard_sums,
 )
 from bellmod.modarith import IndexTooLargeError, primes_in_range
-from bellmod.sequences import touchard_polys_from_matrix, touchard_value_table
+from bellmod.sequences import (
+    touchard_coeff_matrix,
+    touchard_polys_by_recursion,
+    touchard_polys_from_matrix,
+    touchard_value_table,
+)
 
 
 def test_s_m_examples(cache):
@@ -324,6 +334,102 @@ def test_proof_intermediate(cache):
             if m % p == 0:
                 continue
             assert verify_proof_intermediate(ctx, m, polys).passed, (p, m)
+
+
+def _weights(p):
+    return [m for m in range(1, 2 * p + 1) if m % p]
+
+
+def _touchard_grid(ctx, ms, xs, values, sums):
+    """Every Touchard-sum report of one prime, as the sweep builds them."""
+    return (
+        verify_theorem2_many(ctx, ms, sums)
+        + verify_theorem2_eval_many(ctx, ms, xs, values)
+        + verify_special_cases_many(ctx, xs, values)
+        + verify_proof_intermediate_many(ctx, ms, sums)
+    )
+
+
+def test_batched_eval_matches_polynomial_route(cache):
+    # the recursion polynomials share no code with the value table or the
+    # coefficient matrix behind the batched verifiers
+    for p in primes_in_range(2, 13):
+        ctx = cache.ctx(p)
+        ms, xs = _weights(p), list(range(1, p))
+        polys = touchard_polys_by_recursion(p - 1, ctx)
+        values = touchard_value_table(ctx)
+        evals = verify_theorem2_eval_many(ctx, ms, xs, values)
+        assert [(r.params["m"], r.params["x"]) for r in evals] == [(m, x) for m in ms for x in xs]
+        special = {(r.params["m"], r.params["x"]): r for r in verify_special_cases_many(ctx, xs, values)}
+        assert set(special) == {(m, x) for m in (2, 3, 4) if m % p for x in xs}
+        sums = weighted_touchard_sums(ctx, ms, touchard_coeff_matrix(ctx))
+        for i, m in enumerate(ms):
+            lhs_poly = theorem2_lhs(ctx, m, polys)
+            u = pow(-m % p, p - 2, p)
+            direct = [sum(polys[n].eval(x).value * pow(u, n, p) for n in range(1, p)) % p for x in xs]
+            assert [sums[i].eval(x).value for x in xs] == direct, (p, m)
+            for x, rep in zip(xs, evals[i * len(xs) : (i + 1) * len(xs)]):
+                assert rep.passed and rep.lhs == direct[x - 1], (p, m, x)
+                assert lhs_poly.eval(x).value == pow(-x % p, m, p) * rep.lhs % p
+                if (m, x) in special:
+                    assert special[(m, x)].passed and special[(m, x)].lhs == rep.lhs
+
+
+def test_corrupt_table_entry_fails_exactly_its_point(cache):
+    p, bad_x = 11, 4
+    ctx = cache.ctx(p)
+    ms, xs = _weights(p), list(range(1, p))
+    values = touchard_value_table(ctx).copy()
+    values[6, bad_x] = (values[6, bad_x] + 1) % p
+    reports = verify_theorem2_eval_many(ctx, ms, xs, values) + verify_special_cases_many(ctx, xs, values)
+    failed = [r for r in reports if not r.passed]
+    assert failed == [r for r in reports if r.params["x"] == bad_x]
+    assert len(failed) == len(ms) + 3
+
+
+def test_weight_blocks_do_not_change_reports(cache, monkeypatch):
+    p = 13
+    ctx = cache.ctx(p)
+    ms, xs = _weights(p) + [7 * p + 2], list(range(1, p))
+    matrix, values = touchard_coeff_matrix(ctx), touchard_value_table(ctx)
+
+    def grid():
+        reports = _touchard_grid(ctx, ms, xs, values, weighted_touchard_sums(ctx, ms, matrix))
+        return [(r.identity, r.params, r.lhs, r.rhs, r.passed) for r in reports]
+
+    whole = grid()
+    monkeypatch.setattr(cg, "WEIGHT_BLOCK", 3)  # 27 weights: nine blocks
+    assert grid() == whole
+    assert all(passed for *_, passed in whole)
+
+
+def test_batched_report_sides_are_python_ints(cache):
+    ctx = cache.ctx(7)
+    ms, xs = _weights(7), [1, 3, 6]
+    values = touchard_value_table(ctx)
+    sums = weighted_touchard_sums(ctx, ms)
+    for rep in _touchard_grid(ctx, ms, xs, values, sums):
+        sides = (rep.lhs, rep.rhs) if isinstance(rep.lhs, int) else rep.lhs + rep.rhs
+        assert all(type(v) is int for v in sides), rep
+        assert all(type(v) is int for v in rep.params.values()), rep
+        assert rep.passed
+
+
+def test_batched_verifiers_on_empty_grids(cache):
+    ctx = cache.ctx(7)
+    values = touchard_value_table(ctx)
+    assert verify_theorem2_eval_many(ctx, [], [1, 2], values) == []
+    assert verify_theorem2_eval_many(ctx, [1, 2], [], values) == []
+    assert verify_special_cases_many(ctx, [], values) == []
+    assert weighted_touchard_sums(ctx, []) == []
+    assert verify_theorem2_many(ctx, [], []) == []
+    assert verify_proof_intermediate_many(ctx, [], []) == []
+    with pytest.raises(BadPointError):
+        verify_theorem2_eval_many(ctx, [1], [3, 14], values)
+    with pytest.raises(BadModulusError):
+        verify_theorem2_eval_many(ctx, [1, 14], [3], values)
+    with pytest.raises(BadModulusError):
+        weighted_touchard_sums(ctx, [7])
 
 
 def test_least_positive_residue(cache):

@@ -158,6 +158,17 @@ def test_residue_arithmetic():
         Residue(-1, ctx)
 
 
+def test_residue_is_unhashable():
+    # a == 3 and a == 10 both hold, so no hash could agree with ==
+    ctx = make_context(7)
+    a = Residue(3, ctx)
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(TypeError):
+        {a, 3}
+    assert a == 3 and a == 10
+
+
 def test_residue_context_guard():
     a = Residue(3, make_context(5))
     b = Residue(3, make_context(7))

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from bellmod import oracle
-from bellmod.modarith import IndexTooLargeError, make_context, primes_in_range
+from bellmod.modarith import IndexTooLargeError, is_prime, make_context, primes_in_range
 from bellmod.sequences import (
+    _DOT_LIMIT,
+    _mod_matmul,
     bell_mod,
     bell_row,
     bell_triangle_row,
@@ -194,3 +198,32 @@ def test_theorem1_rhs_periodicity_in_m(cache):
             a = (-1) ** (m - 1) * oracle.derangement_exact(m - 1)
             b = (-1) ** (m + p - 1) * oracle.derangement_exact(m + p - 1)
             assert oracle.reduce(a, ctx) == oracle.reduce(b, ctx), (p, m)
+
+
+def _first_chunked_prime(inner):
+    """The least prime p whose chunk size _DOT_LIMIT // p**2 falls below inner."""
+    p = math.isqrt(_DOT_LIMIT // inner)
+    while _DOT_LIMIT // (p * p) >= inner or not is_prime(p):
+        p += 1
+    return p
+
+
+@pytest.mark.parametrize("inner", [2, 3, 40])
+def test_mod_matmul_chunked_branches_are_exact(inner):
+    # at p = 2**31 - 1 the chunk is one term, and just past the threshold it
+    # is just below inner, so both reach the chunked loop; from three terms of
+    # (p - 1)**2 on, an unchunked int64 sum at p = 2**31 - 1 would wrap
+    rng = np.random.default_rng(inner)
+    for p in (2**31 - 1, _first_chunked_prime(inner)):
+        assert _DOT_LIMIT // (p * p) < inner
+        top = np.full(inner, p - 1, dtype=np.int64)
+        vec = rng.integers(0, p, inner, dtype=np.int64)
+        mat = rng.integers(0, p, (inner, 5), dtype=np.int64)
+        mat[:, 0] = p - 1
+        left = rng.integers(0, p, (3, inner), dtype=np.int64)
+        left[0] = p - 1
+        for a, b in ((top, top), (vec, top), (top, mat), (vec, mat), (left, mat)):
+            exact = a.astype(object) @ b.astype(object) % p
+            got = _mod_matmul(a, b, p)
+            assert np.shape(got) == np.shape(exact)
+            assert np.array_equal(np.asarray(got, dtype=object), exact), (p, a.shape, b.shape)
