@@ -5,10 +5,11 @@ prime), ``verify`` sweeps congruence identities over a range of primes and
 emits one report per checked instance, and ``bench`` times the hot kernels
 at a single prime.
 
-Reports are buffered, sorted into a canonical order and only then
-serialized, so the output stream is byte-identical no matter how many
-worker processes produced it.  Summaries go to stderr; report streams go
-to stdout or --out.
+Every verifier emits its reports for one prime in canonical order, and
+the sweep regroups them by identity before one writer serializes them, so
+the output stream is byte-identical no matter how many worker processes
+produced it.  Summaries go to stderr; report streams go to stdout or
+--out.
 """
 
 from __future__ import annotations
@@ -16,17 +17,18 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby, zip_longest
+from operator import attrgetter
 from time import perf_counter
 
 from . import congruences as cg
 from . import oracle
-from .congruences import Identity, VerificationReport, report_sort_key
+from .congruences import Identity, VerificationReport
 from .modarith import (
     IndexTooLargeError,
     NotPrimeError,
@@ -184,8 +186,7 @@ def _sweep_prime(job: tuple[int, SweepConfig]) -> list[VerificationReport]:
         for m in ms:
             reports.extend(cg.verify_factorial_lemma(ctx, m))
     if "geometric" in wanted:
-        for m in ms:
-            reports.extend(cg.geometric_sum_lemma_check(ctx, m))
+        reports.extend(cg.geometric_sum_lemma_check_many(ctx, ms))
     return reports
 
 
@@ -199,9 +200,10 @@ def _pool_size(workers: int, n_jobs: int) -> int:
 def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[VerificationReport]]:
     """Run every selected verifier over every prime in the range.
 
-    Workers each own whole primes; the buffered reports are sorted into
-    canonical order before serialization, so the stream does not depend on
-    the worker count.
+    Workers each own whole primes, and the verifiers emit the reports of
+    each (identity, p) in report_sort_key order, so regrouping the
+    prime-major chunks by identity, keeping their order, yields the
+    canonical order without a sort, whatever the worker count.
     """
     t0 = perf_counter()
     primes = primes_in_range(cfg.prime_lo, cfg.prime_hi)
@@ -212,8 +214,11 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[VerificationReport]]
             chunks = list(pool.map(_sweep_prime, jobs))
     else:
         chunks = [_sweep_prime(job) for job in jobs]
-    reports = [r for chunk in chunks for r in chunk]
-    reports.sort(key=report_sort_key)
+    by_identity: dict[Identity, list[VerificationReport]] = {i: [] for i in Identity}
+    for chunk in chunks:
+        for identity, group in groupby(chunk, attrgetter("identity")):
+            by_identity[identity].extend(group)
+    reports = [r for group in by_identity.values() for r in group]
     failed = [r for r in reports if not r.passed]
     wall = perf_counter() - t0
     summary = SweepSummary(
@@ -226,10 +231,10 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[VerificationReport]]
     return summary, reports
 
 
-def _side_str(side: int | tuple[int, ...]) -> str | list[str]:
+def _side_json(side: int | tuple[int, ...]) -> str:
     if isinstance(side, tuple):
-        return [str(v) for v in side]
-    return str(side)
+        return "[" + ", ".join([f'"{v}"' for v in side]) + "]"
+    return f'"{side}"'
 
 
 def _side_flat(side: int | tuple[int, ...]) -> str:
@@ -246,18 +251,20 @@ _CSV_TAIL_PARAMS = tuple(k for k in cg.PARAM_ORDER if k not in _CSV_HEAD_PARAMS)
 
 def render_reports(reports: list[VerificationReport], fmt: str) -> str:
     if fmt == "jsonl":
+        # the json.dumps layout, written directly: identity names are \w+,
+        # params are ints and residues are quoted decimal strings, so
+        # nothing needs escaping
         lines = []
         for r in reports:
-            obj = {
-                "identity": r.identity.value,
-                "p": r.p,
-                "params": {k: r.params[k] for k in cg.PARAM_ORDER if k in r.params},
-                "lhs": _side_str(r.lhs),
-                "rhs": _side_str(r.rhs),
-                "pass": r.passed,
-            }
-            lines.append(json.dumps(obj))
-        return "".join(line + "\n" for line in lines)
+            ps = r.params
+            params = ", ".join([f'"{k}": {ps[k]}' for k in cg.PARAM_ORDER if k in ps])
+            lines.append(
+                f'{{"identity": "{r.identity.value}", "p": {r.p}, '
+                f'"params": {{{params}}}, '
+                f'"lhs": {_side_json(r.lhs)}, "rhs": {_side_json(r.rhs)}, '
+                f'"pass": {"true" if r.passed else "false"}}}\n'
+            )
+        return "".join(lines)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -284,6 +291,18 @@ def render_reports(reports: list[VerificationReport], fmt: str) -> str:
             f"{'PASS' if r.passed else 'FAIL'}"
         )
     return "".join(line + "\n" for line in lines)
+
+
+def _describe_failure(r: VerificationReport) -> str:
+    """The text line of a failing report; for a polynomial-valued one, also
+    the first coefficient index where the sides differ, a missing
+    coefficient counting as 0."""
+    line = render_reports([r], "text").strip()
+    if isinstance(r.lhs, tuple) and isinstance(r.rhs, tuple):
+        for i, (a, b) in enumerate(zip_longest(r.lhs, r.rhs, fillvalue=0)):
+            if a != b:
+                return f"{line}; first differing coefficient: index {i} (lhs {a}, rhs {b})"
+    return line
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -390,8 +409,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     if summary.reports_failed:
-        first = render_reports([summary.first_failure], "text").strip()
-        print(f"first failure: {first}", file=sys.stderr)
+        print(f"first failure: {_describe_failure(summary.first_failure)}", file=sys.stderr)
         return 1
     return 0
 

@@ -73,6 +73,7 @@ __all__ = [
     "verify_proof_intermediate_many",
     "verify_factorial_lemma",
     "geometric_sum_lemma_check",
+    "geometric_sum_lemma_check_many",
 ]
 
 
@@ -113,7 +114,7 @@ PARAM_ORDER = ("m", "n", "x", "k", "l", "j", "r")
 WEIGHT_BLOCK = 256
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class VerificationReport:
     """One checked instance of one identity at one prime.
 
@@ -306,23 +307,17 @@ def verify_corollary(
     base = (p - np.arange(1, p, dtype=np.int64)) % p  # (-m) mod p for m = 1..p-1
     weights = drow.values[: p - 1].copy()  # D_{m-1} for m = 1..p-1
     weights[::2] = (p - weights[::2]) % p  # odd m gets the minus sign
+    pw = powers_mod(base, p, p)  # pw[m-1, e] = (-m)^e
+    closed = _mod_matmul(weights, pw[:, 1:], p).tolist()  # n = 1..p-1
+    # kernel power sums K[e] = sum_m (-m)^e; p - 1 residues sum below p**2
+    kernel = (pw[:, : p - 1].sum(axis=0) % p).tolist()
+    bell = row.values.tolist()
+    # canonical order: each {n} report just before its own {n, k} block
     reports = []
-    cur = np.ones(p - 1, dtype=np.int64)
     for n in range(1, p):
-        cur = cur * base % p
-        rhs = int(_mod_matmul(weights, cur, p))
-        lhs = int(row.values[n])
-        reports.append(make_report(Identity.COROLLARY, ctx, {"n": n}, lhs, rhs))
-    # kernel power sums K[e] = sum_m (-m)^e
-    kernel = np.zeros(max(p - 1, 1), dtype=np.int64)
-    cur = np.ones(p - 1, dtype=np.int64)
-    kernel[0] = (p - 1) % p
-    for e in range(1, p - 1):
-        cur = cur * base % p
-        kernel[e] = cur.sum() % p  # p - 1 residues sum below p**2 < 2**62
-    for n in range(1, p):
+        reports.append(make_report(Identity.COROLLARY, ctx, {"n": n}, bell[n], closed[n - 1]))
         for k in range(1, p):
-            lhs = int(kernel[(n - k) % (p - 1)])
+            lhs = kernel[(n - k) % (p - 1)]
             rhs = (p - 1) % p if n == k else 0
             reports.append(
                 make_report(Identity.COROLLARY, ctx, {"n": n, "k": k}, lhs, rhs)
@@ -691,26 +686,29 @@ def verify_factorial_lemma(ctx: PrimeContext, m: int) -> list[VerificationReport
     return reports
 
 
-def geometric_sum_lemma_check(ctx: PrimeContext, m: int) -> list[VerificationReport]:
+def geometric_sum_lemma_check_many(
+    ctx: PrimeContext, ms: Sequence[int]
+) -> list[VerificationReport]:
     """Check sum_{n=1}^{p-1} (j / (-m))^n = -[p divides m + j] (mod p)
-    for every j in 1..p-1, by direct accumulation of the powers.
+    for every weight m of ms and every j in 1..p-1, in m-major order.
+
+    The left side is the weighted-power kernel over the table
+    J[n, j-1] = j^n, the kernel the Touchard-sum verifiers share; the right
+    side is the closed-form indicator.
     """
-    _require_unit(ctx, m)
     p = ctx.p
-    u = _neg_inv(ctx, m)
-    js = np.arange(1, p, dtype=np.int64)
-    q = js * u % p
-    acc = np.zeros(p - 1, dtype=np.int64)
-    cur = np.ones(p - 1, dtype=np.int64)
-    for _ in range(1, p):
-        cur = cur * q % p
-        acc = (acc + cur) % p
-    reports = []
-    for idx, j in enumerate(range(1, p)):
-        rhs = (p - 1) % p if (m + j) % p == 0 else 0
-        reports.append(
-            make_report(
-                Identity.GEOMETRIC_SUM, ctx, {"m": m, "j": j}, int(acc[idx]), rhs
-            )
+    table = powers_mod(np.arange(1, p, dtype=np.int64), p, p).T
+    lhs = _weighted_power_rows(ctx, ms, table).tolist()
+    return [
+        make_report(
+            Identity.GEOMETRIC_SUM, ctx, {"m": m, "j": j}, lv,
+            p - 1 if (m + j) % p == 0 else 0,
         )
-    return reports
+        for m, lrow in zip(ms, lhs)
+        for j, lv in enumerate(lrow, 1)
+    ]
+
+
+def geometric_sum_lemma_check(ctx: PrimeContext, m: int) -> list[VerificationReport]:
+    """geometric_sum_lemma_check_many at one weight m."""
+    return geometric_sum_lemma_check_many(ctx, [m])

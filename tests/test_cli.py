@@ -7,6 +7,7 @@ import pytest
 
 from bellmod import congruences as cg
 from bellmod.cli import (
+    IDENTITY_GROUPS,
     SweepConfig,
     _m_grid,
     _pool_size,
@@ -16,8 +17,8 @@ from bellmod.cli import (
     render_reports,
     run_sweep,
 )
-from bellmod.congruences import Identity, make_report
-from bellmod.modarith import make_context
+from bellmod.congruences import Identity, make_report, report_sort_key
+from bellmod.modarith import DensePoly, make_context
 
 
 def run_main(capsys, *argv):
@@ -215,6 +216,65 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "first failure: THEOREM1 p=3 m=1" in err
     assert out.splitlines()[0].endswith("FAIL")
+    # a scalar failure is echoed as its stream line, with no coefficient note
+    assert err.splitlines()[1] == "first failure: " + out.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "identity, bump, expected",
+    [
+        ("intermediate", 2, "index 2 (lhs 1, rhs 0)"),
+        ("theorem2", 2, "index 3 (lhs 4, rhs 0)"),  # times -x at m = 1
+        ("intermediate", None, "index 4 (lhs 0, rhs 1)"),  # the top one dropped
+    ],
+)
+def test_first_failure_names_first_differing_coefficient(capsys, monkeypatch, identity, bump, expected):
+    real = cg.weighted_touchard_sums
+
+    def crooked(ctx, ms, matrix=None):
+        sums = real(ctx, ms, matrix)
+        coeffs = sums[0]._padded(ctx.p)
+        if bump is None:
+            coeffs[-1] = 0
+        else:
+            coeffs[bump] += 1
+        return [DensePoly(ctx, coeffs), *sums[1:]]
+
+    monkeypatch.setattr(cg, "weighted_touchard_sums", crooked)
+    code, out, err = run_main(capsys, "verify", "--identities", identity, "--primes", "5..7")
+    assert code == 1
+    summary, first = err.splitlines()
+    assert summary.startswith("checked 20 reports across 2 primes in ")
+    assert summary.endswith("s; failures: 2")
+    # the stream line is unchanged; only stderr names the coefficient
+    assert first == f"first failure: {out.splitlines()[0]}; first differing coefficient: {expected}"
+
+
+# grids for the canonical-order test: the default, weights past 3p, one
+# weight, and one prime above X_ALL_LIMIT, where x is sampled
+ORDER_GRIDS = {
+    "default": dict(prime_lo=2, prime_hi=23),
+    "m_max": dict(prime_lo=2, prime_hi=23, m_max=3 * 23),
+    "m_single": dict(prime_lo=2, prime_hi=23, m_single=5),
+    "sampled_x": dict(prime_lo=103, prime_hi=103),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("grid", ORDER_GRIDS)
+def test_run_sweep_returns_canonical_order(grid, workers):
+    """run_sweep does not sort: each verifier must emit its (identity, p)
+    group in report_sort_key order, and the sweep only regroups by
+    identity.  This checks the result against the full key sort."""
+    covered = set()
+    for token in [*IDENTITY_GROUPS, "all"]:
+        tokens = tuple(IDENTITY_GROUPS) if token == "all" else (token,)
+        _, reports = run_sweep(SweepConfig(identities=tokens, workers=workers, **ORDER_GRIDS[grid]))
+        canonical = sorted(reports, key=report_sort_key)
+        assert len(reports) == len(canonical) > 0, token
+        assert all(a is b for a, b in zip(reports, canonical)), token
+        covered |= {r.identity for r in reports}
+    assert covered == set(Identity)
 
 
 def test_run_sweep_deterministic_across_workers():

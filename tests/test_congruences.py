@@ -9,6 +9,7 @@ from bellmod.congruences import (
     BadPointError,
     Identity,
     geometric_sum_lemma_check,
+    geometric_sum_lemma_check_many,
     least_positive_residue_of_neg,
     make_report,
     proof_intermediate,
@@ -424,6 +425,9 @@ def test_batched_verifiers_on_empty_grids(cache):
     assert weighted_touchard_sums(ctx, []) == []
     assert verify_theorem2_many(ctx, [], []) == []
     assert verify_proof_intermediate_many(ctx, [], []) == []
+    assert geometric_sum_lemma_check_many(ctx, []) == []
+    with pytest.raises(BadModulusError):
+        geometric_sum_lemma_check_many(ctx, [1, 14])
     with pytest.raises(BadPointError):
         verify_theorem2_eval_many(ctx, [1], [3, 14], values)
     with pytest.raises(BadModulusError):
@@ -479,6 +483,28 @@ def test_geometric_sum_has_one_hit_per_weight(cache):
             assert all(r.passed for r in reports)
             hits = [r.params["j"] for r in reports if r.rhs != 0]
             assert hits == [(-m) % p], (p, m)
+
+
+def test_geometric_batch_matches_direct_powers(cache, monkeypatch):
+    # the batched lemma runs on the shared weighted-power kernel; the
+    # reference is the plain-int sum of (j u)^n the scalar loop computed
+    for p in primes_in_range(2, 23):
+        ctx = cache.ctx(p)
+        ms = _weights(p) + [7 * p + 1]
+        reports = geometric_sum_lemma_check_many(ctx, ms)
+        assert [(r.params["m"], r.params["j"]) for r in reports] == [
+            (m, j) for m in ms for j in range(1, p)
+        ]
+        for r in reports:
+            m, j = r.params["m"], r.params["j"]
+            u = pow(-m % p, p - 2, p)
+            assert r.lhs == sum(pow(j * u, n, p) for n in range(1, p)) % p, (p, m, j)
+            assert type(r.lhs) is int and r.passed
+        scalar = [r for m in ms for r in geometric_sum_lemma_check(ctx, m)]
+        assert [(r.params, r.lhs, r.rhs) for r in scalar] == [(r.params, r.lhs, r.rhs) for r in reports]
+    monkeypatch.setattr(cg, "WEIGHT_BLOCK", 3)
+    blocked = geometric_sum_lemma_check_many(cache.ctx(23), ms)
+    assert [(r.params, r.lhs) for r in blocked] == [(r.params, r.lhs) for r in reports]
 
 
 def test_make_report_and_sort_key(cache):

@@ -227,3 +227,20 @@ def test_mod_matmul_chunked_branches_are_exact(inner):
             got = _mod_matmul(a, b, p)
             assert np.shape(got) == np.shape(exact)
             assert np.array_equal(np.asarray(got, dtype=object), exact), (p, a.shape, b.shape)
+
+
+def test_rows_match_sympy_mod_p():
+    """A differential oracle outside this package: sympy's exact Bell,
+    subfactorial and Stirling numbers, reduced mod p."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import stirling
+
+    for p in primes_in_range(2, 61):
+        ctx = make_context(p)
+        assert bell_row(ctx).values.tolist() == [int(sympy.bell(n)) % p for n in range(p)]
+        assert derangement_row(ctx).values.tolist() == [
+            int(sympy.subfactorial(n)) % p for n in range(p)
+        ]
+        assert touchard_coeff_matrix(ctx).tolist() == [
+            [int(stirling(n, k)) % p for k in range(p)] for n in range(p)
+        ], p
