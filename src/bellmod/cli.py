@@ -22,9 +22,11 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby, zip_longest
 from operator import attrgetter
 from time import perf_counter
+from typing import Callable
 
 from . import congruences as cg
 from . import oracle
@@ -48,22 +50,6 @@ from .sequences import (
     touchard_value_table,
 )
 
-# identity selector tokens accepted by --identities
-IDENTITY_GROUPS: dict[str, tuple[Identity, ...]] = {
-    "touchard": (Identity.TOUCHARD_EQ1,),
-    "theorem1": (Identity.THEOREM1,),
-    "intro": (Identity.INTRO_CONSTANT,),
-    "corollary": (Identity.COROLLARY,),
-    "eq4": (Identity.EQ4_BASE, Identity.EQ4_STEP),
-    "bellp": (Identity.BELL_P,),
-    "theorem2": (Identity.THEOREM2_POLY,),
-    "eq10": (Identity.THEOREM2_EVAL,),
-    "special": (Identity.SPECIAL_CASE_M,),
-    "intermediate": (Identity.PROOF_INTERMEDIATE,),
-    "factorial": (Identity.FACTORIAL_LEMMA,),
-    "geometric": (Identity.GEOMETRIC_SUM,),
-}
-
 # past this prime, "--x all" switches to a seeded sample of this many points
 X_ALL_LIMIT = 101
 X_SAMPLE_SIZE = 32
@@ -85,8 +71,6 @@ class SweepConfig:
     n_max: int | None = None
     x_mode: str = "all"  # "all" or a decimal literal
     workers: int = 1
-    output_format: str = "text"
-    output_path: str | None = None
     seed: int = 0
 
 
@@ -133,61 +117,85 @@ def _x_grid(cfg: SweepConfig, p: int) -> list[int]:
     return sorted(rng.sample(range(1, p), X_SAMPLE_SIZE))
 
 
+class PrimeTables:
+    """The tables of one prime for one sweep, each built on first use, so
+    a sweep builds only the tables its selected identities read."""
+
+    def __init__(self, p: int, cfg: SweepConfig):
+        self.cfg = cfg
+        self.ctx = make_context(p)
+
+    @cached_property
+    def row(self):
+        return bell_row(self.ctx)
+
+    @cached_property
+    def matrix(self):
+        return touchard_coeff_matrix(self.ctx)
+
+    @cached_property
+    def values(self):
+        return touchard_value_table(self.ctx, self.matrix)
+
+    @cached_property
+    def sums(self):
+        return cg.weighted_touchard_sum(self.ctx, self.ms, self.matrix)
+
+    @cached_property
+    def ms(self):
+        return _m_grid(self.cfg, self.ctx.p)
+
+    @cached_property
+    def xs(self):
+        return _x_grid(self.cfg, self.ctx.p)
+
+
+def _touchard(t: PrimeTables) -> list[VerificationReport]:
+    p = t.ctx.p
+    n_max = t.cfg.n_max if t.cfg.n_max is not None else p
+    return cg.verify_touchard(t.ctx, min(n_max, p * p - p - 1), t.row)
+
+
+def _theorem1(t: PrimeTables) -> list[VerificationReport]:
+    if not t.ms:
+        return []
+    return cg.verify_theorem1(
+        t.ctx, t.ms, t.row, derangement_row(t.ctx), signed_series_row(t.ctx)
+    )
+
+
+def _intro(t: PrimeTables) -> list[VerificationReport]:
+    m = t.cfg.m_single if t.cfg.m_single is not None else 8
+    return [cg.verify_intro_constant(t.ctx, m, t.row)] if m % t.ctx.p else []
+
+
+# --identities token -> the reports of its identities at one prime.  The
+# sweep walks this dict in its own order, which is the Identity order.
+# Entries look up the verifiers and table builders at call time, never
+# binding them at import, so a wrapper put on those names sees the calls.
+IDENTITIES: dict[str, Callable[[PrimeTables], list[VerificationReport]]] = {
+    "touchard": _touchard,
+    "theorem1": _theorem1,
+    "intro": _intro,
+    "corollary": lambda t: cg.verify_corollary(t.ctx, t.row),
+    "eq4": lambda t: cg.verify_eq4(t.ctx, t.row) if t.ctx.p >= 3 else [],
+    "bellp": lambda t: [cg.verify_bell_p(t.ctx, t.row)],
+    "theorem2": lambda t: cg.verify_theorem2(t.ctx, t.ms, t.sums),
+    "eq10": lambda t: cg.verify_theorem2_eval(t.ctx, t.ms, t.xs, t.values),
+    "special": lambda t: cg.verify_special_cases(t.ctx, t.xs, t.values),
+    "intermediate": lambda t: cg.verify_proof_intermediate(t.ctx, t.ms, t.sums),
+    "factorial": lambda t: cg.verify_factorial_lemma(t.ctx, t.ms),
+    "geometric": lambda t: cg.geometric_sum_lemma_check(t.ctx, t.ms),
+}
+
+
 def _sweep_prime(job: tuple[int, SweepConfig]) -> list[VerificationReport]:
     """All reports for one prime; the unit of parallelism."""
     p, cfg = job
-    ctx = make_context(p)
-    wanted = set(cfg.identities)
-    reports: list[VerificationReport] = []
-
-    needs_row = wanted & {"touchard", "theorem1", "intro", "corollary", "eq4", "bellp"}
-    row = bell_row(ctx) if needs_row else None
-    needs_sums = wanted & {"theorem2", "intermediate"}
-    needs_values = wanted & {"eq10", "special"}
-    matrix = touchard_coeff_matrix(ctx) if (needs_sums or needs_values) else None
-    values = touchard_value_table(ctx, matrix) if needs_values else None
-
-    ms = _m_grid(cfg, p)
-    xs = _x_grid(cfg, p) if needs_values else []
-    sums = cg.weighted_touchard_sums(ctx, ms, matrix) if needs_sums else None
-
-    if "touchard" in wanted:
-        n_max = cfg.n_max if cfg.n_max is not None else p
-        n_max = min(n_max, p * p - p - 1)
-        reports.extend(cg.verify_touchard(ctx, n_max, row))
-    if "theorem1" in wanted and ms:
-        drow = derangement_row(ctx)
-        sigma = signed_series_row(ctx)
-        lhs = cg.s_m_many(ctx, ms, row)
-        for m, lv in zip(ms, lhs):
-            rv = cg.theorem1_rhs(ctx, m, drow, sigma).value
-            reports.append(
-                cg.make_report(Identity.THEOREM1, ctx, {"m": m}, lv, rv)
-            )
-    if "intro" in wanted:
-        m = cfg.m_single if cfg.m_single is not None else 8
-        if m % p:
-            reports.append(cg.verify_intro_constant(ctx, m, row))
-    if "corollary" in wanted:
-        reports.extend(cg.verify_corollary(ctx, row))
-    if "eq4" in wanted and p >= 3:
-        reports.extend(cg.verify_eq4(ctx, row))
-    if "bellp" in wanted:
-        reports.append(cg.verify_bell_p(ctx, row))
-    if "theorem2" in wanted:
-        reports.extend(cg.verify_theorem2_many(ctx, ms, sums))
-    if "eq10" in wanted:
-        reports.extend(cg.verify_theorem2_eval_many(ctx, ms, xs, values))
-    if "special" in wanted:
-        reports.extend(cg.verify_special_cases_many(ctx, xs, values))
-    if "intermediate" in wanted:
-        reports.extend(cg.verify_proof_intermediate_many(ctx, ms, sums))
-    if "factorial" in wanted:
-        for m in ms:
-            reports.extend(cg.verify_factorial_lemma(ctx, m))
-    if "geometric" in wanted:
-        reports.extend(cg.geometric_sum_lemma_check_many(ctx, ms))
-    return reports
+    tables = PrimeTables(p, cfg)
+    return [
+        r for token, verify in IDENTITIES.items() if token in cfg.identities for r in verify(tables)
+    ]
 
 
 def _pool_size(workers: int, n_jobs: int) -> int:
@@ -366,12 +374,12 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = args.primes
-    tokens = args.identities.split(",") if args.identities != "all" else list(IDENTITY_GROUPS)
+    tokens = args.identities.split(",") if args.identities != "all" else list(IDENTITIES)
     for tok in tokens:
-        if tok not in IDENTITY_GROUPS:
+        if tok not in IDENTITIES:
             print(
                 f"unknown identity {tok!r}; pick from "
-                + ",".join(IDENTITY_GROUPS) + " or all",
+                + ",".join(IDENTITIES) + " or all",
                 file=sys.stderr,
             )
             return 2
@@ -396,12 +404,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         x_mode=args.x,
         workers=args.workers,
-        output_format=args.format,
-        output_path=args.out,
         seed=args.seed,
     )
     summary, reports = run_sweep(cfg)
-    _emit(render_reports(reports, cfg.output_format), cfg.output_path)
+    _emit(render_reports(reports, args.format), args.out)
     print(
         f"checked {summary.reports_total} reports across "
         f"{summary.primes_checked} primes in {summary.wall_time:.2f}s; "
@@ -444,13 +450,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             return 1
     t0 = perf_counter()
-    lhs = cg.s_m_many(ctx, ms, row)
-    drow = derangement_row(ctx)
-    sigma = signed_series_row(ctx)
-    bad = 0
-    for m, lv in zip(ms, lhs):
-        if lv != cg.theorem1_rhs(ctx, m, drow, sigma).value:
-            bad += 1
+    bad = sum(not r.passed for r in cg.verify_theorem1(ctx, ms, row))
     t_sweep = perf_counter() - t0
     print(f"weighted-sum sweep over {len(ms)} weights: {t_sweep:.3f}s")
     if bad:
@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--identities",
         default="all",
-        help="comma-separated subset of " + ",".join(IDENTITY_GROUPS) + ", or all",
+        help="comma-separated subset of " + ",".join(IDENTITIES) + ", or all",
     )
     p_ver.add_argument("--m-max", type=int, default=None, help="weights run 1..M-MAX (default 2p)")
     p_ver.add_argument("--m", type=int, default=None, help="check a single weight m")
@@ -514,8 +514,9 @@ def main(argv: list[str] | None = None) -> int:
         cg.BadModulusError,
         cg.BadPointError,
         OSError,
+        MemoryError,
     ) as exc:
-        print(str(exc), file=sys.stderr)
+        print(str(exc) or "out of memory", file=sys.stderr)
         return 2
 
 

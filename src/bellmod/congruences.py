@@ -59,21 +59,15 @@ __all__ = [
     "verify_bell_p",
     "verify_touchard",
     "weighted_touchard_sum",
-    "weighted_touchard_sums",
     "theorem2_lhs",
     "theorem2_rhs",
     "verify_theorem2",
-    "verify_theorem2_many",
     "verify_theorem2_eval",
-    "verify_theorem2_eval_many",
     "verify_special_cases",
-    "verify_special_cases_many",
     "proof_intermediate",
     "verify_proof_intermediate",
-    "verify_proof_intermediate_many",
     "verify_factorial_lemma",
     "geometric_sum_lemma_check",
-    "geometric_sum_lemma_check_many",
 ]
 
 
@@ -264,15 +258,23 @@ def theorem1_rhs(
 
 def verify_theorem1(
     ctx: PrimeContext,
-    m: int,
+    ms: Sequence[int],
     row: BellRow | None = None,
     drow: DerangementRow | None = None,
     sigma: np.ndarray | None = None,
-) -> VerificationReport:
-    """Check sum_{0<k<p} B_k / (-m)^k = (-1)^(m-1) D_{m-1} (mod p)."""
-    lhs = s_m(ctx, m, row)
-    rhs = theorem1_rhs(ctx, m, drow, sigma)
-    return make_report(Identity.THEOREM1, ctx, {"m": m}, lhs.value, rhs.value)
+) -> list[VerificationReport]:
+    """Check sum_{0<k<p} B_k / (-m)^k = (-1)^(m-1) D_{m-1} (mod p) at every
+    weight m of ms, in order.  The left side comes from s_m_many, which
+    the scalar s_m checks as an independent route."""
+    lhs = s_m_many(ctx, ms, row)
+    if drow is None:
+        drow = derangement_row(ctx)
+    if sigma is None:
+        sigma = signed_series_row(ctx)
+    return [
+        make_report(Identity.THEOREM1, ctx, {"m": m}, lv, theorem1_rhs(ctx, m, drow, sigma).value)
+        for m, lv in zip(ms, lhs)
+    ]
 
 
 def verify_intro_constant(
@@ -469,7 +471,7 @@ def _grid_reports(
     ]
 
 
-def weighted_touchard_sums(
+def weighted_touchard_sum(
     ctx: PrimeContext, ms: Sequence[int], matrix: np.ndarray | None = None
 ) -> list[DensePoly]:
     """sum_{0<n<p} T_n(x) / (-m)^n as a polynomial mod p for every weight
@@ -479,21 +481,14 @@ def weighted_touchard_sums(
     return [DensePoly(ctx, row) for row in _weighted_power_rows(ctx, ms, matrix).tolist()]
 
 
-def weighted_touchard_sum(
-    ctx: PrimeContext, m: int, polys: Sequence[DensePoly] | None = None
-) -> DensePoly:
-    """sum_{0<n<p} T_n(x) / (-m)^n as a polynomial mod p."""
-    matrix = None
-    if polys is not None:
-        matrix = np.array([f._padded(ctx.p) for f in polys], dtype=np.int64)
-    return weighted_touchard_sums(ctx, [m], matrix)[0]
-
-
 def theorem2_lhs(
     ctx: PrimeContext, m: int, polys: Sequence[DensePoly] | None = None
 ) -> DensePoly:
     """(-x)^m sum_{0<n<p} T_n(x) / (-m)^n as a polynomial mod p."""
-    inner = weighted_touchard_sum(ctx, m, polys)
+    matrix = None
+    if polys is not None:
+        matrix = np.array([f._padded(ctx.p) for f in polys], dtype=np.int64)
+    inner = weighted_touchard_sum(ctx, [m], matrix)[0]
     sign = 1 if m % 2 == 0 else -1
     return inner.mul_monomial(m, sign)
 
@@ -517,11 +512,13 @@ def theorem2_rhs(ctx: PrimeContext, m: int) -> DensePoly:
     return DensePoly(ctx, coeffs)
 
 
-def verify_theorem2_many(
+def verify_theorem2(
     ctx: PrimeContext, ms: Sequence[int], sums: Sequence[DensePoly]
 ) -> list[VerificationReport]:
-    """verify_theorem2 for every weight in ms, given their weighted
-    Touchard sums from weighted_touchard_sums."""
+    """Compare both sides of the polynomial congruence as coefficient
+    tuples at every weight of ms, given their weighted Touchard sums from
+    weighted_touchard_sum; they agree identically in x when the identity
+    holds."""
     reports = []
     for m, inner in zip(ms, sums):
         lhs = inner.mul_monomial(m, 1 if m % 2 == 0 else -1)
@@ -532,15 +529,7 @@ def verify_theorem2_many(
     return reports
 
 
-def verify_theorem2(
-    ctx: PrimeContext, m: int, polys: Sequence[DensePoly] | None = None
-) -> VerificationReport:
-    """Compare both sides of the polynomial congruence as coefficient
-    tuples; they agree identically in x when the identity holds."""
-    return verify_theorem2_many(ctx, [m], [weighted_touchard_sum(ctx, m, polys)])[0]
-
-
-def verify_theorem2_eval_many(
+def verify_theorem2_eval(
     ctx: PrimeContext,
     ms: Sequence[int],
     xs: Sequence[int],
@@ -566,16 +555,6 @@ def verify_theorem2_eval_many(
     return _grid_reports(Identity.THEOREM2_EVAL, ctx, ms, xs, lhs, rhs)
 
 
-def verify_theorem2_eval(
-    ctx: PrimeContext,
-    m: int,
-    x: int,
-    values: np.ndarray | None = None,
-) -> VerificationReport:
-    """verify_theorem2_eval_many at one weight m and one point x."""
-    return verify_theorem2_eval_many(ctx, [m], [x], values)[0]
-
-
 # numerators of the displayed low-weight cases, ascending; the denominator
 # of case m is x^(m-1)
 _SPECIAL_NUMERATORS = {
@@ -585,7 +564,7 @@ _SPECIAL_NUMERATORS = {
 }
 
 
-def verify_special_cases_many(
+def verify_special_cases(
     ctx: PrimeContext, xs: Sequence[int], values: np.ndarray | None = None
 ) -> list[VerificationReport]:
     """Check the displayed m = 2, 3, 4 evaluations of the weighted sum
@@ -603,13 +582,6 @@ def verify_special_cases_many(
     num = _eval_rows(ctx, (DensePoly(ctx, _SPECIAL_NUMERATORS[m]) for m in ms), xs)
     rhs = num * _inv_pow(ctx, xs, [m - 1 for m in ms]) % p
     return _grid_reports(Identity.SPECIAL_CASE_M, ctx, ms, xs, lhs, rhs)
-
-
-def verify_special_cases(
-    ctx: PrimeContext, x: int, values: np.ndarray | None = None
-) -> list[VerificationReport]:
-    """verify_special_cases_many at one point x."""
-    return verify_special_cases_many(ctx, [x], values)
 
 
 def least_positive_residue_of_neg(ctx: PrimeContext, m: int) -> int:
@@ -633,11 +605,11 @@ def proof_intermediate(ctx: PrimeContext, m: int) -> DensePoly:
     return DensePoly(ctx, coeffs)
 
 
-def verify_proof_intermediate_many(
+def verify_proof_intermediate(
     ctx: PrimeContext, ms: Sequence[int], sums: Sequence[DensePoly]
 ) -> list[VerificationReport]:
     """Compare each weight's direct weighted Touchard sum, from
-    weighted_touchard_sums, against its closed form."""
+    weighted_touchard_sum, against its closed form."""
     reports = []
     for m, lhs in zip(ms, sums):
         r = least_positive_residue_of_neg(ctx, m)
@@ -648,15 +620,9 @@ def verify_proof_intermediate_many(
     return reports
 
 
-def verify_proof_intermediate(
-    ctx: PrimeContext, m: int, polys: Sequence[DensePoly] | None = None
-) -> VerificationReport:
-    """Compare the direct weighted Touchard sum against its closed form."""
-    return verify_proof_intermediate_many(ctx, [m], [weighted_touchard_sum(ctx, m, polys)])[0]
-
-
-def verify_factorial_lemma(ctx: PrimeContext, m: int) -> list[VerificationReport]:
-    """Check the two-branch reduction of (m-1)!/l! mod p for 0 <= l < m:
+def verify_factorial_lemma(ctx: PrimeContext, ms: Sequence[int]) -> list[VerificationReport]:
+    """Check the two-branch reduction of (m-1)!/l! mod p for 0 <= l < m, at
+    every weight m of ms, in m-major order:
 
     it vanishes for l < m + r - p, and otherwise equals
     (-1)^(r+1) / (r! (p + l - m - r)!), with r the least positive residue
@@ -664,29 +630,30 @@ def verify_factorial_lemma(ctx: PrimeContext, m: int) -> list[VerificationReport
     factors reduced mod p.
     """
     p = ctx.p
-    r = least_positive_residue_of_neg(ctx, m)
     reports = []
-    c = 1
-    split = m + r - p
-    rows = []
-    for l in range(m - 1, -1, -1):
-        rows.append((l, c))
-        if l > 0:
-            c = c * (l % p) % p
-    for l, lhs in reversed(rows):
-        if l < split:
-            rhs = 0
-        else:
-            rhs = ctx.inv_fact[r] * ctx.inv_fact[p + l - m - r] % p
-            if (r + 1) % 2 == 1:
-                rhs = -rhs % p
-        reports.append(
-            make_report(Identity.FACTORIAL_LEMMA, ctx, {"m": m, "l": l, "r": r}, lhs, rhs)
-        )
+    for m in ms:
+        r = least_positive_residue_of_neg(ctx, m)
+        c = 1
+        split = m + r - p
+        rows = []
+        for l in range(m - 1, -1, -1):
+            rows.append((l, c))
+            if l > 0:
+                c = c * (l % p) % p
+        for l, lhs in reversed(rows):
+            if l < split:
+                rhs = 0
+            else:
+                rhs = ctx.inv_fact[r] * ctx.inv_fact[p + l - m - r] % p
+                if (r + 1) % 2 == 1:
+                    rhs = -rhs % p
+            reports.append(
+                make_report(Identity.FACTORIAL_LEMMA, ctx, {"m": m, "l": l, "r": r}, lhs, rhs)
+            )
     return reports
 
 
-def geometric_sum_lemma_check_many(
+def geometric_sum_lemma_check(
     ctx: PrimeContext, ms: Sequence[int]
 ) -> list[VerificationReport]:
     """Check sum_{n=1}^{p-1} (j / (-m))^n = -[p divides m + j] (mod p)
@@ -707,8 +674,3 @@ def geometric_sum_lemma_check_many(
         for m, lrow in zip(ms, lhs)
         for j, lv in enumerate(lrow, 1)
     ]
-
-
-def geometric_sum_lemma_check(ctx: PrimeContext, m: int) -> list[VerificationReport]:
-    """geometric_sum_lemma_check_many at one weight m."""
-    return geometric_sum_lemma_check_many(ctx, [m])

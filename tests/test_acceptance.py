@@ -20,7 +20,6 @@ from bellmod.sequences import (
     signed_series_row,
     stirling2_mod,
     touchard_coeff_matrix,
-    touchard_polys_from_matrix,
     touchard_value_table,
 )
 
@@ -114,18 +113,16 @@ def test_criterion_07_theorem2_polynomials():
     ok = True
     for p in primes_in_range(2, 61):
         ctx = make_context(p)
-        matrix = touchard_coeff_matrix(ctx)
-        polys = touchard_polys_from_matrix(ctx, matrix)
-        for m in range(1, 2 * p + 1):
-            if m % p == 0:
-                continue
-            ok = ok and cg.verify_theorem2(ctx, m, polys).passed
-            if p <= 31:
-                ok = ok and cg.verify_proof_intermediate(ctx, m, polys).passed
-                ok = ok and all(r.passed for r in cg.verify_factorial_lemma(ctx, m))
-                ok = ok and all(
-                    r.passed for r in cg.geometric_sum_lemma_check(ctx, m)
-                )
+        ms = [m for m in range(1, 2 * p + 1) if m % p]
+        sums = cg.weighted_touchard_sum(ctx, ms, touchard_coeff_matrix(ctx))
+        reports = cg.verify_theorem2(ctx, ms, sums)
+        want = len(ms)
+        if p <= 31:
+            reports += cg.verify_proof_intermediate(ctx, ms, sums)
+            reports += cg.verify_factorial_lemma(ctx, ms)
+            reports += cg.geometric_sum_lemma_check(ctx, ms)
+            want += len(ms) + sum(ms) + len(ms) * (p - 1)
+        ok = ok and len(reports) == want and all(r.passed for r in reports)
     _verdict(7, "polynomial identity p <= 61 plus proof lemmas p <= 31", ok)
 
 
@@ -135,14 +132,14 @@ def test_criterion_08_eval_and_special_cases():
         ctx, row = _row(p)
         drow = derangement_row(ctx)
         values = touchard_value_table(ctx)
-        for x in range(1, p):
-            reports = cg.verify_special_cases(ctx, x, values)
-            ok = ok and all(r.passed for r in reports)
-            seen = {r.params["m"] for r in reports}
-            ok = ok and seen == {m for m in (2, 3, 4) if m % p}
-            for m in seen:
-                ok = ok and cg.verify_theorem2_eval(ctx, m, x, values).passed
-        for rep in cg.verify_special_cases(ctx, 1, values):
+        xs = list(range(1, p))
+        low = [m for m in (2, 3, 4) if m % p]
+        reports = cg.verify_special_cases(ctx, xs, values)
+        ok = ok and all(r.passed for r in reports)
+        seen = [(r.params["m"], r.params["x"]) for r in reports]
+        ok = ok and seen == [(m, x) for m in low for x in xs]
+        ok = ok and all(r.passed for r in cg.verify_theorem2_eval(ctx, low, xs, values))
+        for rep in cg.verify_special_cases(ctx, [1], values):
             m = rep.params["m"]
             ok = ok and rep.lhs == cg.s_m(ctx, m, row).value
             ok = ok and rep.rhs == cg.theorem1_rhs(ctx, m, drow).value

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
+from bellmod import cli
 from bellmod import congruences as cg
 from bellmod.cli import (
-    IDENTITY_GROUPS,
+    IDENTITIES,
     SweepConfig,
     _m_grid,
     _pool_size,
@@ -136,6 +137,50 @@ def test_verify_weight_past_oracle_cap_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_is_usage_error(capsys, monkeypatch):
+    def exhausted(p):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "make_context", exhausted)
+    code, out, err = run_main(capsys, "verify", "--identities", "bellp", "--primes", "3..7")
+    assert (code, out) == (2, "")
+    assert err == "out of memory\n"
+
+
+def test_repeated_or_reordered_tokens_do_not_change_the_stream(capsys):
+    def stream(identities):
+        code, out, _ = run_main(
+            capsys, "verify", "--identities", identities, "--primes", "2..13", "--format", "jsonl"
+        )
+        assert code == 0
+        return out
+
+    assert stream("eq4,eq4") == stream("eq4")
+    assert stream("eq10,theorem1") == stream("theorem1,eq10")
+
+
+@pytest.mark.parametrize(
+    "builders, tokens",
+    [
+        (
+            ("touchard_coeff_matrix", "touchard_value_table"),
+            "touchard,theorem1,intro,corollary,eq4,bellp,factorial,geometric",
+        ),
+        (("bell_row",), "theorem2,eq10,special,intermediate,factorial,geometric"),
+    ],
+    ids=["no_touchard_tables", "no_bell_row"],
+)
+def test_each_token_builds_only_its_tables(capsys, monkeypatch, builders, tokens):
+    def unused(*args):
+        raise AssertionError("a table no selected identity reads was built")
+
+    for name in builders:
+        monkeypatch.setattr(cli, name, unused)
+    code, _, err = run_main(capsys, "verify", "--identities", tokens, "--primes", "2..13")
+    assert code == 0, err
+    assert "failures: 0" in err
+
+
 def test_pool_size_clamps_to_jobs_and_cpus(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     assert _pool_size(1, 10) == 1
@@ -229,7 +274,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     ],
 )
 def test_first_failure_names_first_differing_coefficient(capsys, monkeypatch, identity, bump, expected):
-    real = cg.weighted_touchard_sums
+    real = cg.weighted_touchard_sum
 
     def crooked(ctx, ms, matrix=None):
         sums = real(ctx, ms, matrix)
@@ -240,7 +285,7 @@ def test_first_failure_names_first_differing_coefficient(capsys, monkeypatch, id
             coeffs[bump] += 1
         return [DensePoly(ctx, coeffs), *sums[1:]]
 
-    monkeypatch.setattr(cg, "weighted_touchard_sums", crooked)
+    monkeypatch.setattr(cg, "weighted_touchard_sum", crooked)
     code, out, err = run_main(capsys, "verify", "--identities", identity, "--primes", "5..7")
     assert code == 1
     summary, first = err.splitlines()
@@ -267,8 +312,8 @@ def test_run_sweep_returns_canonical_order(grid, workers):
     group in report_sort_key order, and the sweep only regroups by
     identity.  This checks the result against the full key sort."""
     covered = set()
-    for token in [*IDENTITY_GROUPS, "all"]:
-        tokens = tuple(IDENTITY_GROUPS) if token == "all" else (token,)
+    for token in [*IDENTITIES, "all"]:
+        tokens = tuple(IDENTITIES) if token == "all" else (token,)
         _, reports = run_sweep(SweepConfig(identities=tokens, workers=workers, **ORDER_GRIDS[grid]))
         canonical = sorted(reports, key=report_sort_key)
         assert len(reports) == len(canonical) > 0, token

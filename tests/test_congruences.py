@@ -9,7 +9,6 @@ from bellmod.congruences import (
     BadPointError,
     Identity,
     geometric_sum_lemma_check,
-    geometric_sum_lemma_check_many,
     least_positive_residue_of_neg,
     make_report,
     proof_intermediate,
@@ -27,16 +26,12 @@ from bellmod.congruences import (
     verify_factorial_lemma,
     verify_intro_constant,
     verify_proof_intermediate,
-    verify_proof_intermediate_many,
     verify_special_cases,
-    verify_special_cases_many,
     verify_theorem1,
     verify_theorem2,
     verify_theorem2_eval,
-    verify_theorem2_eval_many,
-    verify_theorem2_many,
     verify_touchard,
-    weighted_touchard_sums,
+    weighted_touchard_sum,
 )
 from bellmod.modarith import IndexTooLargeError, primes_in_range
 from bellmod.sequences import (
@@ -122,7 +117,7 @@ def test_s_m_chain_reproduces_direct_sums(cache):
 
 
 def test_theorem1_example(cache):
-    rep = verify_theorem1(cache.ctx(7), 3)
+    [rep] = verify_theorem1(cache.ctx(7), [3])
     assert rep.lhs == rep.rhs == 1
     assert rep.passed
     assert rep.params == {"p": 7, "m": 3}
@@ -141,13 +136,18 @@ def test_theorem1_rhs_routes_agree_with_oracle(cache):
 
 
 def test_theorem1_sweep(cache):
+    # verify_theorem1 reads its left side from s_m_many, so the scalar s_m
+    # power loop is checked against the right side here, at every weight
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
         row, drow = cache.bell(p), cache.drow(p)
-        for m in range(1, 3 * p + 1):
-            if m % p == 0:
-                continue
-            assert verify_theorem1(ctx, m, row, drow).passed, (p, m)
+        ms = [m for m in range(1, 3 * p + 1) if m % p]
+        reports = verify_theorem1(ctx, ms, row, drow)
+        assert [r.params["m"] for r in reports] == ms
+        assert all(r.passed for r in reports), p
+        for m in ms:
+            assert s_m(ctx, m, row).value == theorem1_rhs(ctx, m, drow).value, (p, m)
+    assert verify_theorem1(cache.ctx(7), []) == []
 
 
 def test_intro_constant_examples(cache):
@@ -246,22 +246,21 @@ def test_theorem2_rhs_shape(cache):
 def test_theorem2_sweep(cache):
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
-        polys = touchard_polys_from_matrix(ctx)
-        for m in range(1, 2 * p + 1):
-            if m % p == 0:
-                continue
-            rep = verify_theorem2(ctx, m, polys)
-            assert rep.passed, (p, m)
+        ms = _weights(p)
+        reports = verify_theorem2(ctx, ms, weighted_touchard_sum(ctx, ms))
+        assert [r.params["m"] for r in reports] == ms
+        for rep in reports:
+            assert rep.passed, (p, rep.params)
             assert isinstance(rep.lhs, tuple)
 
 
 def test_theorem2_eval_examples(cache):
-    rep = verify_theorem2_eval(cache.ctx(5), 2, 2)
+    [rep] = verify_theorem2_eval(cache.ctx(5), [2], [2])
     assert rep.lhs == rep.rhs == 3
-    rep = verify_theorem2_eval(cache.ctx(7), 3, 1)
+    [rep] = verify_theorem2_eval(cache.ctx(7), [3], [1])
     assert rep.lhs == rep.rhs == 1
     with pytest.raises(BadPointError):
-        verify_theorem2_eval(cache.ctx(5), 2, 10)
+        verify_theorem2_eval(cache.ctx(5), [2], [10])
 
 
 def test_theorem2_eval_matches_polynomial_route(cache):
@@ -269,12 +268,13 @@ def test_theorem2_eval_matches_polynomial_route(cache):
         ctx = cache.ctx(p)
         values = touchard_value_table(ctx)
         polys = touchard_polys_from_matrix(ctx)
-        for m in range(1, 2 * p + 1):
-            if m % p == 0:
-                continue
+        ms, xs = _weights(p), list(range(1, p))
+        reports = iter(verify_theorem2_eval(ctx, ms, xs, values))
+        for m in ms:
             lhs_poly = theorem2_lhs(ctx, m, polys)
-            for x in range(1, p):
-                rep = verify_theorem2_eval(ctx, m, x, values)
+            for x in xs:
+                rep = next(reports)
+                assert (rep.params["m"], rep.params["x"]) == (m, x)
                 assert rep.passed, (p, m, x)
                 # undo the (-x)^m prefactor on the evaluated lhs
                 pref = pow(-x % p, m, p)
@@ -287,54 +287,53 @@ def test_theorem2_eval_at_one_is_theorem1(cache):
         ctx = cache.ctx(p)
         values = touchard_value_table(ctx)
         row, drow = cache.bell(p), cache.drow(p)
-        for m in range(1, p):
-            rep = verify_theorem2_eval(ctx, m, 1, values)
+        for m, rep in zip(range(1, p), verify_theorem2_eval(ctx, list(range(1, p)), [1], values)):
             assert rep.lhs == s_m(ctx, m, row).value
             assert rep.rhs == theorem1_rhs(ctx, m, drow).value
 
 
 def test_special_cases(cache):
-    reports = verify_special_cases(cache.ctx(7), 1)
+    reports = verify_special_cases(cache.ctx(7), [1])
     by_m = {r.params["m"]: r for r in reports}
     assert set(by_m) == {2, 3, 4}
     assert by_m[4].lhs == by_m[4].rhs == 5
     assert all(r.passed for r in reports)
     # weights divisible by p are skipped
-    assert {r.params["m"] for r in verify_special_cases(cache.ctx(2), 1)} == {3}
-    assert {r.params["m"] for r in verify_special_cases(cache.ctx(3), 1)} == {2, 4}
+    assert {r.params["m"] for r in verify_special_cases(cache.ctx(2), [1])} == {3}
+    assert {r.params["m"] for r in verify_special_cases(cache.ctx(3), [1])} == {2, 4}
     with pytest.raises(BadPointError):
-        verify_special_cases(cache.ctx(5), 0)
+        verify_special_cases(cache.ctx(5), [0])
 
 
 def test_special_cases_sweep(cache):
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
         values = touchard_value_table(ctx)
-        for x in range(1, p):
-            assert all(r.passed for r in verify_special_cases(ctx, x, values)), (p, x)
+        reports = verify_special_cases(ctx, list(range(1, p)), values)
+        assert {r.params["x"] for r in reports} == set(range(1, p))
+        assert all(r.passed for r in reports), p
 
 
 def test_special_cases_at_one_match_theorem1(cache):
     for p in primes_in_range(5, 61):
         ctx = cache.ctx(p)
         row = cache.bell(p)
-        for rep in verify_special_cases(ctx, 1):
+        for rep in verify_special_cases(ctx, [1]):
             assert rep.lhs == s_m(ctx, rep.params["m"], row).value, p
 
 
 def test_proof_intermediate(cache):
     ctx = cache.ctx(3)
     assert list(proof_intermediate(ctx, 2).coeffs) == [0, 2, 1]
-    rep = verify_proof_intermediate(ctx, 2)
+    [rep] = verify_proof_intermediate(ctx, [2], weighted_touchard_sum(ctx, [2]))
     assert rep.passed
     assert rep.params == {"p": 3, "m": 2, "r": 1}
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
-        polys = touchard_polys_from_matrix(ctx)
-        for m in range(1, 2 * p + 1):
-            if m % p == 0:
-                continue
-            assert verify_proof_intermediate(ctx, m, polys).passed, (p, m)
+        ms = _weights(p)
+        reports = verify_proof_intermediate(ctx, ms, weighted_touchard_sum(ctx, ms))
+        assert [r.params["m"] for r in reports] == ms
+        assert all(r.passed for r in reports), p
 
 
 def _weights(p):
@@ -344,10 +343,10 @@ def _weights(p):
 def _touchard_grid(ctx, ms, xs, values, sums):
     """Every Touchard-sum report of one prime, as the sweep builds them."""
     return (
-        verify_theorem2_many(ctx, ms, sums)
-        + verify_theorem2_eval_many(ctx, ms, xs, values)
-        + verify_special_cases_many(ctx, xs, values)
-        + verify_proof_intermediate_many(ctx, ms, sums)
+        verify_theorem2(ctx, ms, sums)
+        + verify_theorem2_eval(ctx, ms, xs, values)
+        + verify_special_cases(ctx, xs, values)
+        + verify_proof_intermediate(ctx, ms, sums)
     )
 
 
@@ -359,11 +358,11 @@ def test_batched_eval_matches_polynomial_route(cache):
         ms, xs = _weights(p), list(range(1, p))
         polys = touchard_polys_by_recursion(p - 1, ctx)
         values = touchard_value_table(ctx)
-        evals = verify_theorem2_eval_many(ctx, ms, xs, values)
+        evals = verify_theorem2_eval(ctx, ms, xs, values)
         assert [(r.params["m"], r.params["x"]) for r in evals] == [(m, x) for m in ms for x in xs]
-        special = {(r.params["m"], r.params["x"]): r for r in verify_special_cases_many(ctx, xs, values)}
+        special = {(r.params["m"], r.params["x"]): r for r in verify_special_cases(ctx, xs, values)}
         assert set(special) == {(m, x) for m in (2, 3, 4) if m % p for x in xs}
-        sums = weighted_touchard_sums(ctx, ms, touchard_coeff_matrix(ctx))
+        sums = weighted_touchard_sum(ctx, ms, touchard_coeff_matrix(ctx))
         for i, m in enumerate(ms):
             lhs_poly = theorem2_lhs(ctx, m, polys)
             u = pow(-m % p, p - 2, p)
@@ -382,7 +381,7 @@ def test_corrupt_table_entry_fails_exactly_its_point(cache):
     ms, xs = _weights(p), list(range(1, p))
     values = touchard_value_table(ctx).copy()
     values[6, bad_x] = (values[6, bad_x] + 1) % p
-    reports = verify_theorem2_eval_many(ctx, ms, xs, values) + verify_special_cases_many(ctx, xs, values)
+    reports = verify_theorem2_eval(ctx, ms, xs, values) + verify_special_cases(ctx, xs, values)
     failed = [r for r in reports if not r.passed]
     assert failed == [r for r in reports if r.params["x"] == bad_x]
     assert len(failed) == len(ms) + 3
@@ -395,7 +394,7 @@ def test_weight_blocks_do_not_change_reports(cache, monkeypatch):
     matrix, values = touchard_coeff_matrix(ctx), touchard_value_table(ctx)
 
     def grid():
-        reports = _touchard_grid(ctx, ms, xs, values, weighted_touchard_sums(ctx, ms, matrix))
+        reports = _touchard_grid(ctx, ms, xs, values, weighted_touchard_sum(ctx, ms, matrix))
         return [(r.identity, r.params, r.lhs, r.rhs, r.passed) for r in reports]
 
     whole = grid()
@@ -408,7 +407,7 @@ def test_batched_report_sides_are_python_ints(cache):
     ctx = cache.ctx(7)
     ms, xs = _weights(7), [1, 3, 6]
     values = touchard_value_table(ctx)
-    sums = weighted_touchard_sums(ctx, ms)
+    sums = weighted_touchard_sum(ctx, ms)
     for rep in _touchard_grid(ctx, ms, xs, values, sums):
         sides = (rep.lhs, rep.rhs) if isinstance(rep.lhs, int) else rep.lhs + rep.rhs
         assert all(type(v) is int for v in sides), rep
@@ -419,21 +418,24 @@ def test_batched_report_sides_are_python_ints(cache):
 def test_batched_verifiers_on_empty_grids(cache):
     ctx = cache.ctx(7)
     values = touchard_value_table(ctx)
-    assert verify_theorem2_eval_many(ctx, [], [1, 2], values) == []
-    assert verify_theorem2_eval_many(ctx, [1, 2], [], values) == []
-    assert verify_special_cases_many(ctx, [], values) == []
-    assert weighted_touchard_sums(ctx, []) == []
-    assert verify_theorem2_many(ctx, [], []) == []
-    assert verify_proof_intermediate_many(ctx, [], []) == []
-    assert geometric_sum_lemma_check_many(ctx, []) == []
+    assert verify_theorem2_eval(ctx, [], [1, 2], values) == []
+    assert verify_theorem2_eval(ctx, [1, 2], [], values) == []
+    assert verify_special_cases(ctx, [], values) == []
+    assert weighted_touchard_sum(ctx, []) == []
+    assert verify_theorem2(ctx, [], []) == []
+    assert verify_proof_intermediate(ctx, [], []) == []
+    assert geometric_sum_lemma_check(ctx, []) == []
+    assert verify_factorial_lemma(ctx, []) == []
     with pytest.raises(BadModulusError):
-        geometric_sum_lemma_check_many(ctx, [1, 14])
+        geometric_sum_lemma_check(ctx, [1, 14])
     with pytest.raises(BadPointError):
-        verify_theorem2_eval_many(ctx, [1], [3, 14], values)
+        verify_theorem2_eval(ctx, [1], [3, 14], values)
     with pytest.raises(BadModulusError):
-        verify_theorem2_eval_many(ctx, [1, 14], [3], values)
+        verify_theorem2_eval(ctx, [1, 14], [3], values)
     with pytest.raises(BadModulusError):
-        weighted_touchard_sums(ctx, [7])
+        weighted_touchard_sum(ctx, [7])
+    with pytest.raises(BadModulusError):
+        verify_factorial_lemma(ctx, [1, 14])
 
 
 def test_least_positive_residue(cache):
@@ -445,12 +447,12 @@ def test_least_positive_residue(cache):
 
 def test_factorial_lemma(cache):
     for p, m in ((5, 2), (3, 7), (5, 1), (7, 20)):
-        reports = verify_factorial_lemma(cache.ctx(p), m)
+        reports = verify_factorial_lemma(cache.ctx(p), [m])
         assert len(reports) == m
         assert [r.params["l"] for r in reports] == list(range(m))
         assert all(r.passed for r in reports), (p, m)
     # below the split both sides vanish
-    reports = verify_factorial_lemma(cache.ctx(3), 7)
+    reports = verify_factorial_lemma(cache.ctx(3), [7])
     split = 7 + least_positive_residue_of_neg(cache.ctx(3), 7) - 3
     assert split > 0
     for r in reports[:split]:
@@ -459,17 +461,20 @@ def test_factorial_lemma(cache):
 
 def test_factorial_lemma_sweep(cache):
     for p in primes_in_range(2, 13):
-        for m in range(1, 3 * p + 1):
-            if m % p == 0:
-                continue
-            assert all(r.passed for r in verify_factorial_lemma(cache.ctx(p), m))
+        ctx = cache.ctx(p)
+        ms = [m for m in range(1, 3 * p + 1) if m % p]
+        reports = verify_factorial_lemma(ctx, ms)
+        assert [(r.params["m"], r.params["l"]) for r in reports] == [(m, l) for m in ms for l in range(m)]
+        assert all(r.passed for r in reports), p
+        one_weight = [r for m in ms for r in verify_factorial_lemma(ctx, [m])]
+        assert [(r.params, r.lhs, r.rhs) for r in one_weight] == [(r.params, r.lhs, r.rhs) for r in reports]
 
 
 def test_geometric_sum(cache):
-    reports = geometric_sum_lemma_check(cache.ctx(5), 2)
+    reports = geometric_sum_lemma_check(cache.ctx(5), [2])
     hits = {r.params["j"]: r.lhs for r in reports}
     assert hits == {1: 0, 2: 0, 3: 4, 4: 0}
-    reports = geometric_sum_lemma_check(cache.ctx(7), 6)
+    reports = geometric_sum_lemma_check(cache.ctx(7), [6])
     assert [r.lhs for r in reports if r.params["j"] == 1] == [6]
 
 
@@ -479,7 +484,7 @@ def test_geometric_sum_has_one_hit_per_weight(cache):
         for m in range(1, 2 * p + 1):
             if m % p == 0:
                 continue
-            reports = geometric_sum_lemma_check(ctx, m)
+            reports = geometric_sum_lemma_check(ctx, [m])
             assert all(r.passed for r in reports)
             hits = [r.params["j"] for r in reports if r.rhs != 0]
             assert hits == [(-m) % p], (p, m)
@@ -491,7 +496,7 @@ def test_geometric_batch_matches_direct_powers(cache, monkeypatch):
     for p in primes_in_range(2, 23):
         ctx = cache.ctx(p)
         ms = _weights(p) + [7 * p + 1]
-        reports = geometric_sum_lemma_check_many(ctx, ms)
+        reports = geometric_sum_lemma_check(ctx, ms)
         assert [(r.params["m"], r.params["j"]) for r in reports] == [
             (m, j) for m in ms for j in range(1, p)
         ]
@@ -500,10 +505,10 @@ def test_geometric_batch_matches_direct_powers(cache, monkeypatch):
             u = pow(-m % p, p - 2, p)
             assert r.lhs == sum(pow(j * u, n, p) for n in range(1, p)) % p, (p, m, j)
             assert type(r.lhs) is int and r.passed
-        scalar = [r for m in ms for r in geometric_sum_lemma_check(ctx, m)]
+        scalar = [r for m in ms for r in geometric_sum_lemma_check(ctx, [m])]
         assert [(r.params, r.lhs, r.rhs) for r in scalar] == [(r.params, r.lhs, r.rhs) for r in reports]
     monkeypatch.setattr(cg, "WEIGHT_BLOCK", 3)
-    blocked = geometric_sum_lemma_check_many(cache.ctx(23), ms)
+    blocked = geometric_sum_lemma_check(cache.ctx(23), ms)
     assert [(r.params, r.lhs) for r in blocked] == [(r.params, r.lhs) for r in reports]
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from bellmod.cli import IDENTITY_GROUPS, SweepConfig, render_reports, run_sweep
+from bellmod.cli import IDENTITIES, SweepConfig, render_reports, run_sweep
 from bellmod.congruences import PARAM_ORDER, Identity, VerificationReport, make_report
 from bellmod.modarith import make_context
 
@@ -72,7 +72,7 @@ def test_renderers_match_reference_on_hand_built_reports(fmt, reference):
 
 @pytest.mark.parametrize("fmt, reference", [("jsonl", reference_jsonl), ("text", reference_text)])
 def test_renderers_match_reference_on_a_sweep(fmt, reference):
-    _, reports = run_sweep(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITY_GROUPS)))
+    _, reports = run_sweep(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
     assert {r.identity for r in reports} == set(Identity)
     assert render_reports(reports, fmt) == reference(reports)
 
