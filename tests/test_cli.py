@@ -334,21 +334,31 @@ def test_run_sweep_deterministic_across_workers():
         assert render_reports(r1, fmt) == render_reports(r2, fmt)
 
 
-# sha256 of `verify --identities all --primes 2..31 --format jsonl`, pinned
-# before the Touchard-sum verifiers were batched
-ALL_2_31_SHA256 = "4eab9f4e132e0b2ccbe8cc2014bc173f6fcccf0cf81e7d51a8a22999ff2e5255"
+# sha256 of `verify --identities all --primes 2..31` per format: jsonl pinned
+# before the Touchard-sum verifiers were batched, text and csv before the
+# sweep emitted report blocks
+ALL_2_31_SHA256 = {
+    "jsonl": "4eab9f4e132e0b2ccbe8cc2014bc173f6fcccf0cf81e7d51a8a22999ff2e5255",
+    "text": "b46fb4509053256981c44acde0583bf573b6c19855c999bd7d5bae6ed5539a15",
+    "csv": "2553c946007c78cd149e4096f80cff4edb775fc507c3d362af7e18773ce3342f",
+}
+PINNED_RUNS = [
+    pytest.param(fmt, workers, id=workers if fmt == "jsonl" else f"{fmt}-{workers}")
+    for fmt in ALL_2_31_SHA256
+    for workers in ("1", "2")
+]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_verify_all_stream_is_pinned(capsys, tmp_path, workers):
-    target = tmp_path / "all.jsonl"
+@pytest.mark.parametrize("fmt, workers", PINNED_RUNS)
+def test_verify_all_stream_is_pinned(capsys, tmp_path, fmt, workers):
+    target = tmp_path / f"all.{fmt}"
     code, _, err = run_main(
-        capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", "jsonl",
+        capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", fmt,
         "--workers", workers, "--out", str(target),
     )
     assert code == 0, err
     assert "checked 23466 reports across 11 primes" in err
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
 
 
 def test_run_sweep_first_failure_is_canonical(monkeypatch):
