@@ -41,7 +41,8 @@ print(f"direct weighted sum:                {list(direct.coeffs)}")
 # underneath sits a geometric sum that vanishes except at one index
 print()
 print(f"geometric sums at m = {m}: nonzero only where p divides m + j")
-for rep in geometric_sum_lemma_check(ctx, [m]):
+[geometric] = geometric_sum_lemma_check(ctx, [m])  # one block of reports, one per j
+for rep in geometric:
     if rep.lhs != 0:
         print(f"  j = {rep.params['j']}: sum = {rep.lhs}")
 
@@ -49,7 +50,7 @@ for rep in geometric_sum_lemma_check(ctx, [m]):
 # (-6 + 6x - 3x^2 + x^3) / x^3, checked here at every x
 print()
 print("low-weight rational forms at every point of the field:")
-reports = verify_special_cases(ctx, range(1, P))
+[reports] = verify_special_cases(ctx, range(1, P))
 for x in range(1, P):
     marks = [
         f"m={r.params['m']}:{'ok' if r.passed else 'BAD'}"

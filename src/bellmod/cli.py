@@ -5,32 +5,32 @@ prime), ``verify`` sweeps congruence identities over a range of primes and
 emits one report per checked instance, and ``bench`` times the hot kernels
 at a single prime.
 
-Every verifier emits its reports for one prime in canonical order, and
-the sweep regroups them by identity before one writer serializes them, so
-the output stream is byte-identical no matter how many worker processes
-produced it.  Summaries go to stderr; report streams go to stdout or
---out.
+Every verifier returns the report blocks of one prime in canonical order,
+and the sweep stable-sorts them by identity before the writer renders and
+writes them block by block, so the output stream is byte-identical no
+matter how many worker processes produced it.  Summaries go to stderr;
+report streams go to stdout or --out.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, zip_longest
-from operator import attrgetter
+from itertools import chain, zip_longest
 from time import perf_counter
 from typing import Callable
 
+import numpy as np
+
 from . import congruences as cg
 from . import oracle
-from .congruences import Identity, VerificationReport
+from .congruences import ReportBlock, VerificationReport
 from .modarith import (
     IndexTooLargeError,
     NotPrimeError,
@@ -150,13 +150,13 @@ class PrimeTables:
         return _x_grid(self.cfg, self.ctx.p)
 
 
-def _touchard(t: PrimeTables) -> list[VerificationReport]:
+def _touchard(t: PrimeTables) -> list[ReportBlock]:
     p = t.ctx.p
     n_max = t.cfg.n_max if t.cfg.n_max is not None else p
     return cg.verify_touchard(t.ctx, min(n_max, p * p - p - 1), t.row)
 
 
-def _theorem1(t: PrimeTables) -> list[VerificationReport]:
+def _theorem1(t: PrimeTables) -> list[ReportBlock]:
     if not t.ms:
         return []
     return cg.verify_theorem1(
@@ -164,22 +164,22 @@ def _theorem1(t: PrimeTables) -> list[VerificationReport]:
     )
 
 
-def _intro(t: PrimeTables) -> list[VerificationReport]:
+def _intro(t: PrimeTables) -> list[ReportBlock]:
     m = t.cfg.m_single if t.cfg.m_single is not None else 8
-    return [cg.verify_intro_constant(t.ctx, m, t.row)] if m % t.ctx.p else []
+    return cg.verify_intro_constant(t.ctx, m, t.row) if m % t.ctx.p else []
 
 
-# --identities token -> the reports of its identities at one prime.  The
+# --identities token -> the report blocks of its identities at one prime.  The
 # sweep walks this dict in its own order, which is the Identity order.
 # Entries look up the verifiers and table builders at call time, never
 # binding them at import, so a wrapper put on those names sees the calls.
-IDENTITIES: dict[str, Callable[[PrimeTables], list[VerificationReport]]] = {
+IDENTITIES: dict[str, Callable[[PrimeTables], list[ReportBlock]]] = {
     "touchard": _touchard,
     "theorem1": _theorem1,
     "intro": _intro,
     "corollary": lambda t: cg.verify_corollary(t.ctx, t.row),
     "eq4": lambda t: cg.verify_eq4(t.ctx, t.row) if t.ctx.p >= 3 else [],
-    "bellp": lambda t: [cg.verify_bell_p(t.ctx, t.row)],
+    "bellp": lambda t: cg.verify_bell_p(t.ctx, t.row),
     "theorem2": lambda t: cg.verify_theorem2(t.ctx, t.ms, t.sums),
     "eq10": lambda t: cg.verify_theorem2_eval(t.ctx, t.ms, t.xs, t.values),
     "special": lambda t: cg.verify_special_cases(t.ctx, t.xs, t.values),
@@ -189,12 +189,12 @@ IDENTITIES: dict[str, Callable[[PrimeTables], list[VerificationReport]]] = {
 }
 
 
-def _sweep_prime(job: tuple[int, SweepConfig]) -> list[VerificationReport]:
-    """All reports for one prime; the unit of parallelism."""
+def _sweep_prime(job: tuple[int, SweepConfig]) -> list[ReportBlock]:
+    """All report blocks for one prime; the unit of parallelism."""
     p, cfg = job
     tables = PrimeTables(p, cfg)
     return [
-        r for token, verify in IDENTITIES.items() if token in cfg.identities for r in verify(tables)
+        b for token, verify in IDENTITIES.items() if token in cfg.identities for b in verify(tables)
     ]
 
 
@@ -205,13 +205,14 @@ def _pool_size(workers: int, n_jobs: int) -> int:
     return max(1, min(workers, n_jobs, os.cpu_count() or 1))
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[VerificationReport]]:
+def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[ReportBlock]]:
     """Run every selected verifier over every prime in the range.
 
-    Workers each own whole primes, and the verifiers emit the reports of
-    each (identity, p) in report_sort_key order, so regrouping the
-    prime-major chunks by identity, keeping their order, yields the
-    canonical order without a sort, whatever the worker count.
+    Workers each own whole primes, and the verifiers return the blocks of
+    each (identity, p) in report_sort_key order, so a stable sort of the
+    prime-major blocks by identity yields the canonical order, whatever
+    the worker count.  The counts and the first failure come from the
+    pass masks.
     """
     t0 = perf_counter()
     primes = primes_in_range(cfg.prime_lo, cfg.prime_hi)
@@ -222,103 +223,95 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[VerificationReport]]
             chunks = list(pool.map(_sweep_prime, jobs))
     else:
         chunks = [_sweep_prime(job) for job in jobs]
-    by_identity: dict[Identity, list[VerificationReport]] = {i: [] for i in Identity}
-    for chunk in chunks:
-        for identity, group in groupby(chunk, attrgetter("identity")):
-            by_identity[identity].extend(group)
-    reports = [r for group in by_identity.values() for r in group]
-    failed = [r for r in reports if not r.passed]
+    blocks = sorted(chain.from_iterable(chunks), key=lambda b: cg._IDENTITY_RANK[b.identity])
+    failing = [b for b in blocks if not b.passed.all()]
     wall = perf_counter() - t0
     summary = SweepSummary(
         primes_checked=len(primes),
-        reports_total=len(reports),
-        reports_failed=len(failed),
-        first_failure=failed[0] if failed else None,
+        reports_total=sum(map(len, blocks)),
+        reports_failed=sum(len(b) - np.count_nonzero(b.passed) for b in failing),
+        first_failure=failing[0][int(np.argmin(failing[0].passed))] if failing else None,
         wall_time=wall,
     )
-    return summary, reports
+    return summary, blocks
 
 
-def _side_json(side: int | tuple[int, ...]) -> str:
-    if isinstance(side, tuple):
-        return "[" + ", ".join([f'"{v}"' for v in side]) + "]"
-    return f'"{side}"'
+def _side_json(side: tuple[int, ...]) -> str:
+    return "[" + ", ".join([f'"{v}"' for v in side]) + "]"
 
 
-def _side_flat(side: int | tuple[int, ...]) -> str:
-    if isinstance(side, tuple):
-        return "[" + ";".join(str(v) for v in side) + "]"
-    return str(side)
+def _side_flat(side: tuple[int, ...]) -> str:
+    return "[" + ";".join(map(str, side)) + "]"
 
 
 # the common triage columns come first; rarer params are appended at the
 # end so column positions stay stable for consumers of the short schema
 _CSV_HEAD_PARAMS = ("m", "n", "x")
 _CSV_TAIL_PARAMS = tuple(k for k in cg.PARAM_ORDER if k not in _CSV_HEAD_PARAMS)
+_CSV_HEADER = (
+    ",".join(["identity", "p", *_CSV_HEAD_PARAMS, "pass", "lhs", "rhs", *_CSV_TAIL_PARAMS]) + "\n"
+)
+_PASS_WORDS = {"text": ("FAIL", "PASS"), "jsonl": ("false", "true"), "csv": ("false", "true")}
 
 
-def render_reports(reports: list[VerificationReport], fmt: str) -> str:
+def _render_block(b: ReportBlock, fmt: str) -> str:
+    """Every line of one block through one %-template: the identity and p
+    are written into it, params and int sides fill %d slots, and
+    polynomial sides and pass words fill %s slots."""
+    keys = [k for k in cg.PARAM_ORDER if k in b.params]
+    params = [b.params[k].tolist() for k in keys]
+    if isinstance(b.lhs, list):
+        show = _side_json if fmt == "jsonl" else _side_flat
+        side, lhs, rhs = "%s", list(map(show, b.lhs)), list(map(show, b.rhs))
+    else:
+        side, lhs, rhs = '"%d"' if fmt == "jsonl" else "%d", b.lhs.tolist(), b.rhs.tolist()
+    words = _PASS_WORDS[fmt]
+    ok = [words[v] for v in b.passed.tolist()]
+    name = b.identity.value
     if fmt == "jsonl":
-        # the json.dumps layout, written directly: identity names are \w+,
-        # params are ints and residues are quoted decimal strings, so
-        # nothing needs escaping
-        lines = []
-        for r in reports:
-            ps = r.params
-            params = ", ".join([f'"{k}": {ps[k]}' for k in cg.PARAM_ORDER if k in ps])
-            lines.append(
-                f'{{"identity": "{r.identity.value}", "p": {r.p}, '
-                f'"params": {{{params}}}, '
-                f'"lhs": {_side_json(r.lhs)}, "rhs": {_side_json(r.rhs)}, '
-                f'"pass": {"true" if r.passed else "false"}}}\n'
-            )
-        return "".join(lines)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["identity", "p", *_CSV_HEAD_PARAMS, "pass", "lhs", "rhs", *_CSV_TAIL_PARAMS]
+        # the json.dumps layout: identity names are \w+, params are ints
+        # and residues are quoted decimal strings, so nothing needs escaping
+        ps = ", ".join(f'"{k}": %d' for k in keys)
+        tpl = (
+            f'{{"identity": "{name}", "p": {b.p}, "params": {{{ps}}}, '
+            f'"lhs": {side}, "rhs": {side}, "pass": %s}}\n'
         )
-        for r in reports:
-            writer.writerow(
-                [r.identity.value, r.p]
-                + [r.params.get(k, "") for k in _CSV_HEAD_PARAMS]
-                + ["true" if r.passed else "false", _side_flat(r.lhs), _side_flat(r.rhs)]
-                + [r.params.get(k, "") for k in _CSV_TAIL_PARAMS]
-            )
-        return buf.getvalue()
-    lines = []
-    for r in reports:
-        params = " ".join(
-            f"{k}={r.params[k]}" for k in cg.PARAM_ORDER if k in r.params
-        )
-        mid = f" {params}" if params else ""
-        lines.append(
-            f"{r.identity.value} p={r.p}{mid} "
-            f"lhs={_side_flat(r.lhs)} rhs={_side_flat(r.rhs)} "
-            f"{'PASS' if r.passed else 'FAIL'}"
-        )
-    return "".join(line + "\n" for line in lines)
+        cols = [*params, lhs, rhs, ok]
+    elif fmt == "csv":
+        # csv.writer's minimal quoting: no field holds a comma or a quote
+        cells = ["%d" if k in b.params else "" for k in cg.PARAM_ORDER]
+        split, head = len(_CSV_HEAD_PARAMS), sum(k in _CSV_HEAD_PARAMS for k in keys)
+        tpl = ",".join([name, str(b.p), *cells[:split], "%s", side, side, *cells[split:]]) + "\n"
+        cols = [*params[:head], ok, lhs, rhs, *params[head:]]
+    else:
+        ps = "".join(f" {k}=%d" for k in keys)
+        tpl = f"{name} p={b.p}{ps} lhs={side} rhs={side} %s\n"
+        cols = [*params, lhs, rhs, ok]
+    # one format call fills the template repeated once per row
+    return (tpl * len(b)) % tuple(chain.from_iterable(zip(*cols)))
+
+
+def render_reports(blocks: list[ReportBlock], fmt: str, header: bool = True) -> str:
+    """The stream of blocks in fmt ("text", "jsonl" or "csv"); a csv stream
+    starts with its header line unless header is false."""
+    return (_CSV_HEADER if fmt == "csv" and header else "") + "".join(
+        [_render_block(b, fmt) for b in blocks]
+    )
 
 
 def _describe_failure(r: VerificationReport) -> str:
     """The text line of a failing report; for a polynomial-valued one, also
     the first coefficient index where the sides differ, a missing
     coefficient counting as 0."""
-    line = render_reports([r], "text").strip()
+    side = list if isinstance(r.lhs, tuple) else np.array
+    params = {k: np.array([v]) for k, v in r.params.items() if k != "p"}
+    row = ReportBlock(r.identity, r.p, params, side([r.lhs]), side([r.rhs]), np.array([r.passed]))
+    line = render_reports([row], "text").strip()
     if isinstance(r.lhs, tuple) and isinstance(r.rhs, tuple):
         for i, (a, b) in enumerate(zip_longest(r.lhs, r.rhs, fillvalue=0)):
             if a != b:
                 return f"{line}; first differing coefficient: index {i} (lhs {a}, rhs {b})"
     return line
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
@@ -389,12 +382,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"--x must be an integer or 'all', got {args.x!r}", file=sys.stderr)
             return 2
-    if args.m is not None and args.m < 1:
-        print(f"--m must be a positive weight, got {args.m}", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print(f"--workers must be at least 1, got {args.workers}", file=sys.stderr)
-        return 2
+    bounds = (("--m", args.m, 1), ("--m-max", args.m_max, 1), ("--n-max", args.n_max, 0))
+    for flag, value, low in (*bounds, ("--workers", args.workers, 1)):
+        if value is not None and value < low:
+            print(f"{flag} must be at least {low}, got {value}", file=sys.stderr)
+            return 2
     cfg = SweepConfig(
         prime_lo=lo,
         prime_hi=hi,
@@ -406,8 +398,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         workers=args.workers,
         seed=args.seed,
     )
-    summary, reports = run_sweep(cfg)
-    _emit(render_reports(reports, args.format), args.out)
+    summary, blocks = run_sweep(cfg)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        fh.write(render_reports(blocks[:1], args.format))
+        for block in blocks[1:]:
+            fh.write(render_reports([block], args.format, header=False))
     print(
         f"checked {summary.reports_total} reports across "
         f"{summary.primes_checked} primes in {summary.wall_time:.2f}s; "
@@ -450,7 +445,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             return 1
     t0 = perf_counter()
-    bad = sum(not r.passed for r in cg.verify_theorem1(ctx, ms, row))
+    bad = sum(len(b) - np.count_nonzero(b.passed) for b in cg.verify_theorem1(ctx, ms, row))
     t_sweep = perf_counter() - t0
     print(f"weighted-sum sweep over {len(ms)} weights: {t_sweep:.3f}s")
     if bad:

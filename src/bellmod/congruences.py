@@ -2,9 +2,9 @@
 counts and Touchard polynomials together modulo a prime.
 
 Every public ``verify_*`` function computes both sides of one identity by
-routes that share as little code as possible and returns structured
-reports; nothing here ever asserts, so a false identity simply shows up as
-a failing report.
+routes that share as little code as possible and returns its reports as
+columnar blocks; nothing here ever asserts, so a false identity simply
+shows up as a failing report.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Sequence
+from operator import eq
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,8 +45,8 @@ __all__ = [
     "BadPointError",
     "Identity",
     "VerificationReport",
+    "ReportBlock",
     "PARAM_ORDER",
-    "make_report",
     "report_sort_key",
     "s_m",
     "s_m_all_units",
@@ -125,16 +126,48 @@ class VerificationReport:
     passed: bool
 
 
-def make_report(
-    identity: Identity,
-    ctx: PrimeContext,
-    params: dict[str, int],
-    lhs: int | tuple[int, ...],
-    rhs: int | tuple[int, ...],
-) -> VerificationReport:
-    full = {"p": ctx.p}
-    full.update(params)
-    return VerificationReport(identity, ctx.p, full, lhs, rhs, lhs == rhs)
+@dataclass(frozen=True, eq=False, slots=True)
+class ReportBlock:
+    """The reports of one identity at one prime with one set of params, as
+    columns: ``params`` maps each param name to an integer array with one
+    entry per report, in report_sort_key order.  ``lhs`` and ``rhs`` are
+    int64 arrays, or lists of coefficient tuples for polynomial-valued
+    identities, and ``passed`` is the boolean mask of reports that pass.
+
+    Indexing or iterating a block yields its reports as VerificationReport
+    rows; the sweep itself never builds them.
+    """
+
+    identity: Identity
+    p: int
+    params: dict[str, np.ndarray]
+    lhs: np.ndarray | list[tuple[int, ...]]
+    rhs: np.ndarray | list[tuple[int, ...]]
+    passed: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.passed)
+
+    def __getitem__(self, i: int) -> VerificationReport:
+        params = {"p": self.p}
+        params.update((k, int(col[i])) for k, col in self.params.items())
+        lhs, rhs = self.lhs[i], self.rhs[i]
+        if not isinstance(lhs, tuple):
+            lhs, rhs = int(lhs), int(rhs)
+        return VerificationReport(self.identity, self.p, params, lhs, rhs, bool(self.passed[i]))
+
+    def __iter__(self) -> Iterator[VerificationReport]:
+        return map(self.__getitem__, range(len(self)))
+
+
+def _block(identity: Identity, ctx: PrimeContext, params: dict, lhs, rhs) -> ReportBlock:
+    """A block whose pass mask compares the sides: elementwise for arrays,
+    tuple by tuple for polynomial sides."""
+    if isinstance(lhs, list):
+        passed = np.fromiter(map(eq, lhs, rhs), bool, len(lhs))
+    else:
+        passed = lhs == rhs
+    return ReportBlock(identity, ctx.p, params, lhs, rhs, passed)
 
 
 def report_sort_key(r: VerificationReport) -> tuple:
@@ -262,24 +295,22 @@ def verify_theorem1(
     row: BellRow | None = None,
     drow: DerangementRow | None = None,
     sigma: np.ndarray | None = None,
-) -> list[VerificationReport]:
+) -> list[ReportBlock]:
     """Check sum_{0<k<p} B_k / (-m)^k = (-1)^(m-1) D_{m-1} (mod p) at every
     weight m of ms, in order.  The left side comes from s_m_many, which
     the scalar s_m checks as an independent route."""
-    lhs = s_m_many(ctx, ms, row)
+    lhs = np.array(s_m_many(ctx, ms, row), dtype=np.int64)
     if drow is None:
         drow = derangement_row(ctx)
     if sigma is None:
         sigma = signed_series_row(ctx)
-    return [
-        make_report(Identity.THEOREM1, ctx, {"m": m}, lv, theorem1_rhs(ctx, m, drow, sigma).value)
-        for m, lv in zip(ms, lhs)
-    ]
+    rhs = np.array([theorem1_rhs(ctx, m, drow, sigma).value for m in ms], dtype=np.int64)
+    return [_block(Identity.THEOREM1, ctx, {"m": np.asarray(ms)}, lhs, rhs)]
 
 
 def verify_intro_constant(
     ctx: PrimeContext, m: int = 8, row: BellRow | None = None
-) -> VerificationReport:
+) -> list[ReportBlock]:
     """Check that sum_{n=0}^{p-1} B_n / (-m)^n is the same integer mod every
     prime not dividing m: 1 + (-1)^(m-1) D_{m-1}, with D taken exactly.
 
@@ -289,14 +320,15 @@ def verify_intro_constant(
     lhs = (1 + s_m(ctx, m, row).value) % ctx.p  # the n = 0 term contributes B_0 = 1
     sign = 1 if (m - 1) % 2 == 0 else -1
     rhs = normalize(1 + sign * oracle.derangement_exact(m - 1), ctx)
-    return make_report(Identity.INTRO_CONSTANT, ctx, {"m": m}, lhs, rhs.value)
+    params = {"m": np.array([m])}
+    return [_block(Identity.INTRO_CONSTANT, ctx, params, np.array([lhs]), np.array([rhs.value]))]
 
 
 def verify_corollary(
     ctx: PrimeContext,
     row: BellRow | None = None,
     drow: DerangementRow | None = None,
-) -> list[VerificationReport]:
+) -> list[ReportBlock]:
     """Check the closed form B_n = sum_{0<m<p} (-1)^m D_{m-1} (-m)^n (mod p)
     for 0 < n < p, plus the power-sum kernel it rests on:
     sum_{0<m<p} (-m)^(n-k) = -[n = k] (mod p) for 0 < n, k < p.
@@ -310,26 +342,24 @@ def verify_corollary(
     weights = drow.values[: p - 1].copy()  # D_{m-1} for m = 1..p-1
     weights[::2] = (p - weights[::2]) % p  # odd m gets the minus sign
     pw = powers_mod(base, p, p)  # pw[m-1, e] = (-m)^e
-    closed = _mod_matmul(weights, pw[:, 1:], p).tolist()  # n = 1..p-1
+    closed = _mod_matmul(weights, pw[:, 1:], p)  # n = 1..p-1
     # kernel power sums K[e] = sum_m (-m)^e; p - 1 residues sum below p**2
-    kernel = (pw[:, : p - 1].sum(axis=0) % p).tolist()
-    bell = row.values.tolist()
+    kernel = pw[:, : p - 1].sum(axis=0) % p
+    ks = np.arange(1, p)  # n and k both run 1..p-1
+    bell = row.values[1:p]
+    lhs = kernel[(ks[:, None] - ks) % (p - 1)]  # row n - 1 holds K[n - k] for every k
+    rhs = np.eye(p - 1, dtype=np.int64) * ((p - 1) % p)
     # canonical order: each {n} report just before its own {n, k} block
-    reports = []
-    for n in range(1, p):
-        reports.append(make_report(Identity.COROLLARY, ctx, {"n": n}, bell[n], closed[n - 1]))
-        for k in range(1, p):
-            lhs = kernel[(n - k) % (p - 1)]
-            rhs = (p - 1) % p if n == k else 0
-            reports.append(
-                make_report(Identity.COROLLARY, ctx, {"n": n, "k": k}, lhs, rhs)
-            )
-    return reports
+    blocks = []
+    for i, n in enumerate(range(1, p)):
+        one = slice(i, i + 1)
+        grid = {"n": np.full(p - 1, n), "k": ks}
+        blocks.append(_block(Identity.COROLLARY, ctx, {"n": ks[one]}, bell[one], closed[one]))
+        blocks.append(_block(Identity.COROLLARY, ctx, grid, lhs[i], rhs[i]))
+    return blocks
 
 
-def verify_eq4(
-    ctx: PrimeContext, row: BellRow | None = None
-) -> list[VerificationReport]:
+def verify_eq4(ctx: PrimeContext, row: BellRow | None = None) -> list[ReportBlock]:
     """Check the weighted-sum chain: S_1 = 1 and m S_m = S_1 - S_{m+1}
     (mod p) for 1 <= m <= p - 2.  Needs p >= 3 to have any chain step.
     """
@@ -338,14 +368,12 @@ def verify_eq4(
         raise BadModulusError("the chain needs p >= 3")
     if row is None:
         row = bell_row(ctx)
-    svals = s_m_many(ctx, list(range(1, p)), row)
-    s = dict(zip(range(1, p), svals))
-    reports = [make_report(Identity.EQ4_BASE, ctx, {"m": 1}, s[1], 1 % p)]
-    for m in range(1, p - 1):
-        lhs = m * s[m] % p
-        rhs = (s[1] - s[m + 1]) % p
-        reports.append(make_report(Identity.EQ4_STEP, ctx, {"m": m}, lhs, rhs))
-    return reports
+    s = np.array(s_m_many(ctx, list(range(1, p)), row), dtype=np.int64)  # s[m - 1] = S_m
+    ms = np.arange(1, p - 1)
+    return [
+        _block(Identity.EQ4_BASE, ctx, {"m": ms[:1]}, s[:1], np.array([1 % p])),
+        _block(Identity.EQ4_STEP, ctx, {"m": ms}, ms * s[:-1] % p, (s[0] - s[1:]) % p),
+    ]
 
 
 def s_m_chain(ctx: PrimeContext) -> list[int]:
@@ -364,7 +392,7 @@ def s_m_chain(ctx: PrimeContext) -> list[int]:
     return out
 
 
-def verify_bell_p(ctx: PrimeContext, row: BellRow | None = None) -> VerificationReport:
+def verify_bell_p(ctx: PrimeContext, row: BellRow | None = None) -> list[ReportBlock]:
     """Check B_p = 2 (mod p).
 
     The left side extends the Bell row one step by the genuine binomial
@@ -375,12 +403,12 @@ def verify_bell_p(ctx: PrimeContext, row: BellRow | None = None) -> Verification
         row = bell_row(ctx)
     w = ctx.inv_fact_np * ctx.inv_fact_np[::-1] % p
     lhs = int(ctx.fact[p - 1]) * int(_mod_matmul(w, row.values, p)) % p
-    return make_report(Identity.BELL_P, ctx, {}, lhs, 2 % p)
+    return [_block(Identity.BELL_P, ctx, {}, np.array([lhs]), np.array([2 % p]))]
 
 
 def verify_touchard(
     ctx: PrimeContext, n_max: int | None = None, row: BellRow | None = None
-) -> list[VerificationReport]:
+) -> list[ReportBlock]:
     """Check B_{p+n} = B_n + B_{n+1} (mod p) for 0 <= n <= n_max.
 
     Both sides go through bell_mod, so indices past p exercise the
@@ -393,12 +421,13 @@ def verify_touchard(
         raise IndexTooLargeError(f"n_max {n_max} needs p + n < p**2")
     if row is None:
         row = bell_row(ctx)
-    reports = []
-    for n in range(n_max + 1):
-        lhs = bell_mod(p + n, ctx, row).value
-        rhs = (bell_mod(n, ctx, row).value + bell_mod(n + 1, ctx, row).value) % p
-        reports.append(make_report(Identity.TOUCHARD_EQ1, ctx, {"n": n}, lhs, rhs))
-    return reports
+    ns = range(n_max + 1)
+    lhs = np.array([bell_mod(p + n, ctx, row).value for n in ns], dtype=np.int64)
+    rhs = np.array(
+        [(bell_mod(n, ctx, row).value + bell_mod(n + 1, ctx, row).value) % p for n in ns],
+        dtype=np.int64,
+    )
+    return [_block(Identity.TOUCHARD_EQ1, ctx, {"n": np.arange(n_max + 1)}, lhs, rhs)]
 
 
 def _weighted_power_rows(
@@ -459,18 +488,6 @@ def _require_points(ctx: PrimeContext, xs: Sequence[int]) -> list[int]:
     return [x % p for x in xs]
 
 
-def _grid_reports(
-    identity: Identity, ctx: PrimeContext, ms: Sequence[int], xs: Sequence[int],
-    lhs: np.ndarray, rhs: np.ndarray,
-) -> list[VerificationReport]:
-    """One report per (m, x), m-major, from (len(ms), len(xs)) residues."""
-    return [
-        make_report(identity, ctx, {"m": m, "x": x}, lv, rv)
-        for m, lrow, rrow in zip(ms, lhs.tolist(), rhs.tolist())
-        for x, lv, rv in zip(xs, lrow, rrow)
-    ]
-
-
 def weighted_touchard_sum(
     ctx: PrimeContext, ms: Sequence[int], matrix: np.ndarray | None = None
 ) -> list[DensePoly]:
@@ -514,19 +531,14 @@ def theorem2_rhs(ctx: PrimeContext, m: int) -> DensePoly:
 
 def verify_theorem2(
     ctx: PrimeContext, ms: Sequence[int], sums: Sequence[DensePoly]
-) -> list[VerificationReport]:
+) -> list[ReportBlock]:
     """Compare both sides of the polynomial congruence as coefficient
     tuples at every weight of ms, given their weighted Touchard sums from
     weighted_touchard_sum; they agree identically in x when the identity
     holds."""
-    reports = []
-    for m, inner in zip(ms, sums):
-        lhs = inner.mul_monomial(m, 1 if m % 2 == 0 else -1)
-        rhs = theorem2_rhs(ctx, m)
-        reports.append(
-            make_report(Identity.THEOREM2_POLY, ctx, {"m": m}, lhs.coeffs, rhs.coeffs)
-        )
-    return reports
+    lhs = [inner.mul_monomial(m, 1 if m % 2 == 0 else -1).coeffs for m, inner in zip(ms, sums)]
+    rhs = [theorem2_rhs(ctx, m).coeffs for m in ms]
+    return [_block(Identity.THEOREM2_POLY, ctx, {"m": np.asarray(ms)}, lhs, rhs)]
 
 
 def verify_theorem2_eval(
@@ -534,7 +546,7 @@ def verify_theorem2_eval(
     ms: Sequence[int],
     xs: Sequence[int],
     values: np.ndarray | None = None,
-) -> list[VerificationReport]:
+) -> list[ReportBlock]:
     """Check the evaluated form at every weight m of ms and every point x
     of xs with p not dividing x, in m-major order:
 
@@ -552,7 +564,8 @@ def verify_theorem2_eval(
     lhs = _weighted_power_rows(ctx, ms, values[:, xs])
     num = _eval_rows(ctx, (theorem2_rhs(ctx, m) for m in ms), xs)
     rhs = num * _inv_pow(ctx, [p - x for x in xs], ms) % p
-    return _grid_reports(Identity.THEOREM2_EVAL, ctx, ms, xs, lhs, rhs)
+    grid = {"m": np.repeat(ms, len(xs)), "x": np.tile(xs, len(ms))}
+    return [_block(Identity.THEOREM2_EVAL, ctx, grid, lhs.ravel(), rhs.ravel())]
 
 
 # numerators of the displayed low-weight cases, ascending; the denominator
@@ -566,7 +579,7 @@ _SPECIAL_NUMERATORS = {
 
 def verify_special_cases(
     ctx: PrimeContext, xs: Sequence[int], values: np.ndarray | None = None
-) -> list[VerificationReport]:
+) -> list[ReportBlock]:
     """Check the displayed m = 2, 3, 4 evaluations of the weighted sum
     against their hard-coded rational forms, at every point of xs coprime
     to p, in m-major order.  Weights divisible by p are skipped.
@@ -581,7 +594,8 @@ def verify_special_cases(
     lhs = _weighted_power_rows(ctx, ms, values[:, xs])
     num = _eval_rows(ctx, (DensePoly(ctx, _SPECIAL_NUMERATORS[m]) for m in ms), xs)
     rhs = num * _inv_pow(ctx, xs, [m - 1 for m in ms]) % p
-    return _grid_reports(Identity.SPECIAL_CASE_M, ctx, ms, xs, lhs, rhs)
+    grid = {"m": np.repeat(ms, len(xs)), "x": np.tile(xs, len(ms))}
+    return [_block(Identity.SPECIAL_CASE_M, ctx, grid, lhs.ravel(), rhs.ravel())]
 
 
 def least_positive_residue_of_neg(ctx: PrimeContext, m: int) -> int:
@@ -607,55 +621,44 @@ def proof_intermediate(ctx: PrimeContext, m: int) -> DensePoly:
 
 def verify_proof_intermediate(
     ctx: PrimeContext, ms: Sequence[int], sums: Sequence[DensePoly]
-) -> list[VerificationReport]:
+) -> list[ReportBlock]:
     """Compare each weight's direct weighted Touchard sum, from
     weighted_touchard_sum, against its closed form."""
-    reports = []
-    for m, lhs in zip(ms, sums):
-        r = least_positive_residue_of_neg(ctx, m)
-        rhs = proof_intermediate(ctx, m).coeffs
-        reports.append(
-            make_report(Identity.PROOF_INTERMEDIATE, ctx, {"m": m, "r": r}, lhs.coeffs, rhs)
-        )
-    return reports
+    rs = [least_positive_residue_of_neg(ctx, m) for m in ms]
+    rhs = [proof_intermediate(ctx, m).coeffs for m in ms]
+    params = {"m": np.asarray(ms), "r": np.asarray(rs)}
+    return [_block(Identity.PROOF_INTERMEDIATE, ctx, params, [f.coeffs for f in sums], rhs)]
 
 
-def verify_factorial_lemma(ctx: PrimeContext, ms: Sequence[int]) -> list[VerificationReport]:
+def verify_factorial_lemma(ctx: PrimeContext, ms: Sequence[int]) -> list[ReportBlock]:
     """Check the two-branch reduction of (m-1)!/l! mod p for 0 <= l < m, at
     every weight m of ms, in m-major order:
 
     it vanishes for l < m + r - p, and otherwise equals
     (-1)^(r+1) / (r! (p + l - m - r)!), with r the least positive residue
     of -m.  The left side is the bare integer product (l+1)...(m-1) with
-    factors reduced mod p.
+    factors reduced mod p, accumulated downward from l = m-1 for all
+    weights at once.
     """
     p = ctx.p
-    reports = []
-    for m in ms:
-        r = least_positive_residue_of_neg(ctx, m)
-        c = 1
-        split = m + r - p
-        rows = []
-        for l in range(m - 1, -1, -1):
-            rows.append((l, c))
-            if l > 0:
-                c = c * (l % p) % p
-        for l, lhs in reversed(rows):
-            if l < split:
-                rhs = 0
-            else:
-                rhs = ctx.inv_fact[r] * ctx.inv_fact[p + l - m - r] % p
-                if (r + 1) % 2 == 1:
-                    rhs = -rhs % p
-            reports.append(
-                make_report(Identity.FACTORIAL_LEMMA, ctx, {"m": m, "l": l, "r": r}, lhs, rhs)
-            )
-    return reports
+    rs = [least_positive_residue_of_neg(ctx, m) for m in ms]
+    w = np.asarray(ms, dtype=np.int64)
+    start = np.cumsum(w) - w  # row of (m, l = 0) for each weight
+    m, r = np.repeat(w, w), np.repeat(np.asarray(rs, dtype=np.int64), w)
+    l = np.arange(len(m)) - np.repeat(start, w)
+    lhs = np.empty(len(m), dtype=np.int64)
+    c = np.ones(len(w), dtype=np.int64)  # (l+1)...(m-1) for each weight with l < m
+    for lv in range(int(w.max(initial=0)) - 1, -1, -1):
+        live = w > lv
+        lhs[start[live] + lv] = c[live]
+        c[live] = c[live] * (lv % p) % p
+    idx = p + l - m - r  # negative exactly below the split l < m + r - p
+    rhs = np.where(idx >= 0, ctx.inv_fact_np[r] * ctx.inv_fact_np[idx.clip(0)] % p, 0)
+    rhs = np.where(r % 2 == 0, -rhs % p, rhs)
+    return [_block(Identity.FACTORIAL_LEMMA, ctx, {"m": m, "l": l, "r": r}, lhs, rhs)]
 
 
-def geometric_sum_lemma_check(
-    ctx: PrimeContext, ms: Sequence[int]
-) -> list[VerificationReport]:
+def geometric_sum_lemma_check(ctx: PrimeContext, ms: Sequence[int]) -> list[ReportBlock]:
     """Check sum_{n=1}^{p-1} (j / (-m))^n = -[p divides m + j] (mod p)
     for every weight m of ms and every j in 1..p-1, in m-major order.
 
@@ -665,12 +668,7 @@ def geometric_sum_lemma_check(
     """
     p = ctx.p
     table = powers_mod(np.arange(1, p, dtype=np.int64), p, p).T
-    lhs = _weighted_power_rows(ctx, ms, table).tolist()
-    return [
-        make_report(
-            Identity.GEOMETRIC_SUM, ctx, {"m": m, "j": j}, lv,
-            p - 1 if (m + j) % p == 0 else 0,
-        )
-        for m, lrow in zip(ms, lhs)
-        for j, lv in enumerate(lrow, 1)
-    ]
+    lhs = _weighted_power_rows(ctx, ms, table).ravel()
+    m, j = np.repeat(ms, p - 1), np.tile(np.arange(1, p), len(ms))
+    rhs = np.where((m + j) % p == 0, p - 1, 0)
+    return [_block(Identity.GEOMETRIC_SUM, ctx, {"m": m, "j": j}, lhs, rhs)]

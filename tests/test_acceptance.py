@@ -34,6 +34,11 @@ def _row(p):
     return _ROWS[p]
 
 
+def _rows(blocks):
+    """The reports of a verifier's blocks, in order."""
+    return [r for b in blocks for r in b]
+
+
 def _verdict(num: int, desc: str, ok: bool) -> None:
     print(f"criterion {num} ({desc}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} failed: {desc}"
@@ -43,7 +48,7 @@ def test_criterion_01_intro_constant():
     ok = True
     for p in primes_in_range(3, 1000):
         ctx, row = _row(p)
-        rep = cg.verify_intro_constant(ctx, 8, row)
+        [rep] = _rows(cg.verify_intro_constant(ctx, 8, row))
         ok = ok and rep.passed and rep.lhs == -1853 % p
     _verdict(1, "weighted Bell sum is -1853 mod every odd prime to 1000", ok)
 
@@ -65,7 +70,7 @@ def test_criterion_03_corollary():
     ok = True
     for p in primes_in_range(2, 100):
         ctx, row = _row(p)
-        reports = cg.verify_corollary(ctx, row)
+        reports = _rows(cg.verify_corollary(ctx, row))
         ok = ok and len(reports) == (p - 1) + (p - 1) ** 2
         ok = ok and all(r.passed for r in reports)
     _verdict(3, "Bell closed form plus power-sum kernel, p <= 100", ok)
@@ -75,7 +80,7 @@ def test_criterion_04_weighted_sum_chain():
     ok = True
     for p in primes_in_range(3, 101):
         ctx, row = _row(p)
-        ok = ok and all(r.passed for r in cg.verify_eq4(ctx, row))
+        ok = ok and all(r.passed for r in _rows(cg.verify_eq4(ctx, row)))
         chain = cg.s_m_chain(ctx)
         direct = cg.s_m_many(ctx, list(range(1, p)), row)
         ok = ok and chain[1:] == direct
@@ -86,7 +91,7 @@ def test_criterion_05_bell_p_is_two():
     ok = True
     for p in primes_in_range(2, 1000):
         ctx, row = _row(p)
-        ok = ok and cg.verify_bell_p(ctx, row).passed
+        ok = ok and _rows(cg.verify_bell_p(ctx, row))[0].passed
     _verdict(5, "B_p = 2 mod p for every prime to 1000", ok)
 
 
@@ -97,7 +102,7 @@ def test_criterion_06_touchard_congruence():
         # the index fold reaches p^2 - 1, so the full 0..2p range needs the
         # exact route at p = 2 and 3; everywhere else the fold covers it
         n_max = min(2 * p, p * p - p - 1)
-        reports = cg.verify_touchard(ctx, n_max, row)
+        reports = _rows(cg.verify_touchard(ctx, n_max, row))
         ok = ok and len(reports) == n_max + 1 and all(r.passed for r in reports)
         for n in range(2 * p + 1):
             lhs = oracle.bell_exact(p + n)
@@ -115,12 +120,12 @@ def test_criterion_07_theorem2_polynomials():
         ctx = make_context(p)
         ms = [m for m in range(1, 2 * p + 1) if m % p]
         sums = cg.weighted_touchard_sum(ctx, ms, touchard_coeff_matrix(ctx))
-        reports = cg.verify_theorem2(ctx, ms, sums)
+        reports = _rows(cg.verify_theorem2(ctx, ms, sums))
         want = len(ms)
         if p <= 31:
-            reports += cg.verify_proof_intermediate(ctx, ms, sums)
-            reports += cg.verify_factorial_lemma(ctx, ms)
-            reports += cg.geometric_sum_lemma_check(ctx, ms)
+            reports += _rows(cg.verify_proof_intermediate(ctx, ms, sums))
+            reports += _rows(cg.verify_factorial_lemma(ctx, ms))
+            reports += _rows(cg.geometric_sum_lemma_check(ctx, ms))
             want += len(ms) + sum(ms) + len(ms) * (p - 1)
         ok = ok and len(reports) == want and all(r.passed for r in reports)
     _verdict(7, "polynomial identity p <= 61 plus proof lemmas p <= 31", ok)
@@ -134,12 +139,12 @@ def test_criterion_08_eval_and_special_cases():
         values = touchard_value_table(ctx)
         xs = list(range(1, p))
         low = [m for m in (2, 3, 4) if m % p]
-        reports = cg.verify_special_cases(ctx, xs, values)
+        reports = _rows(cg.verify_special_cases(ctx, xs, values))
         ok = ok and all(r.passed for r in reports)
         seen = [(r.params["m"], r.params["x"]) for r in reports]
         ok = ok and seen == [(m, x) for m in low for x in xs]
-        ok = ok and all(r.passed for r in cg.verify_theorem2_eval(ctx, low, xs, values))
-        for rep in cg.verify_special_cases(ctx, [1], values):
+        ok = ok and all(r.passed for r in _rows(cg.verify_theorem2_eval(ctx, low, xs, values)))
+        for rep in _rows(cg.verify_special_cases(ctx, [1], values)):
             m = rep.params["m"]
             ok = ok and rep.lhs == cg.s_m(ctx, m, row).value
             ok = ok and rep.rhs == cg.theorem1_rhs(ctx, m, drow).value
@@ -194,10 +199,10 @@ def test_criterion_10_performance_and_determinism():
 
     t0 = perf_counter()
     cfg = SweepConfig(prime_lo=2, prime_hi=500, identities=("theorem1",), workers=4)
-    summary, reports = run_sweep(cfg)
+    summary, blocks = run_sweep(cfg)
     t_sweep = perf_counter() - t0
     ok = ok and t_sweep <= 60.0 and summary.reports_failed == 0
-    ok = ok and summary.reports_total == len(reports) > 0
+    ok = ok and summary.reports_total == sum(map(len, blocks)) > 0
 
     small = dict(prime_lo=2, prime_hi=150, identities=("theorem1", "bellp"))
     _, r1 = run_sweep(SweepConfig(workers=1, **small))

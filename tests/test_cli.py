@@ -1,8 +1,10 @@
 import hashlib
 import json
+from operator import attrgetter
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bellmod import cli
@@ -18,7 +20,7 @@ from bellmod.cli import (
     render_reports,
     run_sweep,
 )
-from bellmod.congruences import Identity, make_report, report_sort_key
+from bellmod.congruences import Identity, report_sort_key
 from bellmod.modarith import DensePoly, make_context
 
 
@@ -124,6 +126,12 @@ def test_verify_usage_errors(capsys):
     assert run_main(capsys, "verify", "--primes", "3..7", "--m", "0")[0] == 2
     assert run_main(capsys, "verify", "--primes", "3..7", "--workers", "0")[0] == 2
     assert run_main(capsys, "verify", "--primes", "3..7", "--workers", "-2")[0] == 2
+    for flag, value in (("--m-max", "-3"), ("--m-max", "0"), ("--n-max", "-1")):
+        code, out, err = run_main(capsys, "verify", "--primes", "5", "--identities", "all", flag, value)
+        assert (code, out) == (2, ""), (flag, value)
+        assert err.startswith(flag) and len(err.splitlines()) == 1, (flag, value)
+    # the lowest grid bounds still run
+    assert run_main(capsys, "verify", "--primes", "5", "--m-max", "1", "--n-max", "0")[0] == 0
 
 
 def test_verify_weight_past_oracle_cap_is_usage_error(capsys):
@@ -314,7 +322,8 @@ def test_run_sweep_returns_canonical_order(grid, workers):
     covered = set()
     for token in [*IDENTITIES, "all"]:
         tokens = tuple(IDENTITIES) if token == "all" else (token,)
-        _, reports = run_sweep(SweepConfig(identities=tokens, workers=workers, **ORDER_GRIDS[grid]))
+        _, blocks = run_sweep(SweepConfig(identities=tokens, workers=workers, **ORDER_GRIDS[grid]))
+        reports = [r for b in blocks for r in b]
         canonical = sorted(reports, key=report_sort_key)
         assert len(reports) == len(canonical) > 0, token
         assert all(a is b for a, b in zip(reports, canonical)), token
@@ -361,6 +370,51 @@ def test_verify_all_stream_is_pinned(capsys, tmp_path, fmt, workers):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
 
 
+@pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
+def test_verify_writes_block_by_block(capsys, monkeypatch, fmt):
+    """The writer never holds the whole stream: no single write is longer
+    than the largest block's text, and the writes make up the pinned
+    stream."""
+    chunks = []
+
+    class Recorder:
+        def write(self, text):
+            chunks.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    argv = ["verify", "--identities", "all", "--primes", "2..31", "--format", fmt]
+    assert main(argv) == 0
+    stream = "".join(chunks).encode()
+    assert hashlib.sha256(stream).hexdigest() == ALL_2_31_SHA256[fmt]
+    _, blocks = run_sweep(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
+    assert max(map(len, chunks)) <= max(len(render_reports([b], fmt)) for b in blocks) < len(stream)
+
+
+@pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
+def test_verify_stream_builds_no_report_rows(capsys, monkeypatch, tmp_path, fmt):
+    def unbuilt(*args):
+        raise AssertionError("a VerificationReport was built on the sweep path")
+
+    monkeypatch.setattr(cg, "VerificationReport", unbuilt)
+    target = tmp_path / f"all.{fmt}"
+    code, _, err = run_main(
+        capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", fmt,
+        "--out", str(target),
+    )
+    assert code == 0, err
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
+
+
+def test_verify_out_directory_is_usage_error(capsys, tmp_path):
+    code, out, err = run_main(
+        capsys, "verify", "--identities", "bellp", "--primes", "2..3", "--out", str(tmp_path),
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_run_sweep_first_failure_is_canonical(monkeypatch):
     real = cg.s_m_many
 
@@ -368,12 +422,13 @@ def test_run_sweep_first_failure_is_canonical(monkeypatch):
         return [(v + 1) % ctx.p for v in real(ctx, ms, row)]
 
     monkeypatch.setattr(cg, "s_m_many", crooked)
-    summary, reports = run_sweep(
+    summary, blocks = run_sweep(
         SweepConfig(prime_lo=3, prime_hi=13, identities=("theorem1",))
     )
     assert summary.reports_failed == summary.reports_total
-    failed = [r for r in reports if not r.passed]
-    assert summary.first_failure is failed[0]
+    failed = [r for b in blocks for r in b if not r.passed]
+    fields = attrgetter("identity", "p", "params", "lhs", "rhs", "passed")
+    assert fields(summary.first_failure) == fields(failed[0])
     assert (summary.first_failure.p, summary.first_failure.params["m"]) == (3, 1)
 
 
@@ -430,10 +485,10 @@ def test_x_grid_modes():
 
 def test_render_text_format():
     ctx = make_context(7)
-    rep = make_report(Identity.THEOREM1, ctx, {"m": 3}, 1, 1)
+    rep = cg._block(Identity.THEOREM1, ctx, {"m": np.array([3])}, np.array([1]), np.array([1]))
     assert render_reports([rep], "text") == "THEOREM1 p=7 m=3 lhs=1 rhs=1 PASS\n"
-    poly = make_report(Identity.PROOF_INTERMEDIATE, ctx, {"m": 2, "r": 5},
-                       (0, 2, 1), (0, 2, 1))
+    poly = cg._block(Identity.PROOF_INTERMEDIATE, ctx, {"m": np.array([2]), "r": np.array([5])},
+                     [(0, 2, 1)], [(0, 2, 1)])
     line = render_reports([poly], "text").strip()
     assert line == "PROOF_INTERMEDIATE p=7 m=2 r=5 lhs=[0;2;1] rhs=[0;2;1] PASS"
 

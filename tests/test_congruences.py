@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from bellmod import congruences as cg
@@ -10,7 +11,6 @@ from bellmod.congruences import (
     Identity,
     geometric_sum_lemma_check,
     least_positive_residue_of_neg,
-    make_report,
     proof_intermediate,
     report_sort_key,
     s_m,
@@ -40,6 +40,11 @@ from bellmod.sequences import (
     touchard_polys_from_matrix,
     touchard_value_table,
 )
+
+
+def rows(blocks):
+    """The reports of a verifier's blocks, in order."""
+    return [r for b in blocks for r in b]
 
 
 def test_s_m_examples(cache):
@@ -117,7 +122,7 @@ def test_s_m_chain_reproduces_direct_sums(cache):
 
 
 def test_theorem1_example(cache):
-    [rep] = verify_theorem1(cache.ctx(7), [3])
+    [rep] = rows(verify_theorem1(cache.ctx(7), [3]))
     assert rep.lhs == rep.rhs == 1
     assert rep.passed
     assert rep.params == {"p": 7, "m": 3}
@@ -142,39 +147,39 @@ def test_theorem1_sweep(cache):
         ctx = cache.ctx(p)
         row, drow = cache.bell(p), cache.drow(p)
         ms = [m for m in range(1, 3 * p + 1) if m % p]
-        reports = verify_theorem1(ctx, ms, row, drow)
+        reports = rows(verify_theorem1(ctx, ms, row, drow))
         assert [r.params["m"] for r in reports] == ms
         assert all(r.passed for r in reports), p
         for m in ms:
             assert s_m(ctx, m, row).value == theorem1_rhs(ctx, m, drow).value, (p, m)
-    assert verify_theorem1(cache.ctx(7), []) == []
+    assert rows(verify_theorem1(cache.ctx(7), [])) == []
 
 
 def test_intro_constant_examples(cache):
-    rep = verify_intro_constant(cache.ctx(3))
+    [rep] = rows(verify_intro_constant(cache.ctx(3)))
     assert (rep.lhs, rep.rhs) == (1, 1)
-    assert verify_intro_constant(cache.ctx(5)).lhs == 2
-    rep = verify_intro_constant(cache.ctx(7), m=1)
+    assert rows(verify_intro_constant(cache.ctx(5)))[0].lhs == 2
+    [rep] = rows(verify_intro_constant(cache.ctx(7), m=1))
     assert rep.lhs == rep.rhs == 2  # 1 + D_0 = 2 at weight 1
 
 
 def test_intro_constant_is_minus_1853(cache):
     # at the default weight the full sum is 1 + s_8 = 1 - D_7 = -1853
     for p in primes_in_range(3, 100):
-        rep = verify_intro_constant(cache.ctx(p))
+        [rep] = rows(verify_intro_constant(cache.ctx(p)))
         assert rep.passed
         assert rep.lhs == -1853 % p
 
 
 def test_corollary_all_pass(cache):
     for p in primes_in_range(2, 31):
-        reports = verify_corollary(cache.ctx(p), cache.bell(p), cache.drow(p))
+        reports = rows(verify_corollary(cache.ctx(p), cache.bell(p), cache.drow(p)))
         assert len(reports) == (p - 1) + (p - 1) ** 2
         assert all(r.passed for r in reports), p
 
 
 def test_corollary_kernel_reports_carry_both_indices(cache):
-    reports = verify_corollary(cache.ctx(5))
+    reports = rows(verify_corollary(cache.ctx(5)))
     kernel = [r for r in reports if "k" in r.params]
     assert len(kernel) == 16
     diag = [r for r in kernel if r.params["n"] == r.params["k"]]
@@ -182,29 +187,29 @@ def test_corollary_kernel_reports_carry_both_indices(cache):
 
 
 def test_eq4_chain(cache):
-    reports = verify_eq4(cache.ctx(7), cache.bell(7))
+    reports = rows(verify_eq4(cache.ctx(7), cache.bell(7)))
     assert reports[0].identity is Identity.EQ4_BASE
     assert reports[0].lhs == 1
     assert len(reports) == 1 + 5
     assert all(r.passed for r in reports)
     for p in primes_in_range(3, 101):
-        assert all(r.passed for r in verify_eq4(cache.ctx(p), cache.bell(p))), p
+        assert all(r.passed for r in rows(verify_eq4(cache.ctx(p), cache.bell(p)))), p
     with pytest.raises(BadModulusError):
         verify_eq4(cache.ctx(2))
 
 
 def test_bell_p(cache):
-    rep = verify_bell_p(cache.ctx(7), cache.bell(7))
+    [rep] = rows(verify_bell_p(cache.ctx(7), cache.bell(7)))
     assert rep.lhs == rep.rhs == 2
     for p in primes_in_range(2, 300):
-        assert verify_bell_p(cache.ctx(p), cache.bell(p)).passed, p
+        assert rows(verify_bell_p(cache.ctx(p), cache.bell(p)))[0].passed, p
 
 
 def test_touchard_fold_consistency(cache):
     for p in primes_in_range(2, 31):
         # the index fold reaches at most p^2 - 1, capping n_max at p=2, 3
         n_max = min(2 * p, p * p - p - 1)
-        reports = verify_touchard(cache.ctx(p), n_max, cache.bell(p))
+        reports = rows(verify_touchard(cache.ctx(p), n_max, cache.bell(p)))
         assert len(reports) == n_max + 1
         assert all(r.passed for r in reports), p
     with pytest.raises(IndexTooLargeError):
@@ -247,7 +252,7 @@ def test_theorem2_sweep(cache):
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
         ms = _weights(p)
-        reports = verify_theorem2(ctx, ms, weighted_touchard_sum(ctx, ms))
+        reports = rows(verify_theorem2(ctx, ms, weighted_touchard_sum(ctx, ms)))
         assert [r.params["m"] for r in reports] == ms
         for rep in reports:
             assert rep.passed, (p, rep.params)
@@ -255,9 +260,9 @@ def test_theorem2_sweep(cache):
 
 
 def test_theorem2_eval_examples(cache):
-    [rep] = verify_theorem2_eval(cache.ctx(5), [2], [2])
+    [rep] = rows(verify_theorem2_eval(cache.ctx(5), [2], [2]))
     assert rep.lhs == rep.rhs == 3
-    [rep] = verify_theorem2_eval(cache.ctx(7), [3], [1])
+    [rep] = rows(verify_theorem2_eval(cache.ctx(7), [3], [1]))
     assert rep.lhs == rep.rhs == 1
     with pytest.raises(BadPointError):
         verify_theorem2_eval(cache.ctx(5), [2], [10])
@@ -269,7 +274,7 @@ def test_theorem2_eval_matches_polynomial_route(cache):
         values = touchard_value_table(ctx)
         polys = touchard_polys_from_matrix(ctx)
         ms, xs = _weights(p), list(range(1, p))
-        reports = iter(verify_theorem2_eval(ctx, ms, xs, values))
+        reports = iter(rows(verify_theorem2_eval(ctx, ms, xs, values)))
         for m in ms:
             lhs_poly = theorem2_lhs(ctx, m, polys)
             for x in xs:
@@ -287,20 +292,20 @@ def test_theorem2_eval_at_one_is_theorem1(cache):
         ctx = cache.ctx(p)
         values = touchard_value_table(ctx)
         row, drow = cache.bell(p), cache.drow(p)
-        for m, rep in zip(range(1, p), verify_theorem2_eval(ctx, list(range(1, p)), [1], values)):
+        for m, rep in zip(range(1, p), rows(verify_theorem2_eval(ctx, list(range(1, p)), [1], values))):
             assert rep.lhs == s_m(ctx, m, row).value
             assert rep.rhs == theorem1_rhs(ctx, m, drow).value
 
 
 def test_special_cases(cache):
-    reports = verify_special_cases(cache.ctx(7), [1])
+    reports = rows(verify_special_cases(cache.ctx(7), [1]))
     by_m = {r.params["m"]: r for r in reports}
     assert set(by_m) == {2, 3, 4}
     assert by_m[4].lhs == by_m[4].rhs == 5
     assert all(r.passed for r in reports)
     # weights divisible by p are skipped
-    assert {r.params["m"] for r in verify_special_cases(cache.ctx(2), [1])} == {3}
-    assert {r.params["m"] for r in verify_special_cases(cache.ctx(3), [1])} == {2, 4}
+    assert {r.params["m"] for r in rows(verify_special_cases(cache.ctx(2), [1]))} == {3}
+    assert {r.params["m"] for r in rows(verify_special_cases(cache.ctx(3), [1]))} == {2, 4}
     with pytest.raises(BadPointError):
         verify_special_cases(cache.ctx(5), [0])
 
@@ -309,7 +314,7 @@ def test_special_cases_sweep(cache):
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
         values = touchard_value_table(ctx)
-        reports = verify_special_cases(ctx, list(range(1, p)), values)
+        reports = rows(verify_special_cases(ctx, list(range(1, p)), values))
         assert {r.params["x"] for r in reports} == set(range(1, p))
         assert all(r.passed for r in reports), p
 
@@ -318,20 +323,20 @@ def test_special_cases_at_one_match_theorem1(cache):
     for p in primes_in_range(5, 61):
         ctx = cache.ctx(p)
         row = cache.bell(p)
-        for rep in verify_special_cases(ctx, [1]):
+        for rep in rows(verify_special_cases(ctx, [1])):
             assert rep.lhs == s_m(ctx, rep.params["m"], row).value, p
 
 
 def test_proof_intermediate(cache):
     ctx = cache.ctx(3)
     assert list(proof_intermediate(ctx, 2).coeffs) == [0, 2, 1]
-    [rep] = verify_proof_intermediate(ctx, [2], weighted_touchard_sum(ctx, [2]))
+    [rep] = rows(verify_proof_intermediate(ctx, [2], weighted_touchard_sum(ctx, [2])))
     assert rep.passed
     assert rep.params == {"p": 3, "m": 2, "r": 1}
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
         ms = _weights(p)
-        reports = verify_proof_intermediate(ctx, ms, weighted_touchard_sum(ctx, ms))
+        reports = rows(verify_proof_intermediate(ctx, ms, weighted_touchard_sum(ctx, ms)))
         assert [r.params["m"] for r in reports] == ms
         assert all(r.passed for r in reports), p
 
@@ -343,10 +348,10 @@ def _weights(p):
 def _touchard_grid(ctx, ms, xs, values, sums):
     """Every Touchard-sum report of one prime, as the sweep builds them."""
     return (
-        verify_theorem2(ctx, ms, sums)
-        + verify_theorem2_eval(ctx, ms, xs, values)
-        + verify_special_cases(ctx, xs, values)
-        + verify_proof_intermediate(ctx, ms, sums)
+        rows(verify_theorem2(ctx, ms, sums))
+        + rows(verify_theorem2_eval(ctx, ms, xs, values))
+        + rows(verify_special_cases(ctx, xs, values))
+        + rows(verify_proof_intermediate(ctx, ms, sums))
     )
 
 
@@ -358,9 +363,9 @@ def test_batched_eval_matches_polynomial_route(cache):
         ms, xs = _weights(p), list(range(1, p))
         polys = touchard_polys_by_recursion(p - 1, ctx)
         values = touchard_value_table(ctx)
-        evals = verify_theorem2_eval(ctx, ms, xs, values)
+        evals = rows(verify_theorem2_eval(ctx, ms, xs, values))
         assert [(r.params["m"], r.params["x"]) for r in evals] == [(m, x) for m in ms for x in xs]
-        special = {(r.params["m"], r.params["x"]): r for r in verify_special_cases(ctx, xs, values)}
+        special = {(r.params["m"], r.params["x"]): r for r in rows(verify_special_cases(ctx, xs, values))}
         assert set(special) == {(m, x) for m in (2, 3, 4) if m % p for x in xs}
         sums = weighted_touchard_sum(ctx, ms, touchard_coeff_matrix(ctx))
         for i, m in enumerate(ms):
@@ -381,7 +386,7 @@ def test_corrupt_table_entry_fails_exactly_its_point(cache):
     ms, xs = _weights(p), list(range(1, p))
     values = touchard_value_table(ctx).copy()
     values[6, bad_x] = (values[6, bad_x] + 1) % p
-    reports = verify_theorem2_eval(ctx, ms, xs, values) + verify_special_cases(ctx, xs, values)
+    reports = rows(verify_theorem2_eval(ctx, ms, xs, values)) + rows(verify_special_cases(ctx, xs, values))
     failed = [r for r in reports if not r.passed]
     assert failed == [r for r in reports if r.params["x"] == bad_x]
     assert len(failed) == len(ms) + 3
@@ -418,14 +423,14 @@ def test_batched_report_sides_are_python_ints(cache):
 def test_batched_verifiers_on_empty_grids(cache):
     ctx = cache.ctx(7)
     values = touchard_value_table(ctx)
-    assert verify_theorem2_eval(ctx, [], [1, 2], values) == []
-    assert verify_theorem2_eval(ctx, [1, 2], [], values) == []
-    assert verify_special_cases(ctx, [], values) == []
+    assert rows(verify_theorem2_eval(ctx, [], [1, 2], values)) == []
+    assert rows(verify_theorem2_eval(ctx, [1, 2], [], values)) == []
+    assert rows(verify_special_cases(ctx, [], values)) == []
     assert weighted_touchard_sum(ctx, []) == []
-    assert verify_theorem2(ctx, [], []) == []
-    assert verify_proof_intermediate(ctx, [], []) == []
-    assert geometric_sum_lemma_check(ctx, []) == []
-    assert verify_factorial_lemma(ctx, []) == []
+    assert rows(verify_theorem2(ctx, [], [])) == []
+    assert rows(verify_proof_intermediate(ctx, [], [])) == []
+    assert rows(geometric_sum_lemma_check(ctx, [])) == []
+    assert rows(verify_factorial_lemma(ctx, [])) == []
     with pytest.raises(BadModulusError):
         geometric_sum_lemma_check(ctx, [1, 14])
     with pytest.raises(BadPointError):
@@ -447,12 +452,12 @@ def test_least_positive_residue(cache):
 
 def test_factorial_lemma(cache):
     for p, m in ((5, 2), (3, 7), (5, 1), (7, 20)):
-        reports = verify_factorial_lemma(cache.ctx(p), [m])
+        reports = rows(verify_factorial_lemma(cache.ctx(p), [m]))
         assert len(reports) == m
         assert [r.params["l"] for r in reports] == list(range(m))
         assert all(r.passed for r in reports), (p, m)
     # below the split both sides vanish
-    reports = verify_factorial_lemma(cache.ctx(3), [7])
+    reports = rows(verify_factorial_lemma(cache.ctx(3), [7]))
     split = 7 + least_positive_residue_of_neg(cache.ctx(3), 7) - 3
     assert split > 0
     for r in reports[:split]:
@@ -463,18 +468,18 @@ def test_factorial_lemma_sweep(cache):
     for p in primes_in_range(2, 13):
         ctx = cache.ctx(p)
         ms = [m for m in range(1, 3 * p + 1) if m % p]
-        reports = verify_factorial_lemma(ctx, ms)
+        reports = rows(verify_factorial_lemma(ctx, ms))
         assert [(r.params["m"], r.params["l"]) for r in reports] == [(m, l) for m in ms for l in range(m)]
         assert all(r.passed for r in reports), p
-        one_weight = [r for m in ms for r in verify_factorial_lemma(ctx, [m])]
+        one_weight = [r for m in ms for r in rows(verify_factorial_lemma(ctx, [m]))]
         assert [(r.params, r.lhs, r.rhs) for r in one_weight] == [(r.params, r.lhs, r.rhs) for r in reports]
 
 
 def test_geometric_sum(cache):
-    reports = geometric_sum_lemma_check(cache.ctx(5), [2])
+    reports = rows(geometric_sum_lemma_check(cache.ctx(5), [2]))
     hits = {r.params["j"]: r.lhs for r in reports}
     assert hits == {1: 0, 2: 0, 3: 4, 4: 0}
-    reports = geometric_sum_lemma_check(cache.ctx(7), [6])
+    reports = rows(geometric_sum_lemma_check(cache.ctx(7), [6]))
     assert [r.lhs for r in reports if r.params["j"] == 1] == [6]
 
 
@@ -484,7 +489,7 @@ def test_geometric_sum_has_one_hit_per_weight(cache):
         for m in range(1, 2 * p + 1):
             if m % p == 0:
                 continue
-            reports = geometric_sum_lemma_check(ctx, [m])
+            reports = rows(geometric_sum_lemma_check(ctx, [m]))
             assert all(r.passed for r in reports)
             hits = [r.params["j"] for r in reports if r.rhs != 0]
             assert hits == [(-m) % p], (p, m)
@@ -496,7 +501,7 @@ def test_geometric_batch_matches_direct_powers(cache, monkeypatch):
     for p in primes_in_range(2, 23):
         ctx = cache.ctx(p)
         ms = _weights(p) + [7 * p + 1]
-        reports = geometric_sum_lemma_check(ctx, ms)
+        reports = rows(geometric_sum_lemma_check(ctx, ms))
         assert [(r.params["m"], r.params["j"]) for r in reports] == [
             (m, j) for m in ms for j in range(1, p)
         ]
@@ -505,11 +510,18 @@ def test_geometric_batch_matches_direct_powers(cache, monkeypatch):
             u = pow(-m % p, p - 2, p)
             assert r.lhs == sum(pow(j * u, n, p) for n in range(1, p)) % p, (p, m, j)
             assert type(r.lhs) is int and r.passed
-        scalar = [r for m in ms for r in geometric_sum_lemma_check(ctx, [m])]
+        scalar = [r for m in ms for r in rows(geometric_sum_lemma_check(ctx, [m]))]
         assert [(r.params, r.lhs, r.rhs) for r in scalar] == [(r.params, r.lhs, r.rhs) for r in reports]
     monkeypatch.setattr(cg, "WEIGHT_BLOCK", 3)
-    blocked = geometric_sum_lemma_check(cache.ctx(23), ms)
+    blocked = rows(geometric_sum_lemma_check(cache.ctx(23), ms))
     assert [(r.params, r.lhs) for r in blocked] == [(r.params, r.lhs) for r in reports]
+
+
+def make_report(identity, ctx, params, lhs, rhs):
+    """One report with int sides, read back as the only row of its block."""
+    columns = {k: np.array([v]) for k, v in params.items()}
+    [report] = cg._block(identity, ctx, columns, np.array([lhs]), np.array([rhs]))
+    return report
 
 
 def test_make_report_and_sort_key(cache):

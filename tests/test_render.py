@@ -1,13 +1,19 @@
-"""The direct jsonl renderer against the json.dumps renderer it replaced,
-and the text renderer against its line format."""
+"""The block renderers against per-report reference renderers: json.dumps
+for jsonl, csv.writer for csv, and a word join for text."""
 
+import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 from bellmod.cli import IDENTITIES, SweepConfig, render_reports, run_sweep
-from bellmod.congruences import PARAM_ORDER, Identity, VerificationReport, make_report
-from bellmod.modarith import make_context
+from bellmod.congruences import PARAM_ORDER, Identity, ReportBlock
+
+
+def rows(blocks):
+    return [r for b in blocks for r in b]
 
 
 def reference_jsonl(reports):
@@ -33,68 +39,107 @@ def reference_jsonl(reports):
     )
 
 
-def reference_text(reports):
-    def side(v):
-        return "[" + ";".join(map(str, v)) + "]" if isinstance(v, tuple) else str(v)
+def flat(v):
+    return "[" + ";".join(map(str, v)) + "]" if isinstance(v, tuple) else str(v)
 
+
+def reference_text(reports):
     lines = []
     for r in reports:
         words = [r.identity.value, f"p={r.p}"]
         words += [f"{k}={r.params[k]}" for k in PARAM_ORDER if k in r.params]
-        words += [f"lhs={side(r.lhs)}", f"rhs={side(r.rhs)}", "PASS" if r.passed else "FAIL"]
+        words += [f"lhs={flat(r.lhs)}", f"rhs={flat(r.rhs)}", "PASS" if r.passed else "FAIL"]
         lines.append(" ".join(words) + "\n")
     return "".join(lines)
 
 
-def hand_built_reports():
-    ctx = make_context(7)
-    every_key = {k: i for i, k in enumerate(reversed(PARAM_ORDER))}  # inserted out of order
+def reference_csv(reports):
+    """A header, then one csv.writer row per report: the common triage
+    params, the verdict and sides, then the rarer params."""
+    head, tail = PARAM_ORDER[:3], PARAM_ORDER[3:]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["identity", "p", *head, "pass", "lhs", "rhs", *tail])
+    for r in reports:
+        writer.writerow(
+            [r.identity.value, r.p]
+            + [r.params.get(k, "") for k in head]
+            + ["true" if r.passed else "false", flat(r.lhs), flat(r.rhs)]
+            + [r.params.get(k, "") for k in tail]
+        )
+    return buf.getvalue()
+
+
+REFERENCES = [("jsonl", reference_jsonl), ("text", reference_text), ("csv", reference_csv)]
+
+
+def col(*values):
+    return np.array(values, dtype=np.int64)
+
+
+def hand_built_blocks():
+    every_key = {k: col(i, i + 10) for i, k in enumerate(reversed(PARAM_ORDER))}  # inserted out of order
+    big = 2**31 - 1
     return [
-        make_report(Identity.THEOREM1, ctx, {"m": 3}, 1, 1),  # int sides
-        make_report(Identity.THEOREM1, ctx, {"m": 4}, 1, 2),  # failing
-        make_report(Identity.PROOF_INTERMEDIATE, ctx, {"m": 2, "r": 5}, (0, 2, 1), (0, 2, 1)),
-        make_report(Identity.THEOREM2_POLY, ctx, {"m": 1}, (), (6,)),  # the zero polynomial
-        make_report(Identity.BELL_P, ctx, {}, 2, 2),  # empty params
-        make_report(Identity.GEOMETRIC_SUM, ctx, every_key, 0, 6),
-        VerificationReport(Identity.COROLLARY, 2**31 - 1, {"p": 2**31 - 1, "n": 5, "k": 9},
-                           2**31 - 2, 2**31 - 2, True),
+        ReportBlock(Identity.THEOREM1, 7, {"m": col(3, 4)}, col(1, 1), col(1, 2), np.array([True, False])),
+        ReportBlock(
+            Identity.PROOF_INTERMEDIATE, 7, {"m": col(2), "r": col(5)}, [(0, 2, 1)], [(0, 2, 1)], np.array([True])
+        ),
+        # the zero polynomial on either side
+        ReportBlock(Identity.THEOREM2_POLY, 7, {"m": col(1, 2)}, [(), (3,)], [(6,), ()], np.array([False, False])),
+        ReportBlock(Identity.BELL_P, 7, {}, col(2), col(2), np.array([True])),  # empty params
+        ReportBlock(Identity.GEOMETRIC_SUM, 7, every_key, col(0, 1), col(6, 1), np.array([False, True])),
+        ReportBlock(Identity.COROLLARY, big, {"n": col(5), "k": col(9)}, col(big - 1), col(big - 1), np.array([True])),
+        ReportBlock(Identity.EQ4_STEP, 7, {"m": col()}, col(), col(), np.array([], dtype=bool)),  # no rows
     ]
 
 
-@pytest.mark.parametrize("fmt, reference", [("jsonl", reference_jsonl), ("text", reference_text)])
+@pytest.mark.parametrize("fmt, reference", REFERENCES)
 def test_renderers_match_reference_on_hand_built_reports(fmt, reference):
-    reports = hand_built_reports()
-    assert render_reports(reports, fmt) == reference(reports)
-    for r in reports:
-        assert render_reports([r], fmt) == reference([r])
-    assert render_reports([], fmt) == ""
+    blocks = hand_built_blocks()
+    assert render_reports(blocks, fmt) == reference(rows(blocks))
+    for b in blocks:
+        assert render_reports([b], fmt) == reference(list(b))
+    assert render_reports([], fmt) == reference([])
 
 
-@pytest.mark.parametrize("fmt, reference", [("jsonl", reference_jsonl), ("text", reference_text)])
+@pytest.mark.parametrize("fmt, reference", REFERENCES)
 def test_renderers_match_reference_on_a_sweep(fmt, reference):
-    _, reports = run_sweep(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
+    _, blocks = run_sweep(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
+    reports = rows(blocks)
     assert {r.identity for r in reports} == set(Identity)
-    assert render_reports(reports, fmt) == reference(reports)
+    assert render_reports(blocks, fmt) == reference(reports)
 
 
 def test_renderers_match_reference_on_random_reports():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    side = st.one_of(st.integers(), st.lists(st.integers(), max_size=6).map(tuple))
 
     @st.composite
-    def reports(draw):
-        p = draw(st.integers(min_value=2))
-        params = draw(st.dictionaries(st.sampled_from(PARAM_ORDER), st.integers()))
-        return VerificationReport(
-            draw(st.sampled_from(Identity)), p, {"p": p, **params},
-            draw(side), draw(side), draw(st.booleans()),
+    def blocks(draw):
+        n = draw(st.integers(min_value=0, max_value=4))
+
+        def column(values):
+            return draw(st.lists(values, min_size=n, max_size=n))
+
+        def ints():
+            return np.array(column(st.integers(-(2**63), 2**63 - 1)), dtype=np.int64)
+
+        poly = draw(st.booleans())
+
+        def side():
+            return column(st.lists(st.integers(), max_size=6).map(tuple)) if poly else ints()
+
+        keys = draw(st.sets(st.sampled_from(PARAM_ORDER)))  # in any insertion order
+        return ReportBlock(
+            draw(st.sampled_from(Identity)), draw(st.integers(min_value=2)),
+            {k: ints() for k in keys}, side(), side(), np.array(column(st.booleans()), dtype=bool),
         )
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
-    @hypothesis.given(st.lists(reports(), max_size=4))
+    @hypothesis.given(st.lists(blocks(), max_size=4))
     def check(batch):
-        assert render_reports(batch, "jsonl") == reference_jsonl(batch)
-        assert render_reports(batch, "text") == reference_text(batch)
+        for fmt, reference in REFERENCES:
+            assert render_reports(batch, fmt) == reference(rows(batch))
 
     check()
