@@ -1,8 +1,8 @@
 import hashlib
 import json
-from operator import attrgetter
 import subprocess
 import sys
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -247,12 +247,13 @@ def test_verify_out_file(tmp_path, capsys):
 
 
 def test_verify_out_unwritable_is_usage_error(capsys, tmp_path):
-    code, _, err = run_main(
-        capsys, "verify", "--identities", "bellp", "--primes", "2..3",
-        "--out", str(tmp_path / "missing" / "x.txt"),
-    )
-    assert code == 2
-    assert err
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):  # a missing directory, a directory
+        code, out, err = run_main(
+            capsys, "verify", "--identities", "bellp", "--primes", "2..3", "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -404,15 +405,6 @@ def test_verify_stream_builds_no_report_rows(capsys, monkeypatch, tmp_path, fmt)
     )
     assert code == 0, err
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
-
-
-def test_verify_out_directory_is_usage_error(capsys, tmp_path):
-    code, out, err = run_main(
-        capsys, "verify", "--identities", "bellp", "--primes", "2..3", "--out", str(tmp_path),
-    )
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1
-    assert "Traceback" not in err
 
 
 def test_run_sweep_first_failure_is_canonical(monkeypatch):
