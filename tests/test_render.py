@@ -77,20 +77,22 @@ def col(*values):
     return np.array(values, dtype=np.int64)
 
 
+def mask(*flags):
+    return np.array(flags, dtype=bool)
+
+
 def hand_built_blocks():
-    every_key = {k: col(i, i + 10) for i, k in enumerate(reversed(PARAM_ORDER))}  # inserted out of order
+    every_key = {k: col(i, i + 10) for i, k in enumerate(reversed(PARAM_ORDER))}  # out of order
     big = 2**31 - 1
     return [
-        ReportBlock(Identity.THEOREM1, 7, {"m": col(3, 4)}, col(1, 1), col(1, 2), np.array([True, False])),
-        ReportBlock(
-            Identity.PROOF_INTERMEDIATE, 7, {"m": col(2), "r": col(5)}, [(0, 2, 1)], [(0, 2, 1)], np.array([True])
-        ),
+        ReportBlock(Identity.THEOREM1, 7, {"m": col(3, 4)}, col(1, 1), col(1, 2), mask(True, False)),
+        ReportBlock(Identity.PROOF_INTERMEDIATE, 7, {"m": col(2), "r": col(5)}, [(0, 2, 1)], [(0, 2, 1)], mask(True)),
         # the zero polynomial on either side
-        ReportBlock(Identity.THEOREM2_POLY, 7, {"m": col(1, 2)}, [(), (3,)], [(6,), ()], np.array([False, False])),
-        ReportBlock(Identity.BELL_P, 7, {}, col(2), col(2), np.array([True])),  # empty params
-        ReportBlock(Identity.GEOMETRIC_SUM, 7, every_key, col(0, 1), col(6, 1), np.array([False, True])),
-        ReportBlock(Identity.COROLLARY, big, {"n": col(5), "k": col(9)}, col(big - 1), col(big - 1), np.array([True])),
-        ReportBlock(Identity.EQ4_STEP, 7, {"m": col()}, col(), col(), np.array([], dtype=bool)),  # no rows
+        ReportBlock(Identity.THEOREM2_POLY, 7, {"m": col(1, 2)}, [(), (3,)], [(6,), ()], mask(False, False)),
+        ReportBlock(Identity.BELL_P, 7, {}, col(2), col(2), mask(True)),  # empty params
+        ReportBlock(Identity.GEOMETRIC_SUM, 7, every_key, col(0, 1), col(6, 1), mask(False, True)),
+        ReportBlock(Identity.COROLLARY, big, {"n": col(5), "k": col(9)}, col(big - 1), col(big - 1), mask(True)),
+        ReportBlock(Identity.EQ4_STEP, 7, {"m": col()}, col(), col(), mask()),  # no rows
     ]
 
 
@@ -130,10 +132,10 @@ def test_renderers_match_reference_on_random_reports():
         def side():
             return column(st.lists(st.integers(), max_size=6).map(tuple)) if poly else ints()
 
-        keys = draw(st.sets(st.sampled_from(PARAM_ORDER)))  # in any insertion order
+        keys = draw(st.lists(st.sampled_from(PARAM_ORDER), unique=True))  # in any insertion order
         return ReportBlock(
             draw(st.sampled_from(Identity)), draw(st.integers(min_value=2)),
-            {k: ints() for k in keys}, side(), side(), np.array(column(st.booleans()), dtype=bool),
+            {k: ints() for k in keys}, side(), side(), mask(*column(st.booleans())),
         )
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
