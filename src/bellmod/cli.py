@@ -248,9 +248,8 @@ def _side_flat(side: tuple[int, ...]) -> str:
 # end so column positions stay stable for consumers of the short schema
 _CSV_HEAD_PARAMS = ("m", "n", "x")
 _CSV_TAIL_PARAMS = tuple(k for k in cg.PARAM_ORDER if k not in _CSV_HEAD_PARAMS)
-_CSV_HEADER = (
-    ",".join(["identity", "p", *_CSV_HEAD_PARAMS, "pass", "lhs", "rhs", *_CSV_TAIL_PARAMS]) + "\n"
-)
+_CSV_COLUMNS = (*_CSV_HEAD_PARAMS, "pass", "lhs", "rhs", *_CSV_TAIL_PARAMS)
+_CSV_HEADER = ",".join(["identity", "p", *_CSV_COLUMNS]) + "\n"
 _PASS_WORDS = {"text": ("FAIL", "PASS"), "jsonl": ("false", "true"), "csv": ("false", "true")}
 
 
@@ -278,11 +277,12 @@ def _render_block(b: ReportBlock, fmt: str) -> str:
         )
         cols = [*params, lhs, rhs, ok]
     elif fmt == "csv":
-        # csv.writer's minimal quoting: no field holds a comma or a quote
-        cells = ["%d" if k in b.params else "" for k in cg.PARAM_ORDER]
-        split, head = len(_CSV_HEAD_PARAMS), sum(k in _CSV_HEAD_PARAMS for k in keys)
-        tpl = ",".join([name, str(b.p), *cells[:split], "%s", side, side, *cells[split:]]) + "\n"
-        cols = [*params[:head], ok, lhs, rhs, *params[head:]]
+        # csv.writer's minimal quoting: no field holds a comma or a quote;
+        # the template and the columns follow the header's one order
+        slots = {**dict.fromkeys(keys, "%d"), "pass": "%s", "lhs": side, "rhs": side}
+        named = {**dict(zip(keys, params)), "pass": ok, "lhs": lhs, "rhs": rhs}
+        tpl = ",".join([name, str(b.p), *[slots.get(c, "") for c in _CSV_COLUMNS]]) + "\n"
+        cols = [named[c] for c in _CSV_COLUMNS if c in named]
     else:
         ps = "".join(f" {k}=%d" for k in keys)
         tpl = f"{name} p={b.p}{ps} lhs={side} rhs={side} %s\n"

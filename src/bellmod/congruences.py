@@ -359,7 +359,9 @@ def verify_corollary(
     return blocks
 
 
-def verify_eq4(ctx: PrimeContext, row: BellRow | None = None) -> list[ReportBlock]:
+def verify_eq4(
+    ctx: PrimeContext, row: BellRow | None = None
+) -> list[ReportBlock]:
     """Check the weighted-sum chain: S_1 = 1 and m S_m = S_1 - S_{m+1}
     (mod p) for 1 <= m <= p - 2.  Needs p >= 3 to have any chain step.
     """
@@ -658,7 +660,9 @@ def verify_factorial_lemma(ctx: PrimeContext, ms: Sequence[int]) -> list[ReportB
     return [_block(Identity.FACTORIAL_LEMMA, ctx, {"m": m, "l": l, "r": r}, lhs, rhs)]
 
 
-def geometric_sum_lemma_check(ctx: PrimeContext, ms: Sequence[int]) -> list[ReportBlock]:
+def geometric_sum_lemma_check(
+    ctx: PrimeContext, ms: Sequence[int]
+) -> list[ReportBlock]:
     """Check sum_{n=1}^{p-1} (j / (-m))^n = -[p divides m + j] (mod p)
     for every weight m of ms and every j in 1..p-1, in m-major order.
 

@@ -56,7 +56,8 @@ def reference_text(reports):
 def reference_csv(reports):
     """A header, then one csv.writer row per report: the common triage
     params, the verdict and sides, then the rarer params."""
-    head, tail = PARAM_ORDER[:3], PARAM_ORDER[3:]
+    head = ("m", "n", "x")
+    tail = tuple(k for k in PARAM_ORDER if k not in head)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["identity", "p", *head, "pass", "lhs", "rhs", *tail])

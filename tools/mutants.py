@@ -1,13 +1,12 @@
 """Mutation check of the tier-1 tests.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 Each mutant below swaps one exact piece of text in one file for another.
-For each one (or each one named), the script copies the repository to a
-temporary directory, applies the mutant there, runs the tier-1 tests in the
-copy and reports the first test that failed (the mutant is killed) or
-that every test passed (it survived).  The repository itself is never
-modified.  An unmutated copy is tested first, since a suite that already
+For each one, the script copies the repository to a temporary directory,
+applies the mutant there, runs the tier-1 tests in the copy and reports the
+first test that failed (the mutant is killed) or that every test passed
+(it survived).  The repository itself is never modified.  An unmutated copy is tested first, since a suite that already
 fails kills every mutant.
 
 Exits 0 when every mutant is killed, 1 when one survives or its text no
@@ -134,18 +133,13 @@ def check(name: str | None) -> str:
         return "survived" if failed is None else f"killed by {failed}"
 
 
-def main(argv: list[str]) -> int:
-    names = argv or list(MUTANTS)
-    unknown = [n for n in names if n not in MUTANTS]
-    if unknown:
-        print(f"unknown mutants: {', '.join(unknown)}; pick from {', '.join(MUTANTS)}", file=sys.stderr)
-        return 1
+def main() -> int:
     baseline = check(None)
     if baseline != "passed":
         print(f"the unmutated copy {baseline}", file=sys.stderr)
         return 2
     bad = []
-    for name in names:
+    for name in MUTANTS:
         verdict = check(name)
         print(f"{name}: {verdict} ({MUTANTS[name][3]})", flush=True)
         if not verdict.startswith("killed"):
@@ -155,4 +149,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
