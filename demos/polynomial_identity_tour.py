@@ -5,8 +5,11 @@ A polynomial identity with its proof machinery on display
 Weight the Touchard polynomials T_1..T_{p-1} by powers of -1/m and the sum
 collapses to a closed form: (-x)^m times the sum is congruent mod p to
 -x^p times a short factorial polynomial in -x.  Both sides live here as
-coefficient lists over the prime field, so equality is exact and visible.
+rows of coefficients over the prime field, one row per weight, so equality
+is exact and visible.
 """
+
+import numpy as np
 
 from bellmod import make_context
 from bellmod.congruences import (
@@ -21,22 +24,28 @@ from bellmod.congruences import (
 P = 7
 ctx = make_context(P)
 
+
+def coeffs(row):
+    """A row of coefficients as a list, without its trailing zeros."""
+    return np.trim_zeros(row, "b").tolist()
+
+
 print(f"both sides as coefficient lists mod {P} (ascending degree):")
-for m in range(1, 7):
-    lhs = theorem2_lhs(ctx, m)
-    rhs = theorem2_rhs(ctx, m)
-    tag = "equal" if lhs.equals(rhs) else "DIFFER"
-    print(f"  m = {m}: lhs {list(lhs.coeffs)}")
-    print(f"         rhs {list(rhs.coeffs)}  -> {tag}")
+ms = list(range(1, 7))
+lhs_rows = theorem2_lhs(ctx, ms, weighted_touchard_sum(ctx, ms))
+for m, lhs, rhs in zip(ms, map(coeffs, lhs_rows), map(coeffs, theorem2_rhs(ctx, ms))):
+    tag = "equal" if lhs == rhs else "DIFFER"
+    print(f"  m = {m}: lhs {lhs}")
+    print(f"         rhs {rhs}  -> {tag}")
 
 # the collapse pivots on r, the least positive residue of -m: only the
 # terms x^r..x^{p-1} survive in the intermediate closed form
 print()
 m = 3
-mid = proof_intermediate(ctx, m)
+[mid] = proof_intermediate(ctx, [m])
 [direct] = weighted_touchard_sum(ctx, [m])
-print(f"intermediate closed form at m = {m}: {list(mid.coeffs)}")
-print(f"direct weighted sum:                {list(direct.coeffs)}")
+print(f"intermediate closed form at m = {m}: {coeffs(mid)}")
+print(f"direct weighted sum:                {coeffs(direct)}")
 
 # underneath sits a geometric sum that vanishes except at one index
 print()

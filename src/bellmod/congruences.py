@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from operator import eq
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import oracle
 from .modarith import (
-    DensePoly,
     IndexTooLargeError,
     PrimeContext,
     Residue,
@@ -104,8 +102,9 @@ _IDENTITY_RANK = {ident: i for i, ident in enumerate(Identity)}
 PARAM_ORDER = ("m", "n", "x", "k", "l", "j", "r")
 
 # weights handled per block by the batched Touchard-sum kernels: a block
-# holds one (block x p) array of powers of u, and one (block x (p + max m))
-# array of closed-form coefficients, whatever the number of weights
+# holds one (block x p) array of powers of u, and theorem2 and eq10 build
+# the closed forms one (block x (p + max m)) array at a time, whatever the
+# number of weights
 WEIGHT_BLOCK = 256
 
 
@@ -266,27 +265,26 @@ def s_m_many(
 
 def theorem1_rhs(
     ctx: PrimeContext,
-    m: int,
+    ms: Sequence[int],
     drow: DerangementRow | None = None,
     sigma: np.ndarray | None = None,
-) -> Residue:
-    """(-1)^(m-1) D_{m-1} mod p.
+) -> np.ndarray:
+    """(-1)^(m-1) D_{m-1} mod p for every weight of ms, aligned with ms.
 
     For m - 1 < p this reads the derangement row directly.  Larger weights
     use the alternating falling-factorial series, which mod p depends on
     m - 1 only through its residue; the series carries the sign itself.
     """
-    _require_unit(ctx, m)
+    for m in ms:
+        _require_unit(ctx, m)
     p = ctx.p
-    n0 = m - 1
-    if n0 < p:
-        if drow is None:
-            drow = derangement_row(ctx)
-        d = int(drow.values[n0])
-        return Residue(d if n0 % 2 == 0 else -d % p, ctx)
+    if drow is None:
+        drow = derangement_row(ctx)
     if sigma is None:
         sigma = signed_series_row(ctx)
-    return Residue(int(sigma[n0 % p]), ctx)
+    n0 = np.asarray(ms, dtype=np.int64) - 1
+    d = drow.values[n0.clip(max=p - 1)]
+    return np.where(n0 < p, np.where(n0 % 2 == 0, d, -d % p), sigma[n0 % p])
 
 
 def verify_theorem1(
@@ -300,11 +298,7 @@ def verify_theorem1(
     weight m of ms, in order.  The left side comes from s_m_many, which
     the scalar s_m checks as an independent route."""
     lhs = np.array(s_m_many(ctx, ms, row), dtype=np.int64)
-    if drow is None:
-        drow = derangement_row(ctx)
-    if sigma is None:
-        sigma = signed_series_row(ctx)
-    rhs = np.array([theorem1_rhs(ctx, m, drow, sigma).value for m in ms], dtype=np.int64)
+    rhs = theorem1_rhs(ctx, ms, drow, sigma)
     return [_block(Identity.THEOREM1, ctx, {"m": np.asarray(ms)}, lhs, rhs)]
 
 
@@ -451,27 +445,22 @@ def _weighted_power_rows(
     return out
 
 
-def _eval_rows(
-    ctx: PrimeContext, polys: Iterable[DensePoly], xs: Sequence[int]
-) -> np.ndarray:
-    """Every polynomial at every point x, one row per polynomial.
-
-    The polynomials are taken WEIGHT_BLOCK at a time, and each block gets
-    one Horner pass over its stacked dense coefficients.
-    """
-    p = ctx.p
+def _eval_rows(ctx: PrimeContext, coeffs: np.ndarray, xs: Sequence[int]) -> np.ndarray:
+    """Every row of coefficients, ascending by degree, at every point x:
+    one Horner pass over the columns."""
     x = np.array(xs, dtype=np.int64)
-    rows = []
-    it = iter(polys)
-    while block := list(islice(it, WEIGHT_BLOCK)):
-        coeffs = np.zeros((len(block), max(len(f.coeffs) for f in block)), dtype=np.int64)
-        for i, f in enumerate(block):
-            coeffs[i, : len(f.coeffs)] = f.coeffs
-        acc = np.zeros((len(block), len(x)), dtype=np.int64)
-        for col in coeffs.T[::-1]:
-            acc = (acc * x + col[:, None]) % p
-        rows.append(acc)
-    return np.concatenate(rows)
+    acc = np.zeros((len(coeffs), len(x)), dtype=np.int64)
+    for col in coeffs.T[::-1]:
+        acc = (acc * x + col[:, None]) % ctx.p
+    return acc
+
+
+def _coeff_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """Each row of coefficients as a tuple of ints with its trailing zeros
+    stripped, so a zero row gives ()."""
+    nonzero = rows != 0
+    lens = np.where(nonzero.any(axis=1), rows.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0)
+    return [tuple(row[:n]) for row, n in zip(rows.tolist(), lens.tolist())]
 
 
 def _inv_pow(ctx: PrimeContext, bases: Sequence[int], exps: Sequence[int]) -> np.ndarray:
@@ -492,54 +481,61 @@ def _require_points(ctx: PrimeContext, xs: Sequence[int]) -> list[int]:
 
 def weighted_touchard_sum(
     ctx: PrimeContext, ms: Sequence[int], matrix: np.ndarray | None = None
-) -> list[DensePoly]:
-    """sum_{0<n<p} T_n(x) / (-m)^n as a polynomial mod p for every weight
-    in ms, from the coefficient matrix M[n, k] = S(n, k) mod p."""
+) -> np.ndarray:
+    """sum_{0<n<p} T_n(x) / (-m)^n mod p for every weight in ms, one row of
+    the coefficients of x^0..x^(p-1) per weight, from the coefficient
+    matrix M[n, k] = S(n, k) mod p."""
     if matrix is None:
         matrix = touchard_coeff_matrix(ctx)
-    return [DensePoly(ctx, row) for row in _weighted_power_rows(ctx, ms, matrix).tolist()]
+    return _weighted_power_rows(ctx, ms, matrix)
 
 
-def theorem2_lhs(
-    ctx: PrimeContext, m: int, polys: Sequence[DensePoly] | None = None
-) -> DensePoly:
-    """(-x)^m sum_{0<n<p} T_n(x) / (-m)^n as a polynomial mod p."""
-    matrix = None
-    if polys is not None:
-        matrix = np.array([f._padded(ctx.p) for f in polys], dtype=np.int64)
-    inner = weighted_touchard_sum(ctx, [m], matrix)[0]
-    sign = 1 if m % 2 == 0 else -1
-    return inner.mul_monomial(m, sign)
+def theorem2_lhs(ctx: PrimeContext, ms: Sequence[int], sums: np.ndarray) -> np.ndarray:
+    """(-x)^m sum_{0<n<p} T_n(x) / (-m)^n mod p for every weight of ms, one
+    row of p + max(ms) coefficients per weight, given the weighted Touchard
+    sums from weighted_touchard_sum."""
+    p = ctx.p
+    w = np.asarray(ms, dtype=np.int64).reshape(-1, 1)
+    out = np.zeros((len(w), p + int(w.max(initial=0))), dtype=np.int64)
+    np.put_along_axis(out, w + np.arange(p), np.where(w % 2 == 0, sums, -sums % p), axis=1)
+    return out
 
 
-def theorem2_rhs(ctx: PrimeContext, m: int) -> DensePoly:
-    """-x^p sum_{l=0}^{m-1} ((m-1)!/l!) (-x)^l as a polynomial mod p.
+def theorem2_rhs(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
+    """-x^p sum_{l=0}^{m-1} ((m-1)!/l!) (-x)^l mod p for every weight of ms,
+    one row of p + max(ms) coefficients per weight.
 
     (m-1)!/l! is the integer product (l+1)(l+2)...(m-1), accumulated
-    downward from l = m-1 with each factor reduced mod p; it is never
-    formed by modular division, which would break once the factorials
-    vanish.
+    downward from l = m-1 for all weights at once, with each factor reduced
+    mod p; it is never formed by modular division, which would break once
+    the factorials vanish.
     """
-    _require_unit(ctx, m)
+    for m in ms:
+        _require_unit(ctx, m)
     p = ctx.p
-    coeffs = [0] * (p + m)
-    c = 1  # (m-1)!/l! at l = m-1 is the empty product
-    for l in range(m - 1, -1, -1):
-        coeffs[p + l] = -c % p if l % 2 == 0 else c
-        if l > 0:
-            c = c * (l % p) % p
-    return DensePoly(ctx, coeffs)
+    w = np.asarray(ms, dtype=np.int64)
+    top = int(w.max(initial=0))
+    out = np.zeros((len(w), p + top), dtype=np.int64)
+    c = np.ones(len(w), dtype=np.int64)  # (l+1)...(m-1) for each weight with l < m
+    for l in range(top - 1, -1, -1):
+        live = w > l
+        out[live, p + l] = -c[live] % p if l % 2 == 0 else c[live]
+        c[live] = c[live] * (l % p) % p
+    return out
 
 
 def verify_theorem2(
-    ctx: PrimeContext, ms: Sequence[int], sums: Sequence[DensePoly]
+    ctx: PrimeContext, ms: Sequence[int], sums: np.ndarray
 ) -> list[ReportBlock]:
     """Compare both sides of the polynomial congruence as coefficient
     tuples at every weight of ms, given their weighted Touchard sums from
     weighted_touchard_sum; they agree identically in x when the identity
-    holds."""
-    lhs = [inner.mul_monomial(m, 1 if m % 2 == 0 else -1).coeffs for m, inner in zip(ms, sums)]
-    rhs = [theorem2_rhs(ctx, m).coeffs for m in ms]
+    holds.  Both sides are built WEIGHT_BLOCK weights at a time."""
+    lhs, rhs = [], []
+    for lo in range(0, len(ms), WEIGHT_BLOCK):
+        block = ms[lo : lo + WEIGHT_BLOCK]
+        lhs += _coeff_tuples(theorem2_lhs(ctx, block, sums[lo : lo + WEIGHT_BLOCK]))
+        rhs += _coeff_tuples(theorem2_rhs(ctx, block))
     return [_block(Identity.THEOREM2_POLY, ctx, {"m": np.asarray(ms)}, lhs, rhs)]
 
 
@@ -555,7 +551,8 @@ def verify_theorem2_eval(
     sum_{0<n<p} T_n(x) / (-m)^n = -x^p sum_l ((m-1)!/l!) (-x)^l / (-x)^m.
 
     The left side weights the tabulated T_n(x); the right side evaluates
-    the closed-form polynomial, built once per m, and divides by (-x)^m.
+    the closed-form polynomials, built WEIGHT_BLOCK weights at a time, and
+    divides by (-x)^m.
     """
     p = ctx.p
     xs = _require_points(ctx, xs)
@@ -564,17 +561,20 @@ def verify_theorem2_eval(
     if values is None:
         values = touchard_value_table(ctx)
     lhs = _weighted_power_rows(ctx, ms, values[:, xs])
-    num = _eval_rows(ctx, (theorem2_rhs(ctx, m) for m in ms), xs)
+    num = np.empty(lhs.shape, dtype=np.int64)
+    for lo in range(0, len(ms), WEIGHT_BLOCK):
+        block = ms[lo : lo + WEIGHT_BLOCK]
+        num[lo : lo + len(block)] = _eval_rows(ctx, theorem2_rhs(ctx, block), xs)
     rhs = num * _inv_pow(ctx, [p - x for x in xs], ms) % p
     grid = {"m": np.repeat(ms, len(xs)), "x": np.tile(xs, len(ms))}
     return [_block(Identity.THEOREM2_EVAL, ctx, grid, lhs.ravel(), rhs.ravel())]
 
 
-# numerators of the displayed low-weight cases, ascending; the denominator
-# of case m is x^(m-1)
+# numerators of the displayed low-weight cases, ascending and padded with
+# zeros to one length; the denominator of case m is x^(m-1)
 _SPECIAL_NUMERATORS = {
-    2: (-1, 1),
-    3: (2, -2, 1),
+    2: (-1, 1, 0, 0),
+    3: (2, -2, 1, 0),
     4: (-6, 6, -3, 1),
 }
 
@@ -594,7 +594,7 @@ def verify_special_cases(
         values = touchard_value_table(ctx)
     ms = [m for m in _SPECIAL_NUMERATORS if m % p]
     lhs = _weighted_power_rows(ctx, ms, values[:, xs])
-    num = _eval_rows(ctx, (DensePoly(ctx, _SPECIAL_NUMERATORS[m]) for m in ms), xs)
+    num = _eval_rows(ctx, np.array([_SPECIAL_NUMERATORS[m] for m in ms]) % p, xs)
     rhs = num * _inv_pow(ctx, xs, [m - 1 for m in ms]) % p
     grid = {"m": np.repeat(ms, len(xs)), "x": np.tile(xs, len(ms))}
     return [_block(Identity.SPECIAL_CASE_M, ctx, grid, lhs.ravel(), rhs.ravel())]
@@ -606,30 +606,30 @@ def least_positive_residue_of_neg(ctx: PrimeContext, m: int) -> int:
     return (-m) % ctx.p
 
 
-def proof_intermediate(ctx: PrimeContext, m: int) -> DensePoly:
-    """The closed form the weighted Touchard sum collapses to:
+def proof_intermediate(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
+    """The closed form the weighted Touchard sum collapses to, for every
+    weight of ms, one row of the coefficients of x^0..x^(p-1) per weight:
 
     sum_{0<n<p} T_n(x) / (-m)^n = ((-1)^(r+1) / r!) sum_{k=r}^{p-1}
     (-x)^k / (k-r)!  (mod p), with r the least positive residue of -m.
     """
     p = ctx.p
-    r = least_positive_residue_of_neg(ctx, m)
-    coeffs = [0] * p
-    for k in range(r, p):
-        v = ctx.inv_fact[r] * ctx.inv_fact[k - r] % p
-        coeffs[k] = v if (r + 1 + k) % 2 == 0 else -v % p
-    return DensePoly(ctx, coeffs)
+    r = np.array([least_positive_residue_of_neg(ctx, m) for m in ms], dtype=np.int64)[:, None]
+    k = np.arange(p)
+    idx = k - r  # negative exactly below x^r
+    v = np.where(idx >= 0, ctx.inv_fact_np[r] * ctx.inv_fact_np[idx.clip(0)] % p, 0)
+    return np.where((r + 1 + k) % 2 == 0, v, -v % p)
 
 
 def verify_proof_intermediate(
-    ctx: PrimeContext, ms: Sequence[int], sums: Sequence[DensePoly]
+    ctx: PrimeContext, ms: Sequence[int], sums: np.ndarray
 ) -> list[ReportBlock]:
     """Compare each weight's direct weighted Touchard sum, from
     weighted_touchard_sum, against its closed form."""
     rs = [least_positive_residue_of_neg(ctx, m) for m in ms]
-    rhs = [proof_intermediate(ctx, m).coeffs for m in ms]
     params = {"m": np.asarray(ms), "r": np.asarray(rs)}
-    return [_block(Identity.PROOF_INTERMEDIATE, ctx, params, [f.coeffs for f in sums], rhs)]
+    lhs, rhs = _coeff_tuples(sums), _coeff_tuples(proof_intermediate(ctx, ms))
+    return [_block(Identity.PROOF_INTERMEDIATE, ctx, params, lhs, rhs)]
 
 
 def verify_factorial_lemma(ctx: PrimeContext, ms: Sequence[int]) -> list[ReportBlock]:

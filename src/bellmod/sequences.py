@@ -279,21 +279,18 @@ def touchard_polys_by_recursion(n_max: int, ctx: PrimeContext) -> list[DensePoly
 def touchard_coeff_matrix(ctx: PrimeContext) -> np.ndarray:
     """Matrix M with M[n, k] = S(n, k) mod p for n, k < p, vectorized.
 
-    Rows are produced by the same weighted-sum recursion as
-    touchard_polys_by_recursion, with the binomial row updated in place
-    Pascal-style between steps.
+    Rows come from the Stirling triangle S(n, k) = k S(n-1, k) + S(n-1, k-1),
+    one O(p) step per row: a third route to the coefficients, independent
+    of the weighted-sum recursion of touchard_polys_by_recursion and of the
+    explicit alternating sum of stirling2_mod.
     """
     p = ctx.p
     m = np.zeros((p, p), dtype=np.int64)
     m[0, 0] = 1 % p
-    binrow = np.zeros(p, dtype=np.int64)
-    binrow[0] = 1 % p
-    for n in range(p - 1):
-        acc = _mod_matmul(binrow[: n + 1], m[: n + 1], p)
-        m[n + 1, 1:] = acc[:-1]
-        nxt = binrow.copy()
-        nxt[1 : n + 2] = (binrow[1 : n + 2] + binrow[0 : n + 1]) % p
-        binrow = nxt
+    k = np.arange(1, p, dtype=np.int64)
+    for n in range(1, p):
+        # k < p and S(n-1, k) < p, so each product stays below p**2
+        m[n, 1:] = (k * m[n - 1, 1:] + m[n - 1, :-1]) % p
     m.setflags(write=False)
     return m
 

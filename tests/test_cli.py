@@ -126,6 +126,9 @@ def test_verify_usage_errors(capsys):
     assert run_main(capsys, "verify", "--primes", "3..7", "--m", "0")[0] == 2
     assert run_main(capsys, "verify", "--primes", "3..7", "--workers", "0")[0] == 2
     assert run_main(capsys, "verify", "--primes", "3..7", "--workers", "-2")[0] == 2
+    # a prime range past the contexts' 2**31 cap raises OverflowError inside
+    code, out, err = run_main(capsys, "verify", "--primes", "2147483640..2147483650")
+    assert (code, out, err) == (2, "", "range end 2147483650 is not below 2**31\n")
     for flag, value in (("--m-max", "-3"), ("--m-max", "0"), ("--n-max", "-1")):
         code, out, err = run_main(capsys, "verify", "--primes", "5", "--identities", "all", flag, value)
         assert (code, out) == (2, ""), (flag, value)
@@ -287,12 +290,11 @@ def test_first_failure_names_first_differing_coefficient(capsys, monkeypatch, id
 
     def crooked(ctx, ms, matrix=None):
         sums = real(ctx, ms, matrix)
-        coeffs = sums[0]._padded(ctx.p)
         if bump is None:
-            coeffs[-1] = 0
+            sums[0, -1] = 0
         else:
-            coeffs[bump] += 1
-        return [DensePoly(ctx, coeffs), *sums[1:]]
+            sums[0, bump] = (sums[0, bump] + 1) % ctx.p
+        return sums
 
     monkeypatch.setattr(cg, "weighted_touchard_sum", crooked)
     code, out, err = run_main(capsys, "verify", "--identities", identity, "--primes", "5..7")
@@ -407,6 +409,25 @@ def test_verify_stream_builds_no_report_rows(capsys, monkeypatch, tmp_path, fmt)
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
 
 
+@pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
+def test_verify_stream_builds_no_polynomial_objects(capsys, monkeypatch, tmp_path, fmt):
+    # the closed forms and polynomial sides stay int64 rows from the tables
+    # to the report blocks
+    def unbuilt(self, *args):
+        raise AssertionError("a DensePoly was built on the sweep path")
+
+    monkeypatch.setattr(DensePoly, "__init__", unbuilt)
+    with pytest.raises(AssertionError):
+        DensePoly(make_context(5), (1,))
+    target = tmp_path / f"all.{fmt}"
+    code, _, err = run_main(
+        capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", fmt,
+        "--out", str(target),
+    )
+    assert code == 0, err
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
+
+
 def test_run_sweep_first_failure_is_canonical(monkeypatch):
     real = cg.s_m_many
 
@@ -463,7 +484,11 @@ def test_m_grid_skips_multiples_of_p():
 def test_x_grid_modes():
     cfg = SweepConfig(prime_lo=2, prime_hi=200, identities=("eq10",))
     assert _x_grid(cfg, 7) == [1, 2, 3, 4, 5, 6]
+    assert _x_grid(cfg, 101) == list(range(1, 101))  # the last prime checked at every x
     xs = _x_grid(cfg, 103)
+    # the sample is drawn from the seed and p, and streams above 101 depend on it
+    assert xs == [5, 7, 11, 16, 19, 20, 25, 34, 36, 37, 40, 41, 42, 44, 48, 50,
+                  52, 53, 54, 56, 57, 65, 68, 70, 71, 75, 76, 86, 87, 90, 96, 98]
     assert len(xs) == 32
     assert xs == sorted(set(xs))
     assert all(0 < x < 103 for x in xs)

@@ -33,7 +33,7 @@ from bellmod.congruences import (
     verify_touchard,
     weighted_touchard_sum,
 )
-from bellmod.modarith import IndexTooLargeError, primes_in_range
+from bellmod.modarith import DensePoly, IndexTooLargeError, primes_in_range
 from bellmod.sequences import (
     touchard_coeff_matrix,
     touchard_polys_by_recursion,
@@ -130,14 +130,15 @@ def test_theorem1_example(cache):
 
 def test_theorem1_rhs_routes_agree_with_oracle(cache):
     # small weights read the derangement row, larger ones the signed
-    # series; both must match the exact alternating-sign derangements
+    # series; both must match the exact alternating-sign derangements.  One
+    # call per prime takes weights on both sides of the switch, up to
+    # m - 1 = p - 2 and from m - 1 = p on
     for p in (2, 3, 5, 7, 13, 31):
         ctx = cache.ctx(p)
-        for m in range(1, 3 * p + 1):
-            if m % p == 0:
-                continue
-            want = oracle.reduce((-1) ** (m - 1) * oracle.derangement_exact(m - 1), ctx)
-            assert theorem1_rhs(ctx, m) == want, (p, m)
+        ms = [m for m in range(1, 3 * p + 1) if m % p]
+        assert p - 1 in ms and p + 1 in ms
+        want = [oracle.reduce((-1) ** (m - 1) * oracle.derangement_exact(m - 1), ctx).value for m in ms]
+        assert theorem1_rhs(ctx, ms).tolist() == want, p
 
 
 def test_theorem1_sweep(cache):
@@ -150,8 +151,8 @@ def test_theorem1_sweep(cache):
         reports = rows(verify_theorem1(ctx, ms, row, drow))
         assert [r.params["m"] for r in reports] == ms
         assert all(r.passed for r in reports), p
-        for m in ms:
-            assert s_m(ctx, m, row).value == theorem1_rhs(ctx, m, drow).value, (p, m)
+        for m, rhs in zip(ms, theorem1_rhs(ctx, ms, drow).tolist()):
+            assert s_m(ctx, m, row).value == rhs, (p, m)
     assert rows(verify_theorem1(cache.ctx(7), [])) == []
 
 
@@ -228,23 +229,29 @@ def test_touchard_against_exact_bell_numbers(cache):
 
 def test_theorem2_polynomial_examples(cache):
     ctx3 = cache.ctx(3)
-    assert list(theorem2_lhs(ctx3, 2).coeffs) == [0, 0, 0, 2, 1]
-    assert list(theorem2_rhs(ctx3, 2).coeffs) == [0, 0, 0, 2, 1]
-    assert list(theorem2_rhs(cache.ctx(5), 4).coeffs) == [0, 0, 0, 0, 0, 4, 1, 2, 1]
-    assert list(theorem2_lhs(ctx3, 5).coeffs) == [0, 0, 0, 0, 0, 0, 1, 2]
+    lhs = theorem2_lhs(ctx3, [2, 5], weighted_touchard_sum(ctx3, [2, 5]))
+    assert cg._coeff_tuples(lhs) == [(0, 0, 0, 2, 1), (0, 0, 0, 0, 0, 0, 1, 2)]
+    assert cg._coeff_tuples(theorem2_rhs(ctx3, [2])) == [(0, 0, 0, 2, 1)]
+    assert cg._coeff_tuples(theorem2_rhs(cache.ctx(5), [4])) == [(0, 0, 0, 0, 0, 4, 1, 2, 1)]
     # congruent weights differ on the left only by the monomial prefactor
-    assert theorem2_lhs(ctx3, 5).equals(theorem2_lhs(ctx3, 2).mul_monomial(3, -1))
+    two, five = (DensePoly(ctx3, row.tolist()) for row in lhs)
+    assert five.equals(two.mul_monomial(3, -1))
+
+
+def test_coeff_tuples_strips_trailing_zeros_only():
+    rows = np.array([[0, 0, 0, 0], [0, 2, 0, 1], [3, 0, 1, 0], [0, 0, 0, 5]])
+    assert cg._coeff_tuples(rows) == [(), (0, 2, 0, 1), (3, 0, 1), (0, 0, 0, 5)]
+    assert all(type(v) is int for v in cg._coeff_tuples(rows)[1])
+    assert cg._coeff_tuples(np.zeros((0, 4), dtype=np.int64)) == []
 
 
 def test_theorem2_rhs_shape(cache):
     for p in (3, 5, 13):
         ctx = cache.ctx(p)
-        for m in range(1, 2 * p + 1):
-            if m % p == 0:
-                continue
-            poly = theorem2_rhs(ctx, m)
-            assert poly.degree == p + m - 1, (p, m)
-            top = poly.coeffs[-1]
+        ms = _weights(p)
+        for m, coeffs in zip(ms, cg._coeff_tuples(theorem2_rhs(ctx, ms))):
+            assert len(coeffs) - 1 == p + m - 1, (p, m)
+            top = coeffs[-1]
             assert top == (1 if (m - 1) % 2 == 1 else p - 1)
 
 
@@ -275,8 +282,9 @@ def test_theorem2_eval_matches_polynomial_route(cache):
         polys = touchard_polys_from_matrix(ctx)
         ms, xs = _weights(p), list(range(1, p))
         reports = iter(rows(verify_theorem2_eval(ctx, ms, xs, values)))
-        for m in ms:
-            lhs_poly = theorem2_lhs(ctx, m, polys)
+        lhs_rows = theorem2_lhs(ctx, ms, weighted_touchard_sum(ctx, ms, _matrix_of(polys, p)))
+        for m, lhs_row in zip(ms, lhs_rows):
+            lhs_poly = DensePoly(ctx, lhs_row.tolist())
             for x in xs:
                 rep = next(reports)
                 assert (rep.params["m"], rep.params["x"]) == (m, x)
@@ -292,9 +300,11 @@ def test_theorem2_eval_at_one_is_theorem1(cache):
         ctx = cache.ctx(p)
         values = touchard_value_table(ctx)
         row, drow = cache.bell(p), cache.drow(p)
-        for m, rep in zip(range(1, p), rows(verify_theorem2_eval(ctx, list(range(1, p)), [1], values))):
+        ms = list(range(1, p))
+        rhs = theorem1_rhs(ctx, ms, drow).tolist()
+        for m, rep, want in zip(ms, rows(verify_theorem2_eval(ctx, ms, [1], values)), rhs):
             assert rep.lhs == s_m(ctx, m, row).value
-            assert rep.rhs == theorem1_rhs(ctx, m, drow).value
+            assert rep.rhs == want
 
 
 def test_special_cases(cache):
@@ -329,7 +339,7 @@ def test_special_cases_at_one_match_theorem1(cache):
 
 def test_proof_intermediate(cache):
     ctx = cache.ctx(3)
-    assert list(proof_intermediate(ctx, 2).coeffs) == [0, 2, 1]
+    assert cg._coeff_tuples(proof_intermediate(ctx, [2])) == [(0, 2, 1)]
     [rep] = rows(verify_proof_intermediate(ctx, [2], weighted_touchard_sum(ctx, [2])))
     assert rep.passed
     assert rep.params == {"p": 3, "m": 2, "r": 1}
@@ -343,6 +353,11 @@ def test_proof_intermediate(cache):
 
 def _weights(p):
     return [m for m in range(1, 2 * p + 1) if m % p]
+
+
+def _matrix_of(polys, p):
+    """The coefficient matrix M[n, k] of a list of p polynomials."""
+    return np.array([f._padded(p) for f in polys], dtype=np.int64)
 
 
 def _touchard_grid(ctx, ms, xs, values, sums):
@@ -368,11 +383,12 @@ def test_batched_eval_matches_polynomial_route(cache):
         special = {(r.params["m"], r.params["x"]): r for r in rows(verify_special_cases(ctx, xs, values))}
         assert set(special) == {(m, x) for m in (2, 3, 4) if m % p for x in xs}
         sums = weighted_touchard_sum(ctx, ms, touchard_coeff_matrix(ctx))
+        lhs_rows = theorem2_lhs(ctx, ms, weighted_touchard_sum(ctx, ms, _matrix_of(polys, p)))
         for i, m in enumerate(ms):
-            lhs_poly = theorem2_lhs(ctx, m, polys)
+            lhs_poly = DensePoly(ctx, lhs_rows[i].tolist())
             u = pow(-m % p, p - 2, p)
             direct = [sum(polys[n].eval(x).value * pow(u, n, p) for n in range(1, p)) % p for x in xs]
-            assert [sums[i].eval(x).value for x in xs] == direct, (p, m)
+            assert [DensePoly(ctx, sums[i].tolist()).eval(x).value for x in xs] == direct, (p, m)
             for x, rep in zip(xs, evals[i * len(xs) : (i + 1) * len(xs)]):
                 assert rep.passed and rep.lhs == direct[x - 1], (p, m, x)
                 assert lhs_poly.eval(x).value == pow(-x % p, m, p) * rep.lhs % p
@@ -426,9 +442,10 @@ def test_batched_verifiers_on_empty_grids(cache):
     assert rows(verify_theorem2_eval(ctx, [], [1, 2], values)) == []
     assert rows(verify_theorem2_eval(ctx, [1, 2], [], values)) == []
     assert rows(verify_special_cases(ctx, [], values)) == []
-    assert weighted_touchard_sum(ctx, []) == []
-    assert rows(verify_theorem2(ctx, [], [])) == []
-    assert rows(verify_proof_intermediate(ctx, [], [])) == []
+    none = weighted_touchard_sum(ctx, [])
+    assert none.shape == (0, 7)
+    assert rows(verify_theorem2(ctx, [], none)) == []
+    assert rows(verify_proof_intermediate(ctx, [], none)) == []
     assert rows(geometric_sum_lemma_check(ctx, [])) == []
     assert rows(verify_factorial_lemma(ctx, [])) == []
     with pytest.raises(BadModulusError):

@@ -215,6 +215,8 @@ def test_poly_algebra_properties():
             # equals is an equivalence: reflexive plus symmetry via copies
             assert a.equals(a)
             assert a.equals(DensePoly(ctx, a.coeffs))
+            # hash agrees with == on equal polynomials built apart
+            assert hash(a) == hash(DensePoly(ctx, a.coeffs))
             x = rng.randrange(p)
             assert a.mul(b).eval(x).value == a.eval(x).value * b.eval(x).value % p
 

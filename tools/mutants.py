@@ -32,6 +32,8 @@ COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pyt
 
 CLI = "src/bellmod/cli.py"
 CONGRUENCES = "src/bellmod/congruences.py"
+MODARITH = "src/bellmod/modarith.py"
+SEQUENCES = "src/bellmod/sequences.py"
 
 # name -> (file, exact old text, new text, what the mutant breaks)
 MUTANTS = {
@@ -100,6 +102,239 @@ MUTANTS = {
         "c[live] = c[live] * (lv % p) % p",
         "c[live] = c[live] * ((lv + 1) % p) % p",
         "the factorial lemma's product takes one factor too many",
+    ),
+    # the closed forms and polynomial sides as int64 rows
+    "theorem2_rhs_factor_shifted": (
+        CONGRUENCES,
+        "c[live] = c[live] * (l % p) % p",
+        "c[live] = c[live] * ((l + 1) % p) % p",
+        "the downward product (m-1)!/l! takes each factor one too high",
+    ),
+    "theorem2_lhs_shifted": (
+        CONGRUENCES,
+        "w + np.arange(p)",
+        "w - 1 + np.arange(p)",
+        "the left side is multiplied by x^(m-1) in place of x^m",
+    ),
+    "strip_keeps_a_zero": (
+        CONGRUENCES,
+        "tuple(row[:n])",
+        "tuple(row[: n + 1])",
+        "the coefficient tuples keep one trailing zero",
+    ),
+    "theorem1_rhs_branch_moved": (
+        CONGRUENCES,
+        "np.where(n0 < p,",
+        "np.where(n0 <= p,",
+        "m - 1 = p reads the derangement row in place of the series",
+    ),
+    "intermediate_parity_flipped": (
+        CONGRUENCES,
+        "(r + 1 + k) % 2 == 0",
+        "(r + k) % 2 == 0",
+        "the closed form of the weighted sum has the opposite sign",
+    ),
+    "triangle_factor_shifted": (
+        SEQUENCES,
+        "(k * m[n - 1, 1:]",
+        "((k + 1) * m[n - 1, 1:]",
+        "the Stirling triangle multiplies by k + 1 in place of k",
+    ),
+    # the chirp-z table of the weighted Bell sums and its exact convolution
+    "crt_digit": (
+        MODARITH,
+        "x2 = (r[1] - x1) % q2",
+        "x2 = (r[1] + x1) % q2",
+        "the second Garner digit adds the first residue",
+    ),
+    "dlog_offset": (
+        CONGRUENCES,
+        "evals[(n // 2 - dlog[1:]) % n]",
+        "evals[(n // 2 - dlog[1:] + 1) % n]",
+        "weight m reads the table one discrete log off",
+    ),
+    "conv_bound_check": (
+        MODARITH,
+        "if min(la, lb) * (p - 1) ** 2 >= CONV_EXACT_LIMIT:",
+        "if min(la, lb) * (p - 1) ** 2 > CONV_EXACT_LIMIT:",
+        "a convolution exactly at the bound runs, not raises",
+    ),
+    "fallback_weight": (
+        CONGRUENCES,
+        "return [s_m(ctx, m, row).value for m in ms]",
+        "return [s_m(ctx, 1, row).value for m in ms]",
+        "the fallback past the bound computes weight 1 only",
+    ),
+    "twiddles": (
+        MODARITH,
+        "diff = (u - v + qb) * w[:, None, :: n // (2 * h)] % qb",
+        "diff = (u - v + qb) * w[:, None, :h] % qb",
+        "the forward transform takes the wrong roots",
+    ),
+    "context_guard": (
+        MODARITH,
+        "        if p >= MAX_PRIME:",
+        "        if p > MAX_PRIME:",
+        "a context at 2**31 is refused as not prime, not as too large",
+    ),
+    "bench_compares_itself": (
+        CLI,
+        "if table[m % p] != dv:",
+        "if table[m % p] != table[m % p]:",
+        "bench compares the all-units table with itself",
+    ),
+    "workers_check": (
+        CLI,
+        "if workers < 1:",
+        "if workers < 0:",
+        "a pool of zero workers is accepted",
+    ),
+    "overflow_not_caught": (
+        CLI,
+        """        OverflowError,
+        cg.BadModulusError,""",
+        """        cg.BadModulusError,""",
+        "an OverflowError reaches the user as a traceback",
+    ),
+    # the weighted-power kernel, its Horner pass and the int64 products
+    "u_power_offset": (
+        CONGRUENCES,
+        "_mod_matmul(upow[:, 1:], table[1:], p)",
+        "_mod_matmul(upow[:, :-1], table[1:], p)",
+        "the kernel weights T_n by u^(n-1)",
+    ),
+    "horner_order": (
+        CONGRUENCES,
+        "for col in coeffs.T[::-1]:",
+        "for col in coeffs.T:",
+        "Horner reads the coefficients lowest first",
+    ),
+    "inverse_power_exponent": (
+        CONGRUENCES,
+        "table[:, [e % (p - 1) for e in exps]].T",
+        "table[:, [(e + 1) % (p - 1) for e in exps]].T",
+        "the evaluated forms divide by one power too many",
+    ),
+    "block_offset": (
+        CONGRUENCES,
+        """        block = ms[lo : lo + WEIGHT_BLOCK]
+        for m in block:""",
+        """        block = ms[lo + 1 : lo + 1 + WEIGHT_BLOCK]
+        for m in block:""",
+        "each kernel block starts one weight late",
+    ),
+    "point_check": (
+        CONGRUENCES,
+        "if x % p == 0:",
+        "if x == 0:",
+        "a nonzero multiple of p passes as a point",
+    ),
+    "sign_of_minus_x": (
+        CONGRUENCES,
+        "_inv_pow(ctx, [p - x for x in xs], ms)",
+        "_inv_pow(ctx, [x for x in xs], ms)",
+        "eq10 divides by x^m in place of (-x)^m",
+    ),
+    "chunk_not_reduced": (
+        SEQUENCES,
+        "acc = (acc + a[..., i : i + chunk] @ b[i : i + chunk]) % p",
+        "acc = acc + a[..., i : i + chunk] @ b[i : i + chunk]",
+        "the chunked product never reduces its running sum",
+    ),
+    "chunk_size_4x": (
+        SEQUENCES,
+        "chunk = max(1, _DOT_LIMIT // (p * p))",
+        "chunk = max(1, 4 * _DOT_LIMIT // (p * p))",
+        "a chunk sums four times too many products",
+    ),
+    "chunk_threshold_4x": (
+        SEQUENCES,
+        "if inner <= chunk:",
+        "if inner <= 4 * chunk:",
+        "an unchunked product sums four times too many products",
+    ),
+    "poly_hash": (
+        MODARITH,
+        "return hash((self.coeffs, self.ctx.p))",
+        "return hash((self.coeffs, self.ctx.p, id(self)))",
+        "equal polynomials hash apart",
+    ),
+    "x_sample_seed": (
+        CLI,
+        """random.Random(f"{cfg.seed}:{p}")""",
+        """random.Random(f"{cfg.seed}")""",
+        "every prime samples its points from one seed",
+    ),
+    "x_grid_limit": (
+        CLI,
+        "if p <= X_ALL_LIMIT:",
+        "if p < X_ALL_LIMIT:",
+        "p = 101 samples its points in place of checking all",
+    ),
+    # report order, params and the failure note
+    "geometric_j_order": (
+        CONGRUENCES,
+        "np.tile(np.arange(1, p), len(ms))",
+        "np.tile(np.arange(p - 1, 0, -1), len(ms))",
+        "the geometric reports run j downward",
+    ),
+    "factorial_l_order": (
+        CONGRUENCES,
+        "lhs[start[live] + lv] = c[live]",
+        "lhs[start[live] + w[live] - 1 - lv] = c[live]",
+        "the factorial lemma's left sides run l downward",
+    ),
+    "params_in_insertion_order": (
+        CLI,
+        "keys = [k for k in cg.PARAM_ORDER if k in b.params]",
+        "keys = list(b.params)",
+        "a block renders its params in insertion order",
+    ),
+    "geometric_indicator": (
+        CONGRUENCES,
+        "np.where((m + j) % p == 0, p - 1, 0)",
+        "np.where((m - j) % p == 0, p - 1, 0)",
+        "the geometric indicator tests m - j",
+    ),
+    "geometric_table_offset": (
+        CONGRUENCES,
+        "powers_mod(np.arange(1, p, dtype=np.int64), p, p).T",
+        "powers_mod(np.arange(2, p + 1, dtype=np.int64), p, p).T",
+        "the geometric kernel table starts at j = 2",
+    ),
+    "missing_coefficient_fill": (
+        CLI,
+        "zip_longest(r.lhs, r.rhs, fillvalue=0)",
+        "zip_longest(r.lhs, r.rhs, fillvalue=-1)",
+        "a missing coefficient reads -1 in the failure note",
+    ),
+    "corollary_kernel_offset": (
+        CONGRUENCES,
+        "kernel[(ks[:, None] - ks) % (p - 1)]",
+        "kernel[(ks[:, None] - ks + 1) % (p - 1)]",
+        "the corollary kernel reads K[n - k + 1]",
+    ),
+    # the identity registry and the tables of one prime
+    "walk_cfg_identities": (
+        CLI,
+        "b for token, verify in IDENTITIES.items() if token in cfg.identities for b in verify(tables)",
+        "b for token in cfg.identities for b in IDENTITIES[token](tables)",
+        "the sweep runs the tokens in command-line order, repeats included",
+    ),
+    "eq10_reads_matrix": (
+        CLI,
+        "cg.verify_theorem2_eval(t.ctx, t.ms, t.xs, t.values)",
+        "cg.verify_theorem2_eval(t.ctx, t.ms, t.xs, t.matrix)",
+        "eq10 weights the coefficient matrix in place of the value table",
+    ),
+    "matrix_every_prime": (
+        CLI,
+        """    tables = PrimeTables(p, cfg)
+""",
+        """    tables = PrimeTables(p, cfg)
+    tables.matrix
+""",
+        "every prime builds the Touchard matrix, needed or not",
     ),
 }
 
