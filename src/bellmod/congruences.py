@@ -457,10 +457,11 @@ def _eval_rows(ctx: PrimeContext, coeffs: np.ndarray, xs: Sequence[int]) -> np.n
 
 def _coeff_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
     """Each row of coefficients as a tuple of ints with its trailing zeros
-    stripped, so a zero row gives ()."""
+    stripped, so a zero row gives ().  Rows are converted one at a time, so
+    no list of the whole array is held next to the tuples."""
     nonzero = rows != 0
     lens = np.where(nonzero.any(axis=1), rows.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0)
-    return [tuple(row[:n]) for row, n in zip(rows.tolist(), lens.tolist())]
+    return [tuple(row[:n].tolist()) for row, n in zip(rows, lens.tolist())]
 
 
 def _inv_pow(ctx: PrimeContext, bases: Sequence[int], exps: Sequence[int]) -> np.ndarray:

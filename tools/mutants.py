@@ -118,8 +118,8 @@ MUTANTS = {
     ),
     "strip_keeps_a_zero": (
         CONGRUENCES,
-        "tuple(row[:n])",
-        "tuple(row[: n + 1])",
+        "tuple(row[:n].tolist())",
+        "tuple(row[: n + 1].tolist())",
         "the coefficient tuples keep one trailing zero",
     ),
     "theorem1_rhs_branch_moved": (
