@@ -185,6 +185,22 @@ def _require_unit(ctx: PrimeContext, m: int) -> None:
         raise BadModulusError(f"m = {m} is a multiple of p = {ctx.p}")
 
 
+def _unit_weights(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
+    """The weights of ms folded into [1, 2p) as int64, after one check of
+    the whole batch: a weight below p is kept, a larger one becomes
+    p + (m mod p).  The fold keeps each weight's residue and whether it is
+    below p, whatever the size of m.  Raises as _require_unit on a weight
+    that is not a positive unit mod p.
+    """
+    p = ctx.p
+    w = np.asarray(ms)  # object dtype for weights past int64
+    r = w % p
+    bad = (w < 1) | (r == 0)
+    if bad.any():
+        _require_unit(ctx, ms[int(bad.argmax())])
+    return np.where(w < p, w, p + r).astype(np.int64)
+
+
 def _neg_inv(ctx: PrimeContext, m: int) -> int:
     """1 / (-m) mod p for a unit m."""
     return pow(-m % ctx.p, ctx.p - 2, ctx.p)
@@ -249,9 +265,8 @@ def s_m_many(
     s_m loop per weight at a prime where that table's convolution would
     not be exact.
     """
-    for m in ms:
-        _require_unit(ctx, m)
-    if not ms:
+    w = _unit_weights(ctx, ms)
+    if not len(w):
         return []
     if row is None:
         row = bell_row(ctx)
@@ -259,8 +274,7 @@ def s_m_many(
         table = s_m_all_units(ctx, row)
     except OverflowError:
         return [s_m(ctx, m, row).value for m in ms]
-    p = ctx.p
-    return [table[m % p] for m in ms]
+    return np.array(table)[w % ctx.p].tolist()
 
 
 def theorem1_rhs(
@@ -274,15 +288,14 @@ def theorem1_rhs(
     For m - 1 < p this reads the derangement row directly.  Larger weights
     use the alternating falling-factorial series, which mod p depends on
     m - 1 only through its residue; the series carries the sign itself.
+    So each weight is folded below 2p before any int64 arithmetic.
     """
-    for m in ms:
-        _require_unit(ctx, m)
     p = ctx.p
+    n0 = _unit_weights(ctx, ms) - 1
     if drow is None:
         drow = derangement_row(ctx)
     if sigma is None:
         sigma = signed_series_row(ctx)
-    n0 = np.asarray(ms, dtype=np.int64) - 1
     d = drow.values[n0.clip(max=p - 1)]
     return np.where(n0 < p, np.where(n0 % 2 == 0, d, -d % p), sigma[n0 % p])
 
@@ -553,7 +566,9 @@ def verify_theorem2_eval(
 
     The left side weights the tabulated T_n(x); the right side evaluates
     the closed-form polynomials, built WEIGHT_BLOCK weights at a time, and
-    divides by (-x)^m.
+    divides by (-x)^m.  The closed forms' first p coefficients are the zeros
+    of their x^p factor, so Horner runs over the columns from x^p on and
+    the result is multiplied by x^p.
     """
     p = ctx.p
     xs = _require_points(ctx, xs)
@@ -565,8 +580,9 @@ def verify_theorem2_eval(
     num = np.empty(lhs.shape, dtype=np.int64)
     for lo in range(0, len(ms), WEIGHT_BLOCK):
         block = ms[lo : lo + WEIGHT_BLOCK]
-        num[lo : lo + len(block)] = _eval_rows(ctx, theorem2_rhs(ctx, block), xs)
-    rhs = num * _inv_pow(ctx, [p - x for x in xs], ms) % p
+        num[lo : lo + len(block)] = _eval_rows(ctx, theorem2_rhs(ctx, block)[:, p:], xs)
+    x_p = powers_mod(xs, p + 1, p)[:, p]
+    rhs = num * x_p % p * _inv_pow(ctx, [p - x for x in xs], ms) % p
     grid = {"m": np.repeat(ms, len(xs)), "x": np.tile(xs, len(ms))}
     return [_block(Identity.THEOREM2_EVAL, ctx, grid, lhs.ravel(), rhs.ravel())]
 

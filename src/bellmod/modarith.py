@@ -7,6 +7,7 @@ normalized dense polynomials over GF(p).
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterable, Union
 
@@ -34,19 +35,22 @@ __all__ = [
 
 MAX_PRIME = 2**31  # exclusive upper bound for context moduli
 
-# NTT-friendly primes q = c * 2**k + 1, each with primitive root 3.  All are
-# below 2**30, so a product of two residues fits int64.
-_NTT_PRIMES = (998244353, 167772161, 469762049)
+# NTT-friendly primes q = c * 2**k + 1, each with primitive root 3, largest
+# first.  All are below 2**30, so a product of two residues fits int64.
+_NTT_PRIMES = (998244353, 469762049, 167772161)
 _NTT_ROOT = 3
 # the largest power of two dividing every q - 1 caps the transform length
 _NTT_MAX_LENGTH = 2**23
+# _NTT_PRODUCTS[k - 1] is the product of the first k NTT primes
+_NTT_PRODUCTS = tuple(math.prod(_NTT_PRIMES[:k]) for k in range(1, len(_NTT_PRIMES) + 1))
 
-# mod_convolve is exact when every coefficient of the integer convolution is
-# below this product of the NTT primes, because the CRT then recovers it
-# uniquely.  With entries in [0, p) a coefficient sums at most
-# min(len(a), len(b)) products, so the condition is
-# min(len(a), len(b)) * (p - 1)**2 < CONV_EXACT_LIMIT.
-CONV_EXACT_LIMIT = _NTT_PRIMES[0] * _NTT_PRIMES[1] * _NTT_PRIMES[2]
+# A convolution taken modulo the first k NTT primes is exact when every
+# coefficient of the integer convolution is below their product, because the
+# CRT then recovers it uniquely.  With entries in [0, p) a coefficient sums
+# at most min(len(a), len(b)) products, so k primes suffice when
+# min(len(a), len(b)) * (p - 1)**2 < _NTT_PRODUCTS[k - 1], and mod_convolve
+# is exact whenever min(len(a), len(b)) * (p - 1)**2 < CONV_EXACT_LIMIT.
+CONV_EXACT_LIMIT = _NTT_PRODUCTS[-1]
 
 
 class NotPrimeError(ValueError):
@@ -334,9 +338,9 @@ def powers_mod(base, count: int, mod) -> np.ndarray:
 def _ntt_forward(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
     """In-place decimation-in-frequency NTT along the last axis.
 
-    a has shape (..., 3, n) with one row per NTT prime, w[:, i] is the
+    a has shape (..., k, n) with one row per NTT prime, w[:, i] is the
     i-th power of that prime's primitive n-th root for i < n/2, and q is
-    the primes as a (3, 1) column.  Output is in bit-reversed order.
+    the k primes as a (k, 1) column.  Output is in bit-reversed order.
     """
     n = a.shape[-1]
     qb = q[:, :, None]
@@ -372,7 +376,8 @@ def mod_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """The linear convolution of two residue vectors, reduced mod p.
 
     Entries must lie in [0, p) with p < 2**31.  The integer convolution is
-    taken by number-theoretic transforms modulo the three NTT primes and
+    taken by number-theoretic transforms modulo the fewest leading NTT
+    primes whose product exceeds min(len(a), len(b)) * (p - 1)**2, and
     recombined by the CRT, with integer arithmetic only, so the result is
     exact whenever min(len(a), len(b)) * (p - 1)**2 < CONV_EXACT_LIMIT;
     OverflowError is raised when that bound or the transform length cap
@@ -388,7 +393,8 @@ def mod_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     for v in (a, b):
         if v.min() < 0 or v.max() >= p:
             raise ValueError(f"entries must be residues in [0, {p})")
-    if min(la, lb) * (p - 1) ** 2 >= CONV_EXACT_LIMIT:
+    bound = min(la, lb) * (p - 1) ** 2
+    if bound >= CONV_EXACT_LIMIT:
         raise OverflowError(
             f"a length-{min(la, lb)} convolution mod {p} can exceed CONV_EXACT_LIMIT"
         )
@@ -397,28 +403,35 @@ def mod_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if n > _NTT_MAX_LENGTH:
         raise OverflowError(f"transform length {n} exceeds {_NTT_MAX_LENGTH}")
 
-    q = np.array(_NTT_PRIMES, dtype=np.int64)[:, None]
-    roots = [pow(_NTT_ROOT, (qi - 1) // n, qi) for qi in _NTT_PRIMES]
-    inv_roots = [pow(r, -1, qi) for r, qi in zip(roots, _NTT_PRIMES)]
-    w = powers_mod(roots, n // 2, _NTT_PRIMES)
-    w_inv = powers_mod(inv_roots, n // 2, _NTT_PRIMES)
+    qs = _NTT_PRIMES[: bisect.bisect_right(_NTT_PRODUCTS, bound) + 1]
+    q = np.array(qs, dtype=np.int64)[:, None]
+    roots = [pow(_NTT_ROOT, (qi - 1) // n, qi) for qi in qs]
+    inv_roots = [pow(r, -1, qi) for r, qi in zip(roots, qs)]
+    w = powers_mod(roots, n // 2, qs)
+    w_inv = powers_mod(inv_roots, n // 2, qs)
 
-    spec = np.zeros((2, 3, n), dtype=np.int64)
+    spec = np.zeros((2, len(qs), n), dtype=np.int64)
     spec[0, :, :la] = a % q
     spec[1, :, :lb] = b % q
     _ntt_forward(spec, w, q)
     prod = spec[0] * spec[1] % q
     _ntt_inverse(prod, w_inv, q)
-    n_inv = np.array([[pow(n, -1, qi)] for qi in _NTT_PRIMES], dtype=np.int64)
+    n_inv = np.array([[pow(n, -1, qi)] for qi in qs], dtype=np.int64)
     r = prod[:, :size] * n_inv % q
 
-    # Garner: c = x1 + x2*q1 + x3*q1*q2 with x_i in [0, q_i); every product
-    # below stays under 2**61.
-    q1, q2, q3 = _NTT_PRIMES
-    x1 = r[0]
-    x2 = (r[1] - x1) % q2 * pow(q1, -1, q2) % q2
-    x3 = ((r[2] - x1) % q3 - x2 * (q1 % q3)) % q3 * pow(q1 * q2, -1, q3) % q3
-    return (x1 % p + x2 * (q1 % p) % p + x3 * (q1 * q2 % p) % p) % p
+    # Garner: c = x_0 + x_1 Q_1 + x_2 Q_2 + ... with Q_i = q_0 ... q_{i-1}
+    # and digits x_i in [0, q_i), each fixed by c = r_i (mod q_i).  acc holds
+    # the digits so far, summed and reduced modulo every q_i and p, one row
+    # each; every product stays under 2**61.
+    mods = [*qs, p]
+    col = np.array(mods, dtype=np.int64)[:, None]
+    acc = np.zeros((len(mods), size), dtype=np.int64)
+    big = 1  # Q_i
+    for i, qi in enumerate(qs):
+        x = (r[i] - acc[i]) % qi * pow(big, -1, qi) % qi
+        acc = (acc + x * np.array([[big % m] for m in mods], dtype=np.int64)) % col
+        big *= qi
+    return acc[-1]
 
 
 def _coeff_value(c: ResidueLike, ctx: PrimeContext) -> int:

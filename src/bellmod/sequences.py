@@ -89,16 +89,19 @@ class DerangementRow:
 def bell_row(ctx: PrimeContext) -> BellRow:
     """B_0 .. B_{p-1} mod p by the binomial recurrence.
 
-    B_{n+1} = sum_k C(n, k) B_k, with each row's binomials taken from the
-    factorial tables: C(n, k) = n! / (k! (n-k)!).
+    B_{n+1} = sum_k C(n, k) B_k = n! sum_k (B_k / k!) (1 / (n-k)!), so the
+    row is built as b_k = B_k / k!: each step is one dot of b_0 .. b_n with
+    the inverse factorials 1/n! .. 1/0!, and B_k = k! b_k at the end.
     """
     p = ctx.p
-    fact, invf = ctx.fact_np, ctx.inv_fact_np
-    values = np.zeros(p, dtype=np.int64)
-    values[0] = 1 % p
+    fact, invf = ctx.fact, ctx.inv_fact
+    rev = ctx.inv_fact_np[::-1].copy()  # rev[p-1-j] = 1/j!
+    b = np.zeros(p, dtype=np.int64)
+    b[0] = 1 % p
     for n in range(p - 1):
-        w = invf[: n + 1] * invf[n::-1] % p
-        values[n + 1] = int(fact[n]) * int(_mod_matmul(w, values[: n + 1], p)) % p
+        dot = int(_mod_matmul(b[: n + 1], rev[p - 1 - n :], p))
+        b[n + 1] = fact[n] * dot % p * invf[n + 1] % p
+    values = b * ctx.fact_np % p
     values.setflags(write=False)
     return BellRow(ctx, values)
 

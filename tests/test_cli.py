@@ -148,6 +148,17 @@ def test_verify_weight_past_oracle_cap_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_weight_past_int64(capsys):
+    m = "100000000000000000000001"
+    code, out, err = run_main(capsys, "verify", "--identities", "theorem1", "--primes", "7", "--m", m)
+    assert (code, out) == (0, f"THEOREM1 p=7 m={m} lhs=5 rhs=5 PASS\n")
+    # these build degree-(p+m) objects, so such a weight is a usage error
+    for token in ("theorem2", "eq10", "factorial"):
+        code, out, err = run_main(capsys, "verify", "--identities", token, "--primes", "7", "--m", m)
+        assert (code, out) == (2, ""), token
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, token
+
+
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):
     def exhausted(p):
         raise MemoryError()

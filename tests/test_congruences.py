@@ -156,6 +156,24 @@ def test_theorem1_sweep(cache):
     assert rows(verify_theorem1(cache.ctx(7), [])) == []
 
 
+def test_theorem1_past_int64_weights(cache):
+    # only m - 1 mod p and, below p, the index and its parity matter, so a
+    # weight far past int64 reports the sides of its fold p + r
+    for p in (7, 13):
+        ctx = cache.ctx(p)
+        for r in range(1, p):
+            [big] = rows(verify_theorem1(ctx, [10**30 * p + r]))
+            [small] = rows(verify_theorem1(ctx, [p + r]))
+            assert big.passed and big.params["m"] == 10**30 * p + r
+            assert (big.lhs, big.rhs) == (small.lhs, small.rhs), (p, r)
+        with pytest.raises(BadModulusError):
+            verify_theorem1(ctx, [1, 10**30 * p])
+        with pytest.raises(BadModulusError):
+            theorem1_rhs(ctx, [2 * p, 1])
+        with pytest.raises(ValueError):
+            s_m_many(ctx, [1, -(10**30)])
+
+
 def test_intro_constant_examples(cache):
     [rep] = rows(verify_intro_constant(cache.ctx(3)))
     assert (rep.lhs, rep.rhs) == (1, 1)

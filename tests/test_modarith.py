@@ -283,6 +283,30 @@ def test_mod_convolve_long_extreme_vectors():
     assert got == [(p - 1) ** 2 * k % p for k in terms]
 
 
+@pytest.mark.parametrize("k, p", [(1, 3001), (2, 4999), (3, 100000007)])
+def test_mod_convolve_takes_the_fewest_primes(monkeypatch, k, p):
+    # all-(p-1) inputs make the middle coefficients exactly the bound
+    # min(len) * (p-1)**2.  For k primes it lies between the product of the
+    # first k - 1 and twice it (for one prime, within a factor 2 below the
+    # first), so one prime fewer, or a bound loosened 2x, gives wrong values
+    length = 64
+    bound = length * (p - 1) ** 2
+    low, high = (1, *modarith._NTT_PRODUCTS)[k - 1 : k + 1]
+    assert low < bound < high
+    assert bound < 2 * low if k > 1 else 2 * bound > high
+    used = []
+    forward = modarith._ntt_forward
+
+    def spy(a, w, q):
+        used.append(q.ravel().tolist())
+        forward(a, w, q)
+
+    monkeypatch.setattr(modarith, "_ntt_forward", spy)
+    a, b = [p - 1] * length, [p - 1] * 100
+    assert mod_convolve(a, b, p).tolist() == [c % p for c in _exact_convolution(a, b)]
+    assert used == [list(modarith._NTT_PRIMES[:k])]
+
+
 def test_mod_convolve_bounds(monkeypatch):
     p = 101
     a, b = [p - 1] * 4, [p - 1] * 9

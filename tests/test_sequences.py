@@ -33,7 +33,7 @@ def test_bell_row_known_values(cache):
 
 
 def test_bell_rows_cross_path():
-    for p in primes_in_range(2, 200):
+    for p in primes_in_range(2, 200) + [1009, 2003, 9973]:
         ctx = make_context(p)
         a = bell_row(ctx).values
         b = bell_triangle_row(ctx).values

@@ -143,9 +143,9 @@ MUTANTS = {
     # the chirp-z table of the weighted Bell sums and its exact convolution
     "crt_digit": (
         MODARITH,
-        "x2 = (r[1] - x1) % q2",
-        "x2 = (r[1] + x1) % q2",
-        "the second Garner digit adds the first residue",
+        "x = (r[i] - acc[i]) % qi",
+        "x = (r[i] + acc[i]) % qi",
+        "each Garner digit adds the digits so far in place of subtracting them",
     ),
     "dlog_offset": (
         CONGRUENCES,
@@ -155,8 +155,8 @@ MUTANTS = {
     ),
     "conv_bound_check": (
         MODARITH,
-        "if min(la, lb) * (p - 1) ** 2 >= CONV_EXACT_LIMIT:",
-        "if min(la, lb) * (p - 1) ** 2 > CONV_EXACT_LIMIT:",
+        "if bound >= CONV_EXACT_LIMIT:",
+        "if bound > CONV_EXACT_LIMIT:",
         "a convolution exactly at the bound runs, not raises",
     ),
     "fallback_weight": (
@@ -270,6 +270,70 @@ MUTANTS = {
         "if p <= X_ALL_LIMIT:",
         "if p < X_ALL_LIMIT:",
         "p = 101 samples its points in place of checking all",
+    ),
+    # the Bell row as one dot per step, and only as many NTT primes as needed
+    "bell_reversed_offset": (
+        SEQUENCES,
+        "rev[p - 1 - n :]",
+        "rev[p - 2 - n : p - 1]",
+        "each Bell step reads the inverse factorials one place off",
+    ),
+    "bell_scaled_by_n_factorial": (
+        SEQUENCES,
+        "b[n + 1] = fact[n] * dot % p * invf[n + 1] % p",
+        "b[n + 1] = fact[n] * dot % p * invf[n] % p",
+        "b_{n+1} is B_{n+1} / n! in place of B_{n+1} / (n+1)!",
+    ),
+    "bell_fact_scaling_dropped": (
+        SEQUENCES,
+        "values = b * ctx.fact_np % p",
+        "values = b % p",
+        "the row returns B_k / k! in place of B_k",
+    ),
+    "prime_count_bound_2x": (
+        MODARITH,
+        "bisect.bisect_right(_NTT_PRODUCTS, bound)",
+        "bisect.bisect_right(_NTT_PRODUCTS, bound // 2)",
+        "the convolution takes its primes for half the coefficient bound",
+    ),
+    "garner_skips_last_prime": (
+        MODARITH,
+        "for i, qi in enumerate(qs):",
+        "for i, qi in enumerate(qs[:-1]):",
+        "the CRT drops the last chosen prime's digit",
+    ),
+    "unit_check_dropped": (
+        CONGRUENCES,
+        "bad = (w < 1) | (r == 0)",
+        "bad = w < 1",
+        "s_m_many and theorem1_rhs accept a multiple of p",
+    ),
+    "theorem1_fold_reads_m": (
+        CONGRUENCES,
+        "sigma[n0 % p]",
+        "sigma[(n0 + 1) % p]",
+        "theorem1_rhs reads the series at m mod p in place of (m - 1) mod p",
+    ),
+    "eq10_skips_one_column_more": (
+        CONGRUENCES,
+        "theorem2_rhs(ctx, block)[:, p:]",
+        "theorem2_rhs(ctx, block)[:, p + 1 :]",
+        "eq10's Horner pass skips the x^p coefficient too",
+    ),
+    "eq10_power_one_short": (
+        CONGRUENCES,
+        "powers_mod(xs, p + 1, p)[:, p]",
+        "powers_mod(xs, p + 1, p)[:, p - 1]",
+        "eq10 multiplies by x^(p-1) in place of x^p",
+    ),
+    "theorem2_rhs_prefix_nonzero": (
+        CONGRUENCES,
+        """    out = np.zeros((len(w), p + top), dtype=np.int64)
+""",
+        """    out = np.zeros((len(w), p + top), dtype=np.int64)
+    out[:, :1] = 1
+""",
+        "the closed form's zero prefix gets a constant term",
     ),
     # report order, params and the failure note
     "geometric_j_order": (
