@@ -185,12 +185,12 @@ def _require_unit(ctx: PrimeContext, m: int) -> None:
         raise BadModulusError(f"m = {m} is a multiple of p = {ctx.p}")
 
 
-def _unit_weights(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
-    """The weights of ms folded into [1, 2p) as int64, after one check of
-    the whole batch: a weight below p is kept, a larger one becomes
-    p + (m mod p).  The fold keeps each weight's residue and whether it is
-    below p, whatever the size of m.  Raises as _require_unit on a weight
-    that is not a positive unit mod p.
+def _require_units(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
+    """Check every weight of ms in one pass, raising as _require_unit on a
+    weight that is not a positive unit mod p, and return the weights
+    folded into [1, 2p) as int64: a weight below p is kept, a larger one
+    becomes p + (m mod p).  The fold keeps each weight's residue and
+    whether it is below p, whatever the size of m.
     """
     p = ctx.p
     w = np.asarray(ms)  # object dtype for weights past int64
@@ -198,7 +198,7 @@ def _unit_weights(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
     bad = (w < 1) | (r == 0)
     if bad.any():
         _require_unit(ctx, ms[int(bad.argmax())])
-    return np.where(w < p, w, p + r).astype(np.int64)
+    return np.where(w < p, w, p + r).astype(np.int64, copy=False)
 
 
 def _neg_inv(ctx: PrimeContext, m: int) -> int:
@@ -265,8 +265,8 @@ def s_m_many(
     s_m loop per weight at a prime where that table's convolution would
     not be exact.
     """
-    w = _unit_weights(ctx, ms)
-    if not len(w):
+    _require_units(ctx, ms)
+    if not ms:
         return []
     if row is None:
         row = bell_row(ctx)
@@ -274,7 +274,8 @@ def s_m_many(
         table = s_m_all_units(ctx, row)
     except OverflowError:
         return [s_m(ctx, m, row).value for m in ms]
-    return np.array(table)[w % ctx.p].tolist()
+    p = ctx.p
+    return [table[m % p] for m in ms]
 
 
 def theorem1_rhs(
@@ -291,7 +292,7 @@ def theorem1_rhs(
     So each weight is folded below 2p before any int64 arithmetic.
     """
     p = ctx.p
-    n0 = _unit_weights(ctx, ms) - 1
+    n0 = _require_units(ctx, ms) - 1
     if drow is None:
         drow = derangement_row(ctx)
     if sigma is None:

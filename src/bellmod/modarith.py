@@ -420,18 +420,18 @@ def mod_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     r = prod[:, :size] * n_inv % q
 
     # Garner: c = x_0 + x_1 Q_1 + x_2 Q_2 + ... with Q_i = q_0 ... q_{i-1}
-    # and digits x_i in [0, q_i), each fixed by c = r_i (mod q_i).  acc holds
-    # the digits so far, summed and reduced modulo every q_i and p, one row
-    # each; every product stays under 2**61.
-    mods = [*qs, p]
-    col = np.array(mods, dtype=np.int64)[:, None]
-    acc = np.zeros((len(mods), size), dtype=np.int64)
+    # and digits x_i in [0, q_i).  Once digit x_i is known, row j > i of r
+    # becomes (r_j - x_i) / q_i mod q_j, so row i + 1 is the next digit.
+    # Every product stays under 2**61.
+    out = np.zeros(size, dtype=np.int64)
     big = 1  # Q_i
     for i, qi in enumerate(qs):
-        x = (r[i] - acc[i]) % qi * pow(big, -1, qi) % qi
-        acc = (acc + x * np.array([[big % m] for m in mods], dtype=np.int64)) % col
+        x = r[i]
+        for j in range(i + 1, len(qs)):
+            r[j] = (r[j] - x) % qs[j] * pow(qi, -1, qs[j]) % qs[j]
+        out = (out + x * (big % p)) % p
         big *= qi
-    return acc[-1]
+    return out
 
 
 def _coeff_value(c: ResidueLike, ctx: PrimeContext) -> int:

@@ -143,9 +143,9 @@ MUTANTS = {
     # the chirp-z table of the weighted Bell sums and its exact convolution
     "crt_digit": (
         MODARITH,
-        "x = (r[i] - acc[i]) % qi",
-        "x = (r[i] + acc[i]) % qi",
-        "each Garner digit adds the digits so far in place of subtracting them",
+        "r[j] = (r[j] - x) % qs[j]",
+        "r[j] = (r[j] + x) % qs[j]",
+        "Garner adds each digit to the later residues in place of subtracting it",
     ),
     "dlog_offset": (
         CONGRUENCES,
