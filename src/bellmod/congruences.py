@@ -102,9 +102,8 @@ _IDENTITY_RANK = {ident: i for i, ident in enumerate(Identity)}
 PARAM_ORDER = ("m", "n", "x", "k", "l", "j", "r")
 
 # weights handled per block by the batched Touchard-sum kernels: a block
-# holds one (block x p) array of powers of u, and theorem2 and eq10 build
-# the closed forms one (block x (p + max m)) array at a time, whatever the
-# number of weights
+# holds one (block x p) array of powers of u, and theorem2 builds its sides
+# one (block x (p + max m)) array at a time, whatever the number of weights
 WEIGHT_BLOCK = 256
 
 
@@ -178,42 +177,34 @@ def report_sort_key(r: VerificationReport) -> tuple:
     )
 
 
-def _require_unit(ctx: PrimeContext, m: int) -> None:
-    if m < 1:
-        raise ValueError(f"weight m must be positive, got {m}")
-    if m % ctx.p == 0:
-        raise BadModulusError(f"m = {m} is a multiple of p = {ctx.p}")
-
-
 def _require_units(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
-    """Check every weight of ms in one pass, raising as _require_unit on a
-    weight that is not a positive unit mod p, and return the weights
-    folded into [1, 2p) as int64: a weight below p is kept, a larger one
-    becomes p + (m mod p).  The fold keeps each weight's residue and
-    whether it is below p, whatever the size of m.
+    """Check every weight of ms in one pass and return the weights folded
+    into [1, 2p) as int64: a weight below p is kept, a larger one becomes
+    p + (m mod p).  The fold keeps each weight's residue and whether it is
+    below p, whatever the size of m; the pivot of the proofs is
+    r = -fold mod p.  A weight below 1 raises ValueError, a multiple of p
+    BadModulusError.
     """
     p = ctx.p
     w = np.asarray(ms)  # object dtype for weights past int64
     r = w % p
     bad = (w < 1) | (r == 0)
     if bad.any():
-        _require_unit(ctx, ms[int(bad.argmax())])
+        m = ms[int(bad.argmax())]
+        if m < 1:
+            raise ValueError(f"weight m must be positive, got {m}")
+        raise BadModulusError(f"m = {m} is a multiple of p = {p}")
     return np.where(w < p, w, p + r).astype(np.int64, copy=False)
-
-
-def _neg_inv(ctx: PrimeContext, m: int) -> int:
-    """1 / (-m) mod p for a unit m."""
-    return pow(-m % ctx.p, ctx.p - 2, ctx.p)
 
 
 def s_m(ctx: PrimeContext, m: int, row: BellRow | None = None) -> Residue:
     """The weighted Bell sum sum_{0<k<p} B_k / (-m)^k mod p."""
-    _require_unit(ctx, m)
+    _require_units(ctx, [m])
     p = ctx.p
     if row is None:
         row = bell_row(ctx)
     vals = row.values.tolist()
-    u = _neg_inv(ctx, m)
+    u = pow(-m % p, p - 2, p)
     acc = 0
     upow = 1
     for k in range(1, p):
@@ -324,7 +315,7 @@ def verify_intro_constant(
 
     At the default weight m = 8 the constant is -1853.
     """
-    _require_unit(ctx, m)
+    _require_units(ctx, [m])
     lhs = (1 + s_m(ctx, m, row).value) % ctx.p  # the n = 0 term contributes B_0 = 1
     sign = 1 if (m - 1) % 2 == 0 else -1
     rhs = normalize(1 + sign * oracle.derangement_exact(m - 1), ctx)
@@ -440,33 +431,21 @@ def verify_touchard(
     return [_block(Identity.TOUCHARD_EQ1, ctx, {"n": np.arange(n_max + 1)}, lhs, rhs)]
 
 
-def _weighted_power_rows(
-    ctx: PrimeContext, ms: Sequence[int], table: np.ndarray
-) -> np.ndarray:
-    """sum_{0<n<p} table[n] u^n mod p with u = 1/(-m), one row per weight.
+def _weighted_power_rows(ctx: PrimeContext, r: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_{0<n<p} table[n] u^n mod p with u = 1/(-m), one row per pivot
+    r = -m mod p from _require_units.
 
-    table holds residues in p rows indexed by n.  Each block of WEIGHT_BLOCK
-    weights is one exact product of its powers of u with table[1:].
+    u^(p-1) = 1, so u^n = r^(p-1-n): the powers of u are the powers of r
+    read backwards.  table holds residues in p rows indexed by n.  Each
+    block of WEIGHT_BLOCK weights is one exact product of its powers of u
+    with table[1:].
     """
     p = ctx.p
-    out = np.empty((len(ms), table.shape[1]), dtype=np.int64)
-    for lo in range(0, len(ms), WEIGHT_BLOCK):
-        block = ms[lo : lo + WEIGHT_BLOCK]
-        for m in block:
-            _require_unit(ctx, m)
-        upow = powers_mod([_neg_inv(ctx, m) for m in block], p, p)
-        out[lo : lo + len(block)] = _mod_matmul(upow[:, 1:], table[1:], p)
+    out = np.empty((len(r), table.shape[1]), dtype=np.int64)
+    for lo in range(0, len(r), WEIGHT_BLOCK):
+        upow = powers_mod(r[lo : lo + WEIGHT_BLOCK], p, p)[:, ::-1]
+        out[lo : lo + len(upow)] = _mod_matmul(upow[:, 1:], table[1:], p)
     return out
-
-
-def _eval_rows(ctx: PrimeContext, coeffs: np.ndarray, xs: Sequence[int]) -> np.ndarray:
-    """Every row of coefficients, ascending by degree, at every point x:
-    one Horner pass over the columns."""
-    x = np.array(xs, dtype=np.int64)
-    acc = np.zeros((len(coeffs), len(x)), dtype=np.int64)
-    for col in coeffs.T[::-1]:
-        acc = (acc * x + col[:, None]) % ctx.p
-    return acc
 
 
 def _coeff_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -479,10 +458,10 @@ def _coeff_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def _inv_pow(ctx: PrimeContext, bases: Sequence[int], exps: Sequence[int]) -> np.ndarray:
-    """b**(-e) mod p for every exponent e (rows) and unit b (columns)."""
+    """b**(-e) mod p for every exponent e (rows) and unit b (columns):
+    b^(p-1) = 1, so b^(-e) is a power of b read backwards."""
     p = ctx.p
-    table = powers_mod([pow(b, p - 2, p) for b in bases], p - 1, p)
-    return table[:, [e % (p - 1) for e in exps]].T
+    return powers_mod(bases, p - 1, p)[:, [-e % (p - 1) for e in exps]].T
 
 
 def _require_points(ctx: PrimeContext, xs: Sequence[int]) -> list[int]:
@@ -502,7 +481,7 @@ def weighted_touchard_sum(
     matrix M[n, k] = S(n, k) mod p."""
     if matrix is None:
         matrix = touchard_coeff_matrix(ctx)
-    return _weighted_power_rows(ctx, ms, matrix)
+    return _weighted_power_rows(ctx, -_require_units(ctx, ms) % ctx.p, matrix)
 
 
 def theorem2_lhs(ctx: PrimeContext, ms: Sequence[int], sums: np.ndarray) -> np.ndarray:
@@ -516,27 +495,33 @@ def theorem2_lhs(ctx: PrimeContext, ms: Sequence[int], sums: np.ndarray) -> np.n
     return out
 
 
-def theorem2_rhs(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
-    """-x^p sum_{l=0}^{m-1} ((m-1)!/l!) (-x)^l mod p for every weight of ms,
-    one row of p + max(ms) coefficients per weight.
+def _falling_products(ctx: PrimeContext, w: np.ndarray) -> np.ndarray:
+    """(m-1)!/l! mod p at column l of the row of each weight m of w, for
+    every l < m, and 0 at l >= m.
 
-    (m-1)!/l! is the integer product (l+1)(l+2)...(m-1), accumulated
-    downward from l = m-1 for all weights at once, with each factor reduced
-    mod p; it is never formed by modular division, which would break once
-    the factorials vanish.
+    It is the integer product (l+1)(l+2)...(m-1), accumulated downward from
+    l = m-1 for all weights at once, with each factor reduced mod p; it is
+    never formed by modular division, which would break once the factorials
+    vanish.
     """
-    for m in ms:
-        _require_unit(ctx, m)
     p = ctx.p
-    w = np.asarray(ms, dtype=np.int64)
-    top = int(w.max(initial=0))
-    out = np.zeros((len(w), p + top), dtype=np.int64)
+    out = np.zeros((len(w), int(w.max(initial=0))), dtype=np.int64)
     c = np.ones(len(w), dtype=np.int64)  # (l+1)...(m-1) for each weight with l < m
-    for l in range(top - 1, -1, -1):
+    for l in range(out.shape[1] - 1, -1, -1):
         live = w > l
-        out[live, p + l] = -c[live] % p if l % 2 == 0 else c[live]
+        out[live, l] = c[live]
         c[live] = c[live] * (l % p) % p
     return out
+
+
+def theorem2_rhs(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
+    """-x^p sum_{l=0}^{m-1} ((m-1)!/l!) (-x)^l mod p for every weight of ms,
+    one row of p + max(ms) coefficients per weight."""
+    _require_units(ctx, ms)
+    p = ctx.p
+    f = _falling_products(ctx, np.asarray(ms, dtype=np.int64))
+    f[:, ::2] = -f[:, ::2] % p  # -x^p (-x)^l = -x^(p+l) at even l
+    return np.pad(f, ((0, 0), (p, 0)))
 
 
 def verify_theorem2(
@@ -565,11 +550,11 @@ def verify_theorem2_eval(
 
     sum_{0<n<p} T_n(x) / (-m)^n = -x^p sum_l ((m-1)!/l!) (-x)^l / (-x)^m.
 
-    The left side weights the tabulated T_n(x); the right side evaluates
-    the closed-form polynomials, built WEIGHT_BLOCK weights at a time, and
-    divides by (-x)^m.  The closed forms' first p coefficients are the zeros
-    of their x^p factor, so Horner runs over the columns from x^p on and
-    the result is multiplied by x^p.
+    The left side weights the tabulated T_n(x).  On the right,
+    R_m(y) = sum_{l<m} ((m-1)!/l!) y^l follows the closed form's own
+    recurrence R_1 = 1, R_{m+1} = m R_m + y^m, taken at y = -x for every m
+    up to max(ms) at once; each weight's R_m(-x) is multiplied by -x^p and
+    divided by (-x)^m.
     """
     p = ctx.p
     xs = _require_points(ctx, xs)
@@ -577,13 +562,16 @@ def verify_theorem2_eval(
         return []
     if values is None:
         values = touchard_value_table(ctx)
-    lhs = _weighted_power_rows(ctx, ms, values[:, xs])
-    num = np.empty(lhs.shape, dtype=np.int64)
-    for lo in range(0, len(ms), WEIGHT_BLOCK):
-        block = ms[lo : lo + WEIGHT_BLOCK]
-        num[lo : lo + len(block)] = _eval_rows(ctx, theorem2_rhs(ctx, block)[:, p:], xs)
-    x_p = powers_mod(xs, p + 1, p)[:, p]
-    rhs = num * x_p % p * _inv_pow(ctx, [p - x for x in xs], ms) % p
+    lhs = _weighted_power_rows(ctx, -_require_units(ctx, ms) % p, values[:, xs])
+    w = np.asarray(ms, dtype=np.int64)
+    y = p - np.array(xs, dtype=np.int64)  # -x mod p
+    rm = np.empty((int(w.max()), len(xs)), dtype=np.int64)  # rm[m-1] = R_m(-x)
+    rm[0], ypow = 1 % p, y
+    for m in range(1, len(rm)):
+        rm[m] = (m % p * rm[m - 1] + ypow) % p
+        ypow = ypow * y % p
+    neg_xp = [-pow(x, p, p) % p for x in xs]
+    rhs = rm[w - 1] * neg_xp % p * _inv_pow(ctx, y, ms) % p
     grid = {"m": np.repeat(ms, len(xs)), "x": np.tile(xs, len(ms))}
     return [_block(Identity.THEOREM2_EVAL, ctx, grid, lhs.ravel(), rhs.ravel())]
 
@@ -611,17 +599,11 @@ def verify_special_cases(
     if values is None:
         values = touchard_value_table(ctx)
     ms = [m for m in _SPECIAL_NUMERATORS if m % p]
-    lhs = _weighted_power_rows(ctx, ms, values[:, xs])
-    num = _eval_rows(ctx, np.array([_SPECIAL_NUMERATORS[m] for m in ms]) % p, xs)
+    lhs = _weighted_power_rows(ctx, -_require_units(ctx, ms) % p, values[:, xs])
+    num = _mod_matmul(np.array([_SPECIAL_NUMERATORS[m] for m in ms]) % p, powers_mod(xs, 4, p).T, p)
     rhs = num * _inv_pow(ctx, xs, [m - 1 for m in ms]) % p
     grid = {"m": np.repeat(ms, len(xs)), "x": np.tile(xs, len(ms))}
     return [_block(Identity.SPECIAL_CASE_M, ctx, grid, lhs.ravel(), rhs.ravel())]
-
-
-def least_positive_residue_of_neg(ctx: PrimeContext, m: int) -> int:
-    """r in [1, p-1] with r = -m (mod p); the pivot index of the proofs."""
-    _require_unit(ctx, m)
-    return (-m) % ctx.p
 
 
 def proof_intermediate(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
@@ -632,7 +614,7 @@ def proof_intermediate(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
     (-x)^k / (k-r)!  (mod p), with r the least positive residue of -m.
     """
     p = ctx.p
-    r = np.array([least_positive_residue_of_neg(ctx, m) for m in ms], dtype=np.int64)[:, None]
+    r = (-_require_units(ctx, ms) % p)[:, None]
     k = np.arange(p)
     idx = k - r  # negative exactly below x^r
     v = np.where(idx >= 0, ctx.inv_fact_np[r] * ctx.inv_fact_np[idx.clip(0)] % p, 0)
@@ -644,8 +626,7 @@ def verify_proof_intermediate(
 ) -> list[ReportBlock]:
     """Compare each weight's direct weighted Touchard sum, from
     weighted_touchard_sum, against its closed form."""
-    rs = [least_positive_residue_of_neg(ctx, m) for m in ms]
-    params = {"m": np.asarray(ms), "r": np.asarray(rs)}
+    params = {"m": np.asarray(ms), "r": -_require_units(ctx, ms) % ctx.p}
     lhs, rhs = _coeff_tuples(sums), _coeff_tuples(proof_intermediate(ctx, ms))
     return [_block(Identity.PROOF_INTERMEDIATE, ctx, params, lhs, rhs)]
 
@@ -656,22 +637,15 @@ def verify_factorial_lemma(ctx: PrimeContext, ms: Sequence[int]) -> list[ReportB
 
     it vanishes for l < m + r - p, and otherwise equals
     (-1)^(r+1) / (r! (p + l - m - r)!), with r the least positive residue
-    of -m.  The left side is the bare integer product (l+1)...(m-1) with
-    factors reduced mod p, accumulated downward from l = m-1 for all
-    weights at once.
+    of -m.  The left side is the bare integer product (l+1)...(m-1) from
+    _falling_products.
     """
     p = ctx.p
-    rs = [least_positive_residue_of_neg(ctx, m) for m in ms]
+    r = -_require_units(ctx, ms) % p
     w = np.asarray(ms, dtype=np.int64)
-    start = np.cumsum(w) - w  # row of (m, l = 0) for each weight
-    m, r = np.repeat(w, w), np.repeat(np.asarray(rs, dtype=np.int64), w)
-    l = np.arange(len(m)) - np.repeat(start, w)
-    lhs = np.empty(len(m), dtype=np.int64)
-    c = np.ones(len(w), dtype=np.int64)  # (l+1)...(m-1) for each weight with l < m
-    for lv in range(int(w.max(initial=0)) - 1, -1, -1):
-        live = w > lv
-        lhs[start[live] + lv] = c[live]
-        c[live] = c[live] * (lv % p) % p
+    f = _falling_products(ctx, w)
+    i, l = np.nonzero(np.arange(f.shape[1]) < w[:, None])  # every l < m, m-major
+    m, r, lhs = w[i], r[i], f[i, l]
     idx = p + l - m - r  # negative exactly below the split l < m + r - p
     rhs = np.where(idx >= 0, ctx.inv_fact_np[r] * ctx.inv_fact_np[idx.clip(0)] % p, 0)
     rhs = np.where(r % 2 == 0, -rhs % p, rhs)
@@ -689,8 +663,9 @@ def geometric_sum_lemma_check(
     side is the closed-form indicator.
     """
     p = ctx.p
+    fold = _require_units(ctx, ms)
     table = powers_mod(np.arange(1, p, dtype=np.int64), p, p).T
-    lhs = _weighted_power_rows(ctx, ms, table).ravel()
-    m, j = np.repeat(ms, p - 1), np.tile(np.arange(1, p), len(ms))
-    rhs = np.where((m + j) % p == 0, p - 1, 0)
-    return [_block(Identity.GEOMETRIC_SUM, ctx, {"m": m, "j": j}, lhs, rhs)]
+    lhs = _weighted_power_rows(ctx, -fold % p, table).ravel()
+    j = np.tile(np.arange(1, p), len(ms))
+    rhs = np.where((np.repeat(fold, p - 1) + j) % p == 0, p - 1, 0)
+    return [_block(Identity.GEOMETRIC_SUM, ctx, {"m": np.repeat(ms, p - 1), "j": j}, lhs, rhs)]

@@ -10,7 +10,6 @@ from bellmod.congruences import (
     BadPointError,
     Identity,
     geometric_sum_lemma_check,
-    least_positive_residue_of_neg,
     proof_intermediate,
     report_sort_key,
     s_m,
@@ -414,6 +413,22 @@ def test_batched_eval_matches_polynomial_route(cache):
                     assert special[(m, x)].passed and special[(m, x)].lhs == rep.lhs
 
 
+def test_eq10_recurrence_matches_theorem2_rhs(cache):
+    # eq10 runs the closed form's recurrence in m; theorem2_rhs builds the
+    # same closed form as coefficients, so its value over (-x)^m must agree
+    for p in primes_in_range(2, 13):
+        ctx = cache.ctx(p)
+        ms, xs = [m for m in range(1, 3 * p + 1) if m % p], list(range(1, p))
+        evals = rows(verify_theorem2_eval(ctx, ms, xs, touchard_value_table(ctx)))
+        got = {(r.params["m"], r.params["x"]): r.rhs for r in evals}
+        for m, coeffs in zip(ms, theorem2_rhs(ctx, ms)):
+            poly = DensePoly(ctx, coeffs.tolist())
+            for x in xs:
+                want = poly.eval(x).value * pow(-x % p, (p - 2) * m, p) % p
+                assert got[(m, x)] == want, (p, m, x)
+        assert len(got) == len(ms) * len(xs)
+
+
 def test_corrupt_table_entry_fails_exactly_its_point(cache):
     p, bad_x = 11, 4
     ctx = cache.ctx(p)
@@ -478,11 +493,21 @@ def test_batched_verifiers_on_empty_grids(cache):
         verify_factorial_lemma(ctx, [1, 14])
 
 
+def pivots(ctx, ms):
+    """The r param, the least positive residue of -m, of each weight's
+    intermediate and factorial reports."""
+    inter = [r.params["r"] for r in rows(verify_proof_intermediate(ctx, ms, weighted_touchard_sum(ctx, ms)))]
+    fact = {r.params["m"]: r.params["r"] for r in rows(verify_factorial_lemma(ctx, ms))}
+    assert inter == [fact[m] for m in ms]
+    return inter
+
+
 def test_least_positive_residue(cache):
-    assert least_positive_residue_of_neg(cache.ctx(3), 2) == 1
-    assert least_positive_residue_of_neg(cache.ctx(7), 3) == 4
-    with pytest.raises(BadModulusError):
-        least_positive_residue_of_neg(cache.ctx(7), 7)
+    assert pivots(cache.ctx(3), [2]) == [1]
+    assert pivots(cache.ctx(7), [3]) == [4]
+    for verify in (verify_factorial_lemma, proof_intermediate):
+        with pytest.raises(BadModulusError):
+            verify(cache.ctx(7), [7])
 
 
 def test_factorial_lemma(cache):
@@ -493,7 +518,7 @@ def test_factorial_lemma(cache):
         assert all(r.passed for r in reports), (p, m)
     # below the split both sides vanish
     reports = rows(verify_factorial_lemma(cache.ctx(3), [7]))
-    split = 7 + least_positive_residue_of_neg(cache.ctx(3), 7) - 3
+    split = 7 + pivots(cache.ctx(3), [7])[0] - 3
     assert split > 0
     for r in reports[:split]:
         assert r.lhs == r.rhs == 0
