@@ -339,12 +339,14 @@ def cmd_seq(args: argparse.Namespace) -> int:
             print(" ".join(str(v) for v in vals))
             return 0
         if family == "touchard":
-            for n in range(lo, hi + 1):
-                if ctx is None:
-                    coeffs = [oracle.stirling2_exact(n, k) for k in range(n + 1)]
-                else:
-                    coeffs = list(touchard_poly(n, ctx).coeffs)
-                print("[" + ",".join(str(c) for c in coeffs) + "]")
+            # every row is built before the first is printed, so an index out
+            # of range leaves stdout empty
+            ns = range(lo, hi + 1)
+            if ctx is None:
+                polys = [[oracle.stirling2_exact(n, k) for k in range(n + 1)] for n in ns]
+            else:
+                polys = [touchard_poly(n, ctx).coeffs for n in ns]
+            print("\n".join("[" + ",".join(map(str, c)) + "]" for c in polys))
             return 0
         if family == "bell":
             if ctx is None:

@@ -29,6 +29,7 @@ from .modarith import (
 from .sequences import (
     BellRow,
     DerangementRow,
+    _bell_triangle,
     _mod_matmul,
     bell_mod,
     bell_row,
@@ -412,8 +413,10 @@ def verify_touchard(
 ) -> list[ReportBlock]:
     """Check B_{p+n} = B_n + B_{n+1} (mod p) for 0 <= n <= n_max.
 
-    Both sides go through bell_mod, so indices past p exercise the
-    composed index folds against the single fold.
+    The left side continues the additive triangle to row p + n_max; the
+    right side reads the recurrence row through bell_mod, whose fold takes
+    over from n + 1 = p on.  The triangle's prefix sums stay below
+    (p + n_max + 1)(p - 1), and past 2**63 it raises IndexTooLargeError.
     """
     p = ctx.p
     if n_max is None:
@@ -422,8 +425,8 @@ def verify_touchard(
         raise IndexTooLargeError(f"n_max {n_max} needs p + n < p**2")
     if row is None:
         row = bell_row(ctx)
+    lhs = _bell_triangle(ctx, p + n_max + 1)[p:]
     ns = range(n_max + 1)
-    lhs = np.array([bell_mod(p + n, ctx, row).value for n in ns], dtype=np.int64)
     rhs = np.array(
         [(bell_mod(n, ctx, row).value + bell_mod(n + 1, ctx, row).value) % p for n in ns],
         dtype=np.int64,
@@ -446,6 +449,17 @@ def _weighted_power_rows(ctx: PrimeContext, r: np.ndarray, table: np.ndarray) ->
         upow = powers_mod(r[lo : lo + WEIGHT_BLOCK], p, p)[:, ::-1]
         out[lo : lo + len(upow)] = _mod_matmul(upow[:, 1:], table[1:], p)
     return out
+
+
+def _zeros(rows: int, cols: int) -> np.ndarray:
+    """An int64 array of zeros for the forms of degree p + m.  numpy refuses
+    a shape past its index range with ValueError; such a weight needs a
+    table too large to hold, so that raises MemoryError here, as a table
+    too large to allocate does."""
+    try:
+        return np.zeros((rows, cols), dtype=np.int64)
+    except ValueError:
+        raise MemoryError(f"no int64 array holds {rows} x {cols} entries") from None
 
 
 def _coeff_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -490,7 +504,7 @@ def theorem2_lhs(ctx: PrimeContext, ms: Sequence[int], sums: np.ndarray) -> np.n
     sums from weighted_touchard_sum."""
     p = ctx.p
     w = np.asarray(ms, dtype=np.int64).reshape(-1, 1)
-    out = np.zeros((len(w), p + int(w.max(initial=0))), dtype=np.int64)
+    out = _zeros(len(w), p + int(w.max(initial=0)))
     np.put_along_axis(out, w + np.arange(p), np.where(w % 2 == 0, sums, -sums % p), axis=1)
     return out
 
@@ -505,7 +519,7 @@ def _falling_products(ctx: PrimeContext, w: np.ndarray) -> np.ndarray:
     vanish.
     """
     p = ctx.p
-    out = np.zeros((len(w), int(w.max(initial=0))), dtype=np.int64)
+    out = _zeros(len(w), int(w.max(initial=0)))
     c = np.ones(len(w), dtype=np.int64)  # (l+1)...(m-1) for each weight with l < m
     for l in range(out.shape[1] - 1, -1, -1):
         live = w > l
@@ -565,7 +579,7 @@ def verify_theorem2_eval(
     lhs = _weighted_power_rows(ctx, -_require_units(ctx, ms) % p, values[:, xs])
     w = np.asarray(ms, dtype=np.int64)
     y = p - np.array(xs, dtype=np.int64)  # -x mod p
-    rm = np.empty((int(w.max()), len(xs)), dtype=np.int64)  # rm[m-1] = R_m(-x)
+    rm = _zeros(int(w.max()), len(xs))  # rm[m-1] = R_m(-x)
     rm[0], ypow = 1 % p, y
     for m in range(1, len(rm)):
         rm[m] = (m % p * rm[m - 1] + ypow) % p

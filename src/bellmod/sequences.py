@@ -106,22 +106,29 @@ def bell_row(ctx: PrimeContext) -> BellRow:
     return BellRow(ctx, values)
 
 
-def bell_triangle_row(ctx: PrimeContext) -> BellRow:
-    """B_0 .. B_{p-1} mod p by the additive (Aitken) triangle.
+def _bell_triangle(ctx: PrimeContext, count: int) -> np.ndarray:
+    """B_0 .. B_{count-1} mod p by the additive (Aitken) triangle.
 
     Row n+1 starts with the last entry of row n and accumulates partial
-    sums; B_n is the first entry of row n.  Independent of the factorial
-    tables, so it cross-checks bell_row.
+    sums; B_n is the first entry of row n.  Row n holds n + 1 residues, so
+    its prefix sums stay below count * (p - 1), which must be below 2**63.
     """
     p = ctx.p
-    values = np.zeros(p, dtype=np.int64)
+    if count * (p - 1) >= 2**63:
+        raise IndexTooLargeError(f"{count} Bell triangle rows need {count} * (p - 1) < 2**63")
+    values = np.zeros(count, dtype=np.int64)
     values[0] = 1 % p
     row = np.array([1 % p], dtype=np.int64)
-    for n in range(1, p):
-        nxt = np.concatenate((row[-1:], row))
-        # prefix sums stay below p * p < 2**62 before each reduction
-        row = np.cumsum(nxt) % p
+    for n in range(1, count):
+        row = np.cumsum(np.concatenate((row[-1:], row))) % p
         values[n] = row[0]
+    return values
+
+
+def bell_triangle_row(ctx: PrimeContext) -> BellRow:
+    """B_0 .. B_{p-1} mod p by the additive triangle of _bell_triangle.
+    Independent of the factorial tables, so it cross-checks bell_row."""
+    values = _bell_triangle(ctx, ctx.p)
     values.setflags(write=False)
     return BellRow(ctx, values)
 

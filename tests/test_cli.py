@@ -86,6 +86,11 @@ def test_seq_usage_errors(capsys):
     assert run_main(capsys, "seq", "bell", "30", "--mod", "5")[0] == 2  # 30 >= 25
     assert run_main(capsys, "seq", "bell", "3", "--mod", "4")[0] == 2
     assert run_main(capsys, "seq", "bell", "2000")[0] == 2  # oracle cap
+    # a range that runs out of bounds part way prints nothing
+    for argv in (("touchard", "0..2", "--mod", "2"), ("touchard", "399..401"), ("bell", "3..30", "--mod", "5")):
+        code, out, err = run_main(capsys, "seq", *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1, argv
 
 
 def test_verify_theorem1_sweep(capsys):
@@ -152,11 +157,18 @@ def test_weight_past_int64(capsys):
     m = "100000000000000000000001"
     code, out, err = run_main(capsys, "verify", "--identities", "theorem1", "--primes", "7", "--m", m)
     assert (code, out) == (0, f"THEOREM1 p=7 m={m} lhs=5 rhs=5 PASS\n")
+    # geometric reads the indicator -[p | m + j] from the fold, so m + j
+    # never passes int64
+    for big in (m, "9223372036854775806"):
+        code, out, err = run_main(capsys, "verify", "--identities", "geometric", "--primes", "7", "--m", big)
+        assert code == 0 and "failures: 0" in err, big
+        assert out.count(" PASS\n") == len(out.splitlines()) == 6, big
     # these build degree-(p+m) objects, so such a weight is a usage error
     for token in ("theorem2", "eq10", "factorial"):
-        code, out, err = run_main(capsys, "verify", "--identities", token, "--primes", "7", "--m", m)
-        assert (code, out) == (2, ""), token
-        assert len(err.splitlines()) == 1 and "Traceback" not in err, token
+        for big in (m, "4611686018427387905", "9223372036854775806"):
+            code, out, err = run_main(capsys, "verify", "--identities", token, "--primes", "7", "--m", big)
+            assert (code, out) == (2, ""), (token, big)
+            assert len(err.splitlines()) == 1 and "Traceback" not in err, (token, big)
 
 
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):

@@ -1,10 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bellmod import congruences as cg
-from bellmod import modarith, oracle
+from bellmod import modarith, oracle, sequences
 from bellmod.congruences import (
     BadModulusError,
     BadPointError,
@@ -232,6 +233,25 @@ def test_touchard_fold_consistency(cache):
         assert all(r.passed for r in reports), p
     with pytest.raises(IndexTooLargeError):
         verify_touchard(cache.ctx(5), 20)
+
+
+def test_touchard_fails_on_a_corrupt_row(cache):
+    # the left side continues the additive triangle, which never reads the
+    # row, so a wrong entry anywhere in the row fails a report
+    for p in (5, 7, 31):
+        for k in range(p):
+            values = cache.bell(p).values.copy()
+            values[k] = (values[k] + 1) % p
+            reports = rows(verify_touchard(cache.ctx(p), p, SimpleNamespace(values=values)))
+            assert [r.params["n"] for r in reports if not r.passed][:1] == [max(k - 1, 0)], (p, k)
+
+
+def test_touchard_triangle_int64_bound(cache):
+    ctx = cache.ctx(7)
+    assert sequences._bell_triangle(ctx, 20).tolist() == [oracle.bell_exact(n) % 7 for n in range(20)]
+    # the first row count whose prefix sums could reach 2**63
+    with pytest.raises(IndexTooLargeError):
+        sequences._bell_triangle(ctx, 2**63 // 6 + 1)
 
 
 def test_touchard_against_exact_bell_numbers(cache):
