@@ -316,7 +316,6 @@ def verify_intro_constant(
 
     At the default weight m = 8 the constant is -1853.
     """
-    _require_units(ctx, [m])
     lhs = (1 + s_m(ctx, m, row).value) % ctx.p  # the n = 0 term contributes B_0 = 1
     sign = 1 if (m - 1) % 2 == 0 else -1
     rhs = normalize(1 + sign * oracle.derangement_exact(m - 1), ctx)

@@ -97,18 +97,12 @@ MUTANTS = {
         """("--m-max", args.m_max, -(2**63))""",
         "--m-max below 1 silently empties the weight grid",
     ),
-    "factorial_factor_shifted": (
-        CONGRUENCES,
-        "c[live] = c[live] * (lv % p) % p",
-        "c[live] = c[live] * ((lv + 1) % p) % p",
-        "the factorial lemma's product takes one factor too many",
-    ),
     # the closed forms and polynomial sides as int64 rows
-    "theorem2_rhs_factor_shifted": (
+    "falling_product_factor_shifted": (
         CONGRUENCES,
         "c[live] = c[live] * (l % p) % p",
         "c[live] = c[live] * ((l + 1) % p) % p",
-        "the downward product (m-1)!/l! takes each factor one too high",
+        "theorem2's and the factorial lemma's (m-1)!/l! takes each factor one too high",
     ),
     "theorem2_lhs_shifted": (
         CONGRUENCES,
@@ -203,25 +197,29 @@ MUTANTS = {
         "_mod_matmul(upow[:, :-1], table[1:], p)",
         "the kernel weights T_n by u^(n-1)",
     ),
-    "horner_order": (
+    "special_numerator_order": (
         CONGRUENCES,
-        "for col in coeffs.T[::-1]:",
-        "for col in coeffs.T:",
-        "Horner reads the coefficients lowest first",
+        "powers_mod(xs, 4, p).T, p)",
+        "powers_mod(xs, 4, p).T[::-1], p)",
+        "special reads its numerators highest coefficient first",
     ),
     "inverse_power_exponent": (
         CONGRUENCES,
-        "table[:, [e % (p - 1) for e in exps]].T",
-        "table[:, [(e + 1) % (p - 1) for e in exps]].T",
+        "[:, [-e % (p - 1) for e in exps]].T",
+        "[:, [(-e - 1) % (p - 1) for e in exps]].T",
         "the evaluated forms divide by one power too many",
     ),
     "block_offset": (
         CONGRUENCES,
-        """        block = ms[lo : lo + WEIGHT_BLOCK]
-        for m in block:""",
-        """        block = ms[lo + 1 : lo + 1 + WEIGHT_BLOCK]
-        for m in block:""",
+        "powers_mod(r[lo : lo + WEIGHT_BLOCK], p, p)",
+        "powers_mod(r[lo + 1 : lo + 1 + WEIGHT_BLOCK], p, p)",
         "each kernel block starts one weight late",
+    ),
+    "reversed_powers_off_by_one": (
+        CONGRUENCES,
+        "powers_mod(r[lo : lo + WEIGHT_BLOCK], p, p)[:, ::-1]",
+        "powers_mod(r[lo : lo + WEIGHT_BLOCK], p + 1, p)[:, :0:-1]",
+        "the powers of r read backwards start one place late, giving u^(n-1) at n",
     ),
     "point_check": (
         CONGRUENCES,
@@ -231,8 +229,8 @@ MUTANTS = {
     ),
     "sign_of_minus_x": (
         CONGRUENCES,
-        "_inv_pow(ctx, [p - x for x in xs], ms)",
-        "_inv_pow(ctx, [x for x in xs], ms)",
+        "_inv_pow(ctx, y, ms)",
+        "_inv_pow(ctx, p - y, ms)",
         "eq10 divides by x^m in place of (-x)^m",
     ),
     "chunk_not_reduced": (
@@ -306,7 +304,7 @@ MUTANTS = {
         CONGRUENCES,
         "bad = (w < 1) | (r == 0)",
         "bad = w < 1",
-        "s_m_many and theorem1_rhs accept a multiple of p",
+        "every batch of weights accepts a multiple of p",
     ),
     "theorem1_fold_reads_m": (
         CONGRUENCES,
@@ -314,26 +312,29 @@ MUTANTS = {
         "sigma[(n0 + 1) % p]",
         "theorem1_rhs reads the series at m mod p in place of (m - 1) mod p",
     ),
-    "eq10_skips_one_column_more": (
+    "eq10_recurrence_starts_high": (
         CONGRUENCES,
-        "theorem2_rhs(ctx, block)[:, p:]",
-        "theorem2_rhs(ctx, block)[:, p + 1 :]",
-        "eq10's Horner pass skips the x^p coefficient too",
+        "rm[0], ypow = 1 % p, y",
+        "rm[0], ypow = 1 % p, y * y % p",
+        "eq10's recurrence adds y^(m+1) in place of y^m",
+    ),
+    "eq10_recurrence_factor": (
+        CONGRUENCES,
+        "rm[m] = (m % p * rm[m - 1] + ypow) % p",
+        "rm[m] = ((m + 1) % p * rm[m - 1] + ypow) % p",
+        "eq10's recurrence multiplies R_m by m + 1 in place of m",
     ),
     "eq10_power_one_short": (
         CONGRUENCES,
-        "powers_mod(xs, p + 1, p)[:, p]",
-        "powers_mod(xs, p + 1, p)[:, p - 1]",
-        "eq10 multiplies by x^(p-1) in place of x^p",
+        "-pow(x, p, p) % p",
+        "-pow(x, p - 1, p) % p",
+        "eq10 multiplies by -x^(p-1) in place of -x^p",
     ),
     "theorem2_rhs_prefix_nonzero": (
         CONGRUENCES,
-        """    out = np.zeros((len(w), p + top), dtype=np.int64)
-""",
-        """    out = np.zeros((len(w), p + top), dtype=np.int64)
-    out[:, :1] = 1
-""",
-        "the closed form's zero prefix gets a constant term",
+        "np.pad(f, ((0, 0), (p, 0)))",
+        "np.pad(f, ((0, 0), (p, 0)), constant_values=1)",
+        "the closed form's zero prefix is all ones",
     ),
     # report order, params and the failure note
     "geometric_j_order": (
@@ -344,8 +345,8 @@ MUTANTS = {
     ),
     "factorial_l_order": (
         CONGRUENCES,
-        "lhs[start[live] + lv] = c[live]",
-        "lhs[start[live] + w[live] - 1 - lv] = c[live]",
+        "m, r, lhs = w[i], r[i], f[i, l]",
+        "m, r, lhs = w[i], r[i], f[i, w[i] - 1 - l]",
         "the factorial lemma's left sides run l downward",
     ),
     "params_in_insertion_order": (
@@ -356,9 +357,15 @@ MUTANTS = {
     ),
     "geometric_indicator": (
         CONGRUENCES,
-        "np.where((m + j) % p == 0, p - 1, 0)",
-        "np.where((m - j) % p == 0, p - 1, 0)",
+        "(np.repeat(fold, p - 1) + j) % p",
+        "(np.repeat(fold, p - 1) - j) % p",
         "the geometric indicator tests m - j",
+    ),
+    "geometric_raw_weight": (
+        CONGRUENCES,
+        "(np.repeat(fold, p - 1) + j) % p",
+        "(np.repeat(ms, p - 1) + j) % p",
+        "the geometric indicator adds j to the raw weight, which overflows int64 near 2**63",
     ),
     "geometric_table_offset": (
         CONGRUENCES,
@@ -377,6 +384,25 @@ MUTANTS = {
         "kernel[(ks[:, None] - ks) % (p - 1)]",
         "kernel[(ks[:, None] - ks + 1) % (p - 1)]",
         "the corollary kernel reads K[n - k + 1]",
+    ),
+    # the Bell triangle behind touchard, and huge weights as usage errors
+    "triangle_row_early": (
+        CONGRUENCES,
+        "_bell_triangle(ctx, p + n_max + 1)[p:]",
+        "_bell_triangle(ctx, p + n_max)[p - 1 :]",
+        "touchard reads B_{p+n-1} from the triangle in place of B_{p+n}",
+    ),
+    "triangle_bound_2x": (
+        SEQUENCES,
+        "if count * (p - 1) >= 2**63:",
+        "if count * (p - 1) >= 2**64:",
+        "the triangle accepts prefix sums up to 2**64",
+    ),
+    "huge_weight_traceback": (
+        CONGRUENCES,
+        "    except ValueError:\n        raise MemoryError",
+        "    except TypeError:\n        raise MemoryError",
+        "a weight past numpy's index range reaches the user as a ValueError traceback",
     ),
     # the identity registry and the tables of one prime
     "walk_cfg_identities": (
