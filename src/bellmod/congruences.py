@@ -657,8 +657,10 @@ def verify_factorial_lemma(ctx: PrimeContext, ms: Sequence[int]) -> list[ReportB
     r = -_require_units(ctx, ms) % p
     w = np.asarray(ms, dtype=np.int64)
     f = _falling_products(ctx, w)
-    i, l = np.nonzero(np.arange(f.shape[1]) < w[:, None])  # every l < m, m-major
-    m, r, lhs = w[i], r[i], f[i, l]
+    cols = np.broadcast_to(np.arange(f.shape[1]), f.shape)
+    live = cols < w[:, None]  # every l < m, m-major
+    m, r, l, lhs = np.repeat(w, w), np.repeat(r, w), cols[live], f[live]
+    del f  # free the square table before the report columns are built
     idx = p + l - m - r  # negative exactly below the split l < m + r - p
     rhs = np.where(idx >= 0, ctx.inv_fact_np[r] * ctx.inv_fact_np[idx.clip(0)] % p, 0)
     rhs = np.where(r % 2 == 0, -rhs % p, rhs)

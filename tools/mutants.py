@@ -345,9 +345,9 @@ MUTANTS = {
     ),
     "factorial_l_order": (
         CONGRUENCES,
-        "m, r, lhs = w[i], r[i], f[i, l]",
-        "m, r, lhs = w[i], r[i], f[i, w[i] - 1 - l]",
-        "the factorial lemma's left sides run l downward",
+        "np.repeat(r, w), cols[live], f[live]",
+        "np.repeat(r, w), (w[:, None] - 1 - cols)[live], f[live]",
+        "the factorial lemma's l params run downward",
     ),
     "params_in_insertion_order": (
         CLI,
