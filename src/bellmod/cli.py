@@ -5,11 +5,12 @@ prime), ``verify`` sweeps congruence identities over a range of primes and
 emits one report per checked instance, and ``bench`` times the hot kernels
 at a single prime.
 
-Every verifier returns the report blocks of one prime in canonical order,
-and the sweep stable-sorts them by identity before the writer renders and
-writes them block by block, so the output stream is byte-identical no
-matter how many worker processes produced it.  Summaries go to stderr;
-report streams go to stdout or --out.
+Every verifier returns the report blocks of one prime in canonical order.
+``verify`` spools each prime's rendered blocks to one temporary file per
+identity and, once every prime is swept, copies the spools out in identity
+order: the stream is byte-identical for any worker count, memory does not
+grow with the range, and a failed sweep writes nothing.  Summaries go to
+stderr; report streams go to stdout or --out.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import argparse
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import tempfile
+from collections import defaultdict
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, zip_longest
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,6 +57,8 @@ X_ALL_LIMIT = 101
 X_SAMPLE_SIZE = 32
 # at most this many weights are recomputed by the direct s_m loop in bench
 BENCH_SAMPLE = 32
+# verify copies each identity's spool to the output in pieces of this size
+SPOOL_PIECE = 1 << 16
 
 SEQ_FAMILIES = ("bell", "derangement", "stirling", "touchard")
 
@@ -152,8 +156,8 @@ class PrimeTables:
 
 def _touchard(t: PrimeTables) -> list[ReportBlock]:
     p = t.ctx.p
-    n_max = t.cfg.n_max if t.cfg.n_max is not None else p
-    return cg.verify_touchard(t.ctx, min(n_max, p * p - p - 1), t.row)
+    n_max = t.cfg.n_max if t.cfg.n_max is not None else min(p, p * p - p - 1)
+    return cg.verify_touchard(t.ctx, n_max, t.row)
 
 
 def _theorem1(t: PrimeTables) -> list[ReportBlock]:
@@ -205,35 +209,51 @@ def _pool_size(workers: int, n_jobs: int) -> int:
     return max(1, min(workers, n_jobs, os.cpu_count() or 1))
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[ReportBlock]]:
-    """Run every selected verifier over every prime in the range.
-
-    Workers each own whole primes, and the verifiers return the blocks of
-    each (identity, p) in report_sort_key order, so a stable sort of the
-    prime-major blocks by identity yields the canonical order, whatever
-    the worker count.  The counts and the first failure come from the
-    pass masks.
-    """
-    t0 = perf_counter()
-    primes = primes_in_range(cfg.prime_lo, cfg.prime_hi)
+def _prime_blocks(cfg: SweepConfig, primes: list[int]) -> Iterator[list[ReportBlock]]:
+    """The blocks of each prime in range order, each as soon as it is swept;
+    with more than one worker, the pool sweeps ahead of the consumer."""
     jobs = [(p, cfg) for p in primes]
     size = _pool_size(cfg.workers, len(jobs))
-    if size > 1:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            chunks = list(pool.map(_sweep_prime, jobs))
-    else:
-        chunks = [_sweep_prime(job) for job in jobs]
-    blocks = sorted(chain.from_iterable(chunks), key=lambda b: cg._IDENTITY_RANK[b.identity])
-    failing = [b for b in blocks if not b.passed.all()]
-    wall = perf_counter() - t0
-    summary = SweepSummary(
-        primes_checked=len(primes),
-        reports_total=sum(map(len, blocks)),
-        reports_failed=sum(len(b) - np.count_nonzero(b.passed) for b in failing),
-        first_failure=failing[0][int(np.argmin(failing[0].passed))] if failing else None,
-        wall_time=wall,
-    )
-    return summary, blocks
+    if size == 1:
+        yield from map(_sweep_prime, jobs)
+        return
+    # imported here, so that a single-process run does not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield from pool.map(_sweep_prime, jobs)
+
+
+def _sweep(cfg: SweepConfig, take: Callable[[list[ReportBlock]], object]) -> SweepSummary:
+    """Sweep every prime in the range, hand each prime's blocks to take and
+    drop them, and tally the reports from the pass masks.  The first
+    failure is canonical: the lowest identity rank wins, then the earliest
+    prime, since the primes arrive in order."""
+    t0 = perf_counter()
+    primes = primes_in_range(cfg.prime_lo, cfg.prime_hi)
+    if "touchard" in cfg.identities and cfg.n_max is not None and primes:
+        cap = primes[0] * primes[0] - primes[0] - 1  # the lowest prime's cap is the lowest
+        if cfg.n_max > cap:
+            raise IndexTooLargeError(f"--n-max {cfg.n_max} is above p*p - p - 1 = {cap} at p = {primes[0]}")
+    total = failed = 0
+    first = None  # (identity rank, report) of the first failure so far
+    for blocks in _prime_blocks(cfg, primes):
+        for b in blocks:
+            rank, bad = cg._IDENTITY_RANK[b.identity], len(b) - np.count_nonzero(b.passed)
+            total, failed = total + len(b), failed + bad
+            if bad and (first is None or rank < first[0]):
+                first = rank, b[int(np.argmin(b.passed))]
+        take(blocks)
+        blocks = b = None  # no block outlives its prime's turn
+    return SweepSummary(len(primes), total, failed, first[1] if first else None, perf_counter() - t0)
+
+
+def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[ReportBlock]]:
+    """Every selected verifier over every prime in the range; each (identity,
+    p) comes in report_sort_key order, so a stable sort of the prime-major
+    blocks by identity gives the canonical order for any worker count."""
+    chunks = []
+    summary = _sweep(cfg, chunks.append)
+    return summary, sorted(chain.from_iterable(chunks), key=lambda b: cg._IDENTITY_RANK[b.identity])
 
 
 def _side_json(side: tuple[int, ...]) -> str:
@@ -400,11 +420,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         workers=args.workers,
         seed=args.seed,
     )
-    summary, blocks = run_sweep(cfg)
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-        fh.write(render_reports(blocks[:1], args.format))
-        for block in blocks[1:]:
-            fh.write(render_reports([block], args.format, header=False))
+    with ExitStack() as stack:
+        # Identity -> its rendered blocks, in arrival order
+        spools = defaultdict(lambda: stack.enter_context(tempfile.TemporaryFile()))
+
+        def spool(blocks: list[ReportBlock]) -> None:
+            for b in blocks:
+                spools[b.identity].write(render_reports([b], args.format, header=False).encode())
+
+        summary = _sweep(cfg, spool)
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+            fh.write(_CSV_HEADER if args.format == "csv" else "")
+            for identity in sorted(spools, key=cg._IDENTITY_RANK.get):
+                spools[identity].seek(0)
+                while piece := spools[identity].read(SPOOL_PIECE):
+                    fh.write(piece.decode())  # the stream is ASCII
     print(
         f"checked {summary.reports_total} reports across "
         f"{summary.primes_checked} primes in {summary.wall_time:.2f}s; "

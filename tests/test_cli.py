@@ -1,7 +1,10 @@
+import errno
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from operator import attrgetter
 
 import numpy as np
@@ -171,6 +174,30 @@ def test_weight_past_int64(capsys):
             assert len(err.splitlines()) == 1 and "Traceback" not in err, (token, big)
 
 
+def test_n_max_past_the_touchard_cap_is_usage_error(capsys, monkeypatch):
+    # B_{p+n} needs p + n < p**2, so at p = 2 the cap is n <= 1 and at p = 3
+    # it is n <= 5; an explicit --n-max past the lowest prime's cap stops
+    # before any prime is swept
+    def unswept(job):
+        raise AssertionError("a prime was swept")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_sweep_prime", unswept)
+        for primes, n_max, p, cap in (("2..3", "50", 2, 1), ("3..7", "6", 3, 5)):
+            code, out, err = run_main(
+                capsys, "verify", "--identities", "touchard", "--primes", primes, "--n-max", n_max
+            )
+            assert (code, out, err) == (2, "", f"--n-max {n_max} is above p*p - p - 1 = {cap} at p = {p}\n")
+    code, out, err = run_main(capsys, "verify", "--identities", "touchard", "--primes", "3", "--n-max", "5")
+    assert code == 0 and "failures: 0" in err
+    assert out.count(" PASS\n") == len(out.splitlines()) == 6
+    # the default grid n <= min(p, p*p - p - 1) is unchanged: n <= 1 at p = 2
+    code, out, _ = run_main(capsys, "verify", "--identities", "touchard", "--primes", "2")
+    assert code == 0 and [line.split()[2] for line in out.splitlines()] == ["n=0", "n=1"]
+    # --n-max only bounds touchard
+    assert run_main(capsys, "verify", "--identities", "bellp", "--primes", "2..3", "--n-max", "50")[0] == 0
+
+
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):
     def exhausted(p):
         raise MemoryError()
@@ -179,6 +206,42 @@ def test_out_of_memory_is_usage_error(capsys, monkeypatch):
     code, out, err = run_main(capsys, "verify", "--identities", "bellp", "--primes", "3..7")
     assert (code, out) == (2, "")
     assert err == "out of memory\n"
+
+
+@pytest.mark.parametrize("fault", ["memory_at_last_prime", "disk_full"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_failed_sweep_writes_nothing(capsys, monkeypatch, tmp_path, fault, to_file):
+    """The stream is all or nothing: a sweep that fails at its last prime,
+    or a spool that cannot be made, leaves stdout and --out empty."""
+    if fault == "memory_at_last_prime":
+        real = cg.verify_bell_p
+
+        def exhausted(ctx, row):
+            if ctx.p == 13:
+                raise MemoryError()
+            return real(ctx, row)
+
+        monkeypatch.setattr(cg, "verify_bell_p", exhausted)
+        expected = "out of memory\n"
+    else:
+        made = []
+
+        def full(*args, **kwargs):
+            if len(made) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            made.append(real_temporary_file(*args, **kwargs))
+            return made[-1]
+
+        real_temporary_file = cli.tempfile.TemporaryFile
+        monkeypatch.setattr(cli.tempfile, "TemporaryFile", full)
+        expected = "[Errno 28] No space left on device\n"
+    target = tmp_path / "all.csv"
+    argv = ["verify", "--identities", "all", "--primes", "2..13", "--format", "csv"]
+    code, out, err = run_main(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert (code, out, err) == (2, "", expected)
+    assert not target.exists()
+    if fault == "disk_full":
+        assert len(made) == 3 and all(fh.closed for fh in made)
 
 
 def test_repeated_or_reordered_tokens_do_not_change_the_stream(capsys):
@@ -418,6 +481,32 @@ def test_verify_writes_block_by_block(capsys, monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
+def test_verify_holds_one_prime_at_a_time(capsys, monkeypatch, tmp_path, fmt):
+    """Memory is bounded by one prime: once the next prime is being swept,
+    no block of an earlier prime is alive.  Blocks are slotted and take no
+    weak reference, so the check watches the pass mask each block owns."""
+    real = cli._sweep_prime
+    masks = []
+
+    def watched(job):
+        gc.collect()
+        alive = [p for p, mask in masks if mask() is not None]
+        assert not alive, f"blocks of p = {alive} are alive while p = {job[0]} is swept"
+        blocks = real(job)
+        masks.extend((job[0], weakref.ref(b.passed)) for b in blocks)
+        return blocks
+
+    monkeypatch.setattr(cli, "_sweep_prime", watched)
+    target = tmp_path / f"all.{fmt}"
+    code, _, err = run_main(
+        capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", fmt, "--out", str(target),
+    )
+    assert code == 0, err
+    assert len({p for p, _ in masks}) == 11
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
 def test_verify_stream_builds_no_report_rows(capsys, monkeypatch, tmp_path, fmt):
     def unbuilt(*args):
         raise AssertionError("a VerificationReport was built on the sweep path")
@@ -466,6 +555,35 @@ def test_run_sweep_first_failure_is_canonical(monkeypatch):
     fields = attrgetter("identity", "p", "params", "lhs", "rhs", "passed")
     assert fields(summary.first_failure) == fields(failed[0])
     assert (summary.first_failure.p, summary.first_failure.params["m"]) == (3, 1)
+
+
+def test_first_failure_is_canonical_across_identities(capsys, monkeypatch):
+    """theorem2 fails from p = 3 on and theorem1 only at p = 7, so the
+    theorem2 failure arrives first, yet the first failure is theorem1's:
+    the lowest identity rank wins, then the earliest prime."""
+    real_sums, real_weighted = cg.s_m_many, cg.weighted_touchard_sum
+
+    def crooked_sums(ctx, ms, row=None):
+        sums = real_sums(ctx, ms, row)
+        return [(v + 1) % ctx.p for v in sums] if ctx.p == 7 else sums
+
+    def crooked_weighted(ctx, ms, matrix=None):
+        sums = real_weighted(ctx, ms, matrix)
+        sums[:, 2] = (sums[:, 2] + 1) % ctx.p
+        return sums
+
+    monkeypatch.setattr(cg, "s_m_many", crooked_sums)
+    monkeypatch.setattr(cg, "weighted_touchard_sum", crooked_weighted)
+    summary, blocks = run_sweep(SweepConfig(prime_lo=3, prime_hi=7, identities=("theorem2", "theorem1")))
+    failed = [r for b in blocks for r in b if not r.passed]
+    fields = attrgetter("identity", "p", "params", "lhs", "rhs", "passed")
+    assert {r.identity for r in failed} == {Identity.THEOREM1, Identity.THEOREM2_POLY}
+    assert fields(summary.first_failure) == fields(failed[0])
+    assert (summary.first_failure.identity, summary.first_failure.p) == (Identity.THEOREM1, 7)
+    code, out, err = run_main(capsys, "verify", "--identities", "theorem2,theorem1", "--primes", "3..7")
+    first_fail = next(line for line in out.splitlines() if line.endswith("FAIL"))
+    assert code == 1 and first_fail.startswith("THEOREM1 p=7 m=1 ")
+    assert err.splitlines()[1] == f"first failure: {first_fail}"
 
 
 def test_bench(capsys, monkeypatch):

@@ -63,11 +63,11 @@ MUTANTS = {
         "passed = lhs == lhs",
         "every report with int sides passes",
     ),
-    "first_failure_from_last_block": (
+    "first_failure_from_last_identity": (
         CLI,
-        "failing[0][int(np.argmin(failing[0].passed))]",
-        "failing[-1][int(np.argmin(failing[-1].passed))]",
-        "the first failure comes from the last failing block",
+        "if bad and (first is None or rank < first[0]):",
+        "if bad and (first is None or rank > first[0]):",
+        "the first failure comes from the last failing identity",
     ),
     "empty_tuple_dropped": (
         CLI,
@@ -77,19 +77,47 @@ MUTANTS = {
 """,
         "the text and csv polynomial side of the zero polynomial is empty",
     ),
-    "csv_header_per_block": (
+    # the stream spooled per identity and copied out in rank order
+    "csv_header_per_spool": (
         CLI,
-        "fh.write(render_reports([block], args.format, header=False))",
-        "fh.write(render_reports([block], args.format))",
-        "every csv block repeats the header",
+        """            fh.write(_CSV_HEADER if args.format == "csv" else "")
+            for identity in sorted(spools, key=cg._IDENTITY_RANK.get):
+""",
+        """            for identity in sorted(spools, key=cg._IDENTITY_RANK.get):
+                fh.write(_CSV_HEADER if args.format == "csv" else "")
+""",
+        "every identity's spool starts with the csv header",
     ),
-    "one_write": (
+    "spool_read_whole": (
         CLI,
-        """        fh.write(render_reports(blocks[:1], args.format))
-        for block in blocks[1:]:
-            fh.write(render_reports([block], args.format, header=False))""",
-        """        fh.write(render_reports(blocks, args.format))""",
-        "the writer renders the whole stream into one string",
+        "while piece := spools[identity].read(SPOOL_PIECE):",
+        "while piece := spools[identity].read():",
+        "the writer copies each spool as one string",
+    ),
+    "spools_in_arrival_order": (
+        CLI,
+        "for identity in sorted(spools, key=cg._IDENTITY_RANK.get):",
+        "for identity in list(spools):",
+        "the spools are copied out in the order their first block arrived",
+    ),
+    "spools_keyed_by_token": (
+        CLI,
+        "spools[b.identity].write(",
+        "spools[cg.Identity.EQ4_BASE if b.identity is cg.Identity.EQ4_STEP else b.identity].write(",
+        "one spool per token, so EQ4_BASE and EQ4_STEP interleave prime by prime",
+    ),
+    "blocks_kept_past_their_prime": (
+        CLI,
+        """        blocks = b = None  # no block outlives its prime's turn
+""",
+        "",
+        "the last prime's blocks stay alive while the next prime is swept",
+    ),
+    "n_max_cap_unchecked": (
+        CLI,
+        "if cfg.n_max > cap:",
+        "if False:",
+        "an --n-max past the touchard cap reaches the verifier",
     ),
     "m_max_bound_dropped": (
         CLI,
