@@ -6,11 +6,10 @@ emits one report per checked instance, and ``bench`` times the hot kernels
 at a single prime.
 
 Every verifier returns the report blocks of one prime in canonical order.
-``verify`` spools each prime's rendered blocks to one temporary file per
-identity and, once every prime is swept, copies the spools out in identity
-order: the stream is byte-identical for any worker count, memory does not
-grow with the range, and a failed sweep writes nothing.  Summaries go to
-stderr; report streams go to stdout or --out.
+``verify`` spools them rendered, one temporary file per identity, and once
+every prime is swept copies the spools to stdout or --out in identity order:
+the stream is the same for any worker count, memory holds one prime's blocks,
+not the range's, and a failed sweep writes nothing.  Summaries go to stderr.
 """
 
 from __future__ import annotations
@@ -57,7 +56,9 @@ X_ALL_LIMIT = 101
 X_SAMPLE_SIZE = 32
 # at most this many weights are recomputed by the direct s_m loop in bench
 BENCH_SAMPLE = 32
-# verify copies each identity's spool to the output in pieces of this size
+# verify renders blocks this many rows at a time, and copies spools out in
+# pieces of this many bytes
+SPOOL_ROWS = 1 << 15
 SPOOL_PIECE = 1 << 16
 
 SEQ_FAMILIES = ("bell", "derangement", "stirling", "touchard")
@@ -210,24 +211,20 @@ def _pool_size(workers: int, n_jobs: int) -> int:
 
 
 def _prime_blocks(cfg: SweepConfig, primes: list[int]) -> Iterator[list[ReportBlock]]:
-    """The blocks of each prime in range order, each as soon as it is swept;
-    with more than one worker, the pool sweeps ahead of the consumer."""
+    """Each prime's blocks in range order, as soon as the prime is swept."""
     jobs = [(p, cfg) for p in primes]
     size = _pool_size(cfg.workers, len(jobs))
     if size == 1:
         yield from map(_sweep_prime, jobs)
-        return
-    # imported here, so that a single-process run does not pay for it
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        yield from pool.map(_sweep_prime, jobs)
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for it
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            yield from pool.map(_sweep_prime, jobs)
 
 
 def _sweep(cfg: SweepConfig, take: Callable[[list[ReportBlock]], object]) -> SweepSummary:
-    """Sweep every prime in the range, hand each prime's blocks to take and
-    drop them, and tally the reports from the pass masks.  The first
-    failure is canonical: the lowest identity rank wins, then the earliest
-    prime, since the primes arrive in order."""
+    """Sweep the range, handing each prime's blocks to take, then dropping them.  The
+    tally's first failure has the lowest identity rank, then the earliest prime."""
     t0 = perf_counter()
     primes = primes_in_range(cfg.prime_lo, cfg.prime_hi)
     if "touchard" in cfg.identities and cfg.n_max is not None and primes:
@@ -248,9 +245,8 @@ def _sweep(cfg: SweepConfig, take: Callable[[list[ReportBlock]], object]) -> Swe
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[ReportBlock]]:
-    """Every selected verifier over every prime in the range; each (identity,
-    p) comes in report_sort_key order, so a stable sort of the prime-major
-    blocks by identity gives the canonical order for any worker count."""
+    """Every selected verifier over every prime in the range, its blocks
+    stable-sorted by identity into the canonical order."""
     chunks = []
     summary = _sweep(cfg, chunks.append)
     return summary, sorted(chain.from_iterable(chunks), key=lambda b: cg._IDENTITY_RANK[b.identity])
@@ -421,12 +417,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     with ExitStack() as stack:
-        # Identity -> its rendered blocks, in arrival order
-        spools = defaultdict(lambda: stack.enter_context(tempfile.TemporaryFile()))
+        spools = defaultdict(lambda: stack.enter_context(tempfile.TemporaryFile()))  # by Identity
 
         def spool(blocks: list[ReportBlock]) -> None:
             for b in blocks:
-                spools[b.identity].write(render_reports([b], args.format, header=False).encode())
+                for i in range(0, len(b), SPOOL_ROWS):
+                    text = render_reports([b[i : i + SPOOL_ROWS]], args.format, header=False)
+                    spools[b.identity].write(text.encode())
 
         summary = _sweep(cfg, spool)
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:

@@ -134,7 +134,7 @@ class ReportBlock:
     identities, and ``passed`` is the boolean mask of reports that pass.
 
     Indexing or iterating a block yields its reports as VerificationReport
-    rows; the sweep itself never builds them.
+    rows, which the sweep never builds; a slice is the block of its rows.
     """
 
     identity: Identity
@@ -147,7 +147,10 @@ class ReportBlock:
     def __len__(self) -> int:
         return len(self.passed)
 
-    def __getitem__(self, i: int) -> VerificationReport:
+    def __getitem__(self, i: int | slice) -> VerificationReport | ReportBlock:
+        if isinstance(i, slice):
+            params = {k: col[i] for k, col in self.params.items()}
+            return ReportBlock(self.identity, self.p, params, self.lhs[i], self.rhs[i], self.passed[i])
         params = {"p": self.p}
         params.update((k, int(col[i])) for k, col in self.params.items())
         lhs, rhs = self.lhs[i], self.rhs[i]

@@ -507,6 +507,28 @@ def test_verify_holds_one_prime_at_a_time(capsys, monkeypatch, tmp_path, fmt):
 
 
 @pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
+def test_verify_renders_large_blocks_in_slices(capsys, monkeypatch, tmp_path, fmt):
+    """A block longer than SPOOL_ROWS is rendered a slice of rows at a time,
+    so render memory does not grow with the block; the stream is the same."""
+    real = cli.render_reports
+    rendered = []
+
+    def recorded(blocks, fmt, header=True):
+        rendered.extend(map(len, blocks))
+        return real(blocks, fmt, header)
+
+    monkeypatch.setattr(cli, "SPOOL_ROWS", 7)
+    monkeypatch.setattr(cli, "render_reports", recorded)
+    target = tmp_path / f"all.{fmt}"
+    code, _, err = run_main(
+        capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", fmt, "--out", str(target),
+    )
+    assert code == 0, err
+    assert max(rendered) == 7 and sum(rendered) == 23466
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
 def test_verify_stream_builds_no_report_rows(capsys, monkeypatch, tmp_path, fmt):
     def unbuilt(*args):
         raise AssertionError("a VerificationReport was built on the sweep path")

@@ -106,6 +106,18 @@ MUTANTS = {
         "spools[cg.Identity.EQ4_BASE if b.identity is cg.Identity.EQ4_STEP else b.identity].write(",
         "one spool per token, so EQ4_BASE and EQ4_STEP interleave prime by prime",
     ),
+    "spool_rows_overlap": (
+        CLI,
+        "render_reports([b[i : i + SPOOL_ROWS]]",
+        "render_reports([b[i : i + SPOOL_ROWS + 1]]",
+        "each slice of a large block repeats the first row of the next",
+    ),
+    "block_slice_keeps_params": (
+        CONGRUENCES,
+        "params = {k: col[i] for k, col in self.params.items()}",
+        "params = self.params",
+        "a slice of a block keeps every row of its param columns",
+    ),
     "blocks_kept_past_their_prime": (
         CLI,
         """        blocks = b = None  # no block outlives its prime's turn
