@@ -6,10 +6,12 @@ emits one report per checked instance, and ``bench`` times the hot kernels
 at a single prime.
 
 Every verifier returns the report blocks of one prime in canonical order.
-``verify`` spools them rendered, one temporary file per identity, and once
-every prime is swept copies the spools to stdout or --out in identity order:
-the stream is the same for any worker count, memory holds one prime's blocks,
-not the range's, and a failed sweep writes nothing.  Summaries go to stderr.
+``verify`` builds them one identity, and for the m-major identities one
+slice of weights, at a time, spools each rendered to one temporary file per
+identity and drops it before the next is built; once every prime is swept
+it copies the spools to stdout or --out in identity order.  The stream is
+the same for any worker count, memory holds one block, not the prime's or
+the range's, and a failed sweep writes nothing.  Summaries go to stderr.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ import os
 import random
 import sys
 import tempfile
-from collections import defaultdict
+from collections import defaultdict, deque
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, zip_longest
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -56,9 +58,10 @@ X_ALL_LIMIT = 101
 X_SAMPLE_SIZE = 32
 # at most this many weights are recomputed by the direct s_m loop in bench
 BENCH_SAMPLE = 32
-# verify renders blocks this many rows at a time, and copies spools out in
-# pieces of this many bytes
-SPOOL_ROWS = 1 << 15
+# verify renders at most this many cells per call, a scalar row being one
+# cell and a polynomial row its lhs and rhs coefficients, and copies spools
+# out in pieces of this many bytes
+SPOOL_ROWS = 1 << 12
 SPOOL_PIECE = 1 << 16
 
 SEQ_FAMILIES = ("bell", "derangement", "stirling", "touchard")
@@ -155,6 +158,20 @@ class PrimeTables:
         return _x_grid(self.cfg, self.ctx.p)
 
 
+def _by_weight_slice(
+    verify: Callable[[PrimeTables, list[int], slice], list[ReportBlock]],
+) -> Callable[[PrimeTables], Iterator[ReportBlock]]:
+    """verify(t, ms, rows) run one cg.WEIGHT_BLOCK of weights at a time: ms
+    are the weights and rows their slice of the grid, to pick table rows."""
+
+    def run(t: PrimeTables) -> Iterator[ReportBlock]:
+        for lo in range(0, len(t.ms), cg.WEIGHT_BLOCK):
+            rows = slice(lo, lo + cg.WEIGHT_BLOCK)
+            yield from verify(t, t.ms[rows], rows)
+
+    return run
+
+
 def _touchard(t: PrimeTables) -> list[ReportBlock]:
     p = t.ctx.p
     n_max = t.cfg.n_max if t.cfg.n_max is not None else min(p, p * p - p - 1)
@@ -178,29 +195,38 @@ def _intro(t: PrimeTables) -> list[ReportBlock]:
 # sweep walks this dict in its own order, which is the Identity order.
 # Entries look up the verifiers and table builders at call time, never
 # binding them at import, so a wrapper put on those names sees the calls.
-IDENTITIES: dict[str, Callable[[PrimeTables], list[ReportBlock]]] = {
+# The sliced verifiers emit m-major, so their slices keep canonical order;
+# eq10 stays whole, since its R_m recurrence runs up from m = 1.
+IDENTITIES: dict[str, Callable[[PrimeTables], Iterable[ReportBlock]]] = {
     "touchard": _touchard,
     "theorem1": _theorem1,
     "intro": _intro,
     "corollary": lambda t: cg.verify_corollary(t.ctx, t.row),
     "eq4": lambda t: cg.verify_eq4(t.ctx, t.row) if t.ctx.p >= 3 else [],
     "bellp": lambda t: cg.verify_bell_p(t.ctx, t.row),
-    "theorem2": lambda t: cg.verify_theorem2(t.ctx, t.ms, t.sums),
+    "theorem2": _by_weight_slice(lambda t, ms, rows: cg.verify_theorem2(t.ctx, ms, t.sums[rows])),
     "eq10": lambda t: cg.verify_theorem2_eval(t.ctx, t.ms, t.xs, t.values),
     "special": lambda t: cg.verify_special_cases(t.ctx, t.xs, t.values),
-    "intermediate": lambda t: cg.verify_proof_intermediate(t.ctx, t.ms, t.sums),
-    "factorial": lambda t: cg.verify_factorial_lemma(t.ctx, t.ms),
-    "geometric": lambda t: cg.geometric_sum_lemma_check(t.ctx, t.ms),
+    "intermediate": _by_weight_slice(
+        lambda t, ms, rows: cg.verify_proof_intermediate(t.ctx, ms, t.sums[rows])
+    ),
+    "factorial": _by_weight_slice(lambda t, ms, rows: cg.verify_factorial_lemma(t.ctx, ms)),
+    "geometric": _by_weight_slice(lambda t, ms, rows: cg.geometric_sum_lemma_check(t.ctx, ms)),
 }
 
 
-def _sweep_prime(job: tuple[int, SweepConfig]) -> list[ReportBlock]:
-    """All report blocks for one prime; the unit of parallelism."""
+def _sweep_prime(job: tuple[int, SweepConfig]) -> Iterator[ReportBlock]:
+    """One prime's report blocks, one identity at a time; the unit of parallelism."""
     p, cfg = job
     tables = PrimeTables(p, cfg)
-    return [
-        b for token, verify in IDENTITIES.items() if token in cfg.identities for b in verify(tables)
-    ]
+    for token, verify in IDENTITIES.items():
+        if token in cfg.identities:
+            yield from verify(tables)
+
+
+def _swept(job: tuple[int, SweepConfig]) -> list[ReportBlock]:
+    """One prime's blocks as a list, which a worker process can send back."""
+    return list(_sweep_prime(job))
 
 
 def _pool_size(workers: int, n_jobs: int) -> int:
@@ -210,21 +236,31 @@ def _pool_size(workers: int, n_jobs: int) -> int:
     return max(1, min(workers, n_jobs, os.cpu_count() or 1))
 
 
-def _prime_blocks(cfg: SweepConfig, primes: list[int]) -> Iterator[list[ReportBlock]]:
-    """Each prime's blocks in range order, as soon as the prime is swept."""
+def _prime_blocks(cfg: SweepConfig, primes: list[int]) -> Iterator[ReportBlock]:
+    """The primes' blocks in range order, each as soon as it is built.  A
+    pool keeps at most its size of primes in flight while the consumer
+    takes the oldest swept one, so swept primes do not queue up."""
     jobs = [(p, cfg) for p in primes]
     size = _pool_size(cfg.workers, len(jobs))
     if size == 1:
-        yield from map(_sweep_prime, jobs)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for it
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            yield from pool.map(_sweep_prime, jobs)
+        for job in jobs:
+            yield from _sweep_prime(job)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # only a pool pays for it
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        ahead = deque()
+        for job in jobs:
+            ahead.append(pool.submit(_swept, job))
+            if len(ahead) > size:
+                yield from ahead.popleft().result()
+        while ahead:
+            yield from ahead.popleft().result()
 
 
-def _sweep(cfg: SweepConfig, take: Callable[[list[ReportBlock]], object]) -> SweepSummary:
-    """Sweep the range, handing each prime's blocks to take, then dropping them.  The
-    tally's first failure has the lowest identity rank, then the earliest prime."""
+def _sweep(cfg: SweepConfig, take: Callable[[ReportBlock], object]) -> SweepSummary:
+    """Sweep the range, handing each block to take and dropping it before the next
+    is built.  The tally's first failure has the lowest identity rank, then the
+    earliest prime."""
     t0 = perf_counter()
     primes = primes_in_range(cfg.prime_lo, cfg.prime_hi)
     if "touchard" in cfg.identities and cfg.n_max is not None and primes:
@@ -233,23 +269,22 @@ def _sweep(cfg: SweepConfig, take: Callable[[list[ReportBlock]], object]) -> Swe
             raise IndexTooLargeError(f"--n-max {cfg.n_max} is above p*p - p - 1 = {cap} at p = {primes[0]}")
     total = failed = 0
     first = None  # (identity rank, report) of the first failure so far
-    for blocks in _prime_blocks(cfg, primes):
-        for b in blocks:
-            rank, bad = cg._IDENTITY_RANK[b.identity], len(b) - np.count_nonzero(b.passed)
-            total, failed = total + len(b), failed + bad
-            if bad and (first is None or rank < first[0]):
-                first = rank, b[int(np.argmin(b.passed))]
-        take(blocks)
-        blocks = b = None  # no block outlives its prime's turn
+    for b in _prime_blocks(cfg, primes):
+        rank, bad = cg._IDENTITY_RANK[b.identity], len(b) - np.count_nonzero(b.passed)
+        total, failed = total + len(b), failed + bad
+        if bad and (first is None or rank < first[0]):
+            first = rank, b[int(np.argmin(b.passed))]
+        take(b)
+        b = None  # no block outlives its turn
     return SweepSummary(len(primes), total, failed, first[1] if first else None, perf_counter() - t0)
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[ReportBlock]]:
     """Every selected verifier over every prime in the range, its blocks
     stable-sorted by identity into the canonical order."""
-    chunks = []
-    summary = _sweep(cfg, chunks.append)
-    return summary, sorted(chain.from_iterable(chunks), key=lambda b: cg._IDENTITY_RANK[b.identity])
+    blocks = []
+    summary = _sweep(cfg, blocks.append)
+    return summary, sorted(blocks, key=lambda b: cg._IDENTITY_RANK[b.identity])
 
 
 def _side_json(side: tuple[int, ...]) -> str:
@@ -277,7 +312,9 @@ def _render_block(b: ReportBlock, fmt: str) -> str:
     params = [b.params[k].tolist() for k in keys]
     if isinstance(b.lhs, list):
         show = _side_json if fmt == "jsonl" else _side_flat
-        side, lhs, rhs = "%s", list(map(show, b.lhs)), list(map(show, b.rhs))
+        lhs = list(map(show, b.lhs))
+        # a passing row's sides are equal tuples, so render its side once
+        side, rhs = "%s", [text if x == y else show(y) for text, x, y in zip(lhs, b.lhs, b.rhs)]
     else:
         side, lhs, rhs = '"%d"' if fmt == "jsonl" else "%d", b.lhs.tolist(), b.rhs.tolist()
     words = _PASS_WORDS[fmt]
@@ -419,11 +456,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         spools = defaultdict(lambda: stack.enter_context(tempfile.TemporaryFile()))  # by Identity
 
-        def spool(blocks: list[ReportBlock]) -> None:
-            for b in blocks:
-                for i in range(0, len(b), SPOOL_ROWS):
-                    text = render_reports([b[i : i + SPOOL_ROWS]], args.format, header=False)
-                    spools[b.identity].write(text.encode())
+        def spool(b: ReportBlock) -> None:
+            # cells of the widest row: a polynomial row's coefficients, or 1
+            poly = isinstance(b.lhs, list)
+            width = max([1, *(len(x) + len(y) for x, y in zip(b.lhs, b.rhs))]) if poly else 1
+            rows = max(1, SPOOL_ROWS // width)
+            for i in range(0, len(b), rows):
+                text = render_reports([b[i : i + rows]], args.format, header=False)
+                spools[b.identity].write(text.encode())
 
         summary = _sweep(cfg, spool)
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:

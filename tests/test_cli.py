@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import gc
 import hashlib
@@ -5,6 +6,8 @@ import json
 import subprocess
 import sys
 import weakref
+from collections import Counter
+from concurrent.futures import Future
 from operator import attrgetter
 
 import numpy as np
@@ -24,7 +27,7 @@ from bellmod.cli import (
     run_sweep,
 )
 from bellmod.congruences import Identity, report_sort_key
-from bellmod.modarith import DensePoly, make_context
+from bellmod.modarith import DensePoly, make_context, primes_in_range
 
 
 def run_main(capsys, *argv):
@@ -480,30 +483,110 @@ def test_verify_writes_block_by_block(capsys, monkeypatch, fmt):
     assert max(map(len, chunks)) <= max(len(render_reports([b], fmt)) for b in blocks) < len(stream)
 
 
+# every verifier the sweep calls, each returning the blocks of one call
+SWEPT_VERIFIERS = [name for name in cg.__all__ if name.startswith("verify_")] + ["geometric_sum_lemma_check"]
+
+
 @pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
 def test_verify_holds_one_prime_at_a_time(capsys, monkeypatch, tmp_path, fmt):
-    """Memory is bounded by one prime: once the next prime is being swept,
-    no block of an earlier prime is alive.  Blocks are slotted and take no
-    weak reference, so the check watches the pass mask each block owns."""
+    """Memory is bounded by one verifier call: once a block of the next
+    call is built, no block of an earlier call, at this prime or an earlier
+    one, is alive.  A WEIGHT_BLOCK of 7 makes the m-major identities one
+    call per slice of weights.  Blocks are slotted and take no weak
+    reference, so the check watches the pass mask each block owns."""
+    calls = []  # (p, weak refs to the pass masks of its blocks) per verifier call
+
+    def counted(real):
+        def verify(ctx, *args):
+            blocks = real(ctx, *args)
+            calls.append((ctx.p, [weakref.ref(b.passed) for b in blocks]))
+            return blocks
+
+        return verify
+
+    def alive(earlier):
+        return [p for p, masks in earlier if any(mask() is not None for mask in masks)]
+
     real = cli._sweep_prime
-    masks = []
 
     def watched(job):
-        gc.collect()
-        alive = [p for p, mask in masks if mask() is not None]
-        assert not alive, f"blocks of p = {alive} are alive while p = {job[0]} is swept"
-        blocks = real(job)
-        masks.extend((job[0], weakref.ref(b.passed)) for b in blocks)
-        return blocks
+        for b in real(job):
+            assert any(mask() is b.passed for mask in calls[-1][1]), "a block of an uncounted call"
+            if alive(calls[:-1]):
+                gc.collect()  # blocks hold no cycles; collect only to rule one out
+            assert not alive(calls[:-1]), f"blocks of p = {alive(calls[:-1])} outlive their turn"
+            yield b
 
+    for name in SWEPT_VERIFIERS:
+        monkeypatch.setattr(cg, name, counted(getattr(cg, name)))
+    monkeypatch.setattr(cg, "WEIGHT_BLOCK", 7)
     monkeypatch.setattr(cli, "_sweep_prime", watched)
     target = tmp_path / f"all.{fmt}"
     code, _, err = run_main(
         capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", fmt, "--out", str(target),
     )
     assert code == 0, err
-    assert len({p for p, _ in masks}) == 11
+    assert len({p for p, _ in calls}) == 11
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt, workers", PINNED_RUNS)
+def test_weight_slices_keep_the_stream(capsys, monkeypatch, tmp_path, fmt, workers):
+    """theorem2, intermediate, factorial and geometric are swept one
+    WEIGHT_BLOCK of weights at a time, theorem2 and intermediate with the
+    matching rows of the weighted sums.  At the default block no grid of
+    2..31 spans two slices; at 7, every grid from p = 5 on does, and the
+    stream is still the pinned one."""
+    monkeypatch.setattr(cg, "WEIGHT_BLOCK", 7)
+    target = tmp_path / f"all.{fmt}"
+    code, _, err = run_main(
+        capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", fmt,
+        "--workers", workers, "--out", str(target),
+    )
+    assert code == 0, err
+    assert "checked 23466 reports across 11 primes" in err
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
+    _, blocks = run_sweep(
+        SweepConfig(prime_lo=29, prime_hi=31, identities=tuple(IDENTITIES), workers=int(workers))
+    )
+    sliced = (Identity.THEOREM2_POLY, Identity.PROOF_INTERMEDIATE, Identity.FACTORIAL_LEMMA, Identity.GEOMETRIC_SUM)
+    count = Counter((b.identity, b.p) for b in blocks)
+    # 56 and 60 weights, seven to a slice
+    assert [count[identity, p] for p in (29, 31) for identity in sliced] == [8] * 4 + [9] * 4
+
+
+def test_pool_keeps_at_most_its_size_of_primes_in_flight(monkeypatch):
+    """With a pool, the sweep runs at most the pool's size of primes ahead
+    of the prime whose blocks are being taken, so swept primes do not queue
+    up in the parent.  An executor that sweeps each job as it is submitted
+    is the worst case: nothing ever waits for a worker."""
+    submitted = []
+
+    class Eager:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, job):
+            submitted.append(job[0])
+            future = Future()
+            future.set_result(fn(job))
+            return future
+
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Eager)
+    primes = primes_in_range(2, 31)
+    taken = []
+    for b in cli._prime_blocks(SweepConfig(prime_lo=2, prime_hi=31, identities=("bellp",), workers=2), primes):
+        ahead = submitted[submitted.index(b.p) + 1 :]
+        assert len(ahead) == min(2, len(primes) - 1 - primes.index(b.p)), (b.p, ahead)
+        taken.append(b.p)
+    assert taken == submitted == primes
 
 
 @pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
@@ -526,6 +609,38 @@ def test_verify_renders_large_blocks_in_slices(capsys, monkeypatch, tmp_path, fm
     assert code == 0, err
     assert max(rendered) == 7 and sum(rendered) == 23466
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
+
+
+def test_verify_renders_at_most_spool_rows_cells(capsys, monkeypatch, tmp_path):
+    """SPOOL_ROWS bounds the cells of one render call, not its rows: a
+    scalar row is one cell and a polynomial row its lhs and rhs
+    coefficients, so a call holds at most max(1, SPOOL_ROWS // width) rows
+    of a block whose widest row has width cells."""
+    _, blocks = run_sweep(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
+    widths = {
+        (b.identity, b.p): max(len(x) + len(y) for x, y in zip(b.lhs, b.rhs))
+        for b in blocks
+        if isinstance(b.lhs, list)
+    }
+    real = cli.render_reports
+    calls = []
+
+    def recorded(blocks, fmt, header=True):
+        calls.extend((b.identity, b.p, len(b)) for b in blocks)
+        return real(blocks, fmt, header)
+
+    monkeypatch.setattr(cli, "SPOOL_ROWS", 64)
+    monkeypatch.setattr(cli, "render_reports", recorded)
+    target = tmp_path / "all.jsonl"
+    code, _, err = run_main(
+        capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", "jsonl", "--out", str(target),
+    )
+    assert code == 0, err
+    poly = [(rows, widths[identity, p]) for identity, p, rows in calls if (identity, p) in widths]
+    assert all(rows <= max(1, 64 // width) for rows, width in poly)
+    assert max(rows for rows, _ in poly) > 1 and max(rows for _, _, rows in calls) == 64
+    assert sum(rows for _, _, rows in calls) == 23466
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256["jsonl"]
 
 
 @pytest.mark.parametrize("fmt", ALL_2_31_SHA256)

@@ -39,8 +39,8 @@ SEQUENCES = "src/bellmod/sequences.py"
 MUTANTS = {
     "sort_key_dropped": (
         CLI,
-        "sorted(chain.from_iterable(chunks), key=lambda b: cg._IDENTITY_RANK[b.identity])",
-        "list(chain.from_iterable(chunks))",
+        "sorted(blocks, key=lambda b: cg._IDENTITY_RANK[b.identity])",
+        "list(blocks)",
         "run_sweep keeps the prime-major block order",
     ),
     "corollary_order_swapped": (
@@ -108,9 +108,21 @@ MUTANTS = {
     ),
     "spool_rows_overlap": (
         CLI,
-        "render_reports([b[i : i + SPOOL_ROWS]]",
-        "render_reports([b[i : i + SPOOL_ROWS + 1]]",
+        "render_reports([b[i : i + rows]]",
+        "render_reports([b[i : i + rows + 1]]",
         "each slice of a large block repeats the first row of the next",
+    ),
+    "budget_ignores_width": (
+        CLI,
+        "rows = max(1, SPOOL_ROWS // width)",
+        "rows = SPOOL_ROWS",
+        "a render call takes SPOOL_ROWS rows, however wide they are",
+    ),
+    "shared_side_for_failing_rows": (
+        CLI,
+        "[text if x == y else show(y) for text, x, y in zip(lhs, b.lhs, b.rhs)]",
+        "[text if len(x) == len(y) else show(y) for text, x, y in zip(lhs, b.lhs, b.rhs)]",
+        "a failing polynomial row whose sides have one length shows its lhs as rhs",
     ),
     "block_slice_keeps_params": (
         CONGRUENCES,
@@ -118,12 +130,38 @@ MUTANTS = {
         "params = self.params",
         "a slice of a block keeps every row of its param columns",
     ),
-    "blocks_kept_past_their_prime": (
+    "block_kept_past_its_turn": (
         CLI,
-        """        blocks = b = None  # no block outlives its prime's turn
+        """        b = None  # no block outlives its turn
 """,
         "",
-        "the last prime's blocks stay alive while the next prime is swept",
+        "the last block taken stays alive while the next is built",
+    ),
+    "sweep_keeps_prime_blocks": (
+        CLI,
+        "    for b in _prime_blocks(cfg, primes):",
+        "    for b in chain.from_iterable(list(_prime_blocks(cfg, [q])) for q in primes):",
+        "_sweep holds each prime's blocks in a list while it takes them",
+    ),
+    "look_ahead_never_popped": (
+        CLI,
+        """            if len(ahead) > size:
+                yield from ahead.popleft().result()
+""",
+        "",
+        "the pool submits every prime before the first one is taken",
+    ),
+    "slice_sums_misaligned": (
+        CLI,
+        "cg.verify_theorem2(t.ctx, ms, t.sums[rows])",
+        "cg.verify_theorem2(t.ctx, ms, t.sums[: len(ms)])",
+        "every theorem2 slice gets the weighted sums of the first weights",
+    ),
+    "intermediate_sums_misaligned": (
+        CLI,
+        "cg.verify_proof_intermediate(t.ctx, ms, t.sums[rows])",
+        "cg.verify_proof_intermediate(t.ctx, ms, t.sums[-len(ms) :])",
+        "every intermediate slice gets the weighted sums of the last weights",
     ),
     "n_max_cap_unchecked": (
         CLI,
@@ -447,8 +485,13 @@ MUTANTS = {
     # the identity registry and the tables of one prime
     "walk_cfg_identities": (
         CLI,
-        "b for token, verify in IDENTITIES.items() if token in cfg.identities for b in verify(tables)",
-        "b for token in cfg.identities for b in IDENTITIES[token](tables)",
+        """    for token, verify in IDENTITIES.items():
+        if token in cfg.identities:
+            yield from verify(tables)
+""",
+        """    for token in cfg.identities:
+        yield from IDENTITIES[token](tables)
+""",
         "the sweep runs the tokens in command-line order, repeats included",
     ),
     "eq10_reads_matrix": (
