@@ -462,6 +462,28 @@ def test_verify_all_stream_is_pinned(capsys, tmp_path, fmt, workers):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
 
 
+# sha256 of `verify --identities theorem2,intermediate --primes 257..263` per
+# format: 512 and 524 weights, so 2 and 3 slices of the default WEIGHT_BLOCK,
+# which no grid of 2..31 spans
+POLY_257_263_SHA256 = {
+    "jsonl": "bcf1616a8c125ebf873f2a4acce646659c0d87b0202855743573f27ba80cabaf",
+    "text": "815013b4d87c4fe24f84d3bea2e793d795a459241fbc2579122f37253e2b012c",
+    "csv": "245f5dd874211644ed5ad34281b60ee9310e6355763d51f267790d27d48f1011",
+}
+
+
+@pytest.mark.parametrize("fmt, workers", PINNED_RUNS)
+def test_verify_polynomial_stream_is_pinned(capsys, tmp_path, fmt, workers):
+    target = tmp_path / f"poly.{fmt}"
+    code, _, err = run_main(
+        capsys, "verify", "--identities", "theorem2,intermediate", "--primes", "257..263",
+        "--format", fmt, "--workers", workers, "--out", str(target),
+    )
+    assert code == 0, err
+    assert "checked 2072 reports across 2 primes" in err
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == POLY_257_263_SHA256[fmt]
+
+
 @pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
 def test_verify_writes_block_by_block(capsys, monkeypatch, fmt):
     """The writer never holds the whole stream: no single write is longer
