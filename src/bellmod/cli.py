@@ -25,7 +25,7 @@ from collections import defaultdict, deque
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import chain
 from time import perf_counter
 from typing import Callable, Iterable, Iterator
 
@@ -59,8 +59,8 @@ X_SAMPLE_SIZE = 32
 # at most this many weights are recomputed by the direct s_m loop in bench
 BENCH_SAMPLE = 32
 # verify renders at most this many cells per call, a scalar row being one
-# cell and a polynomial row its lhs and rhs coefficients, and copies spools
-# out in pieces of this many bytes
+# cell and a polynomial row its lhs and rhs coefficient columns, and copies
+# spools out in pieces of this many bytes
 SPOOL_ROWS = 1 << 12
 SPOOL_PIECE = 1 << 16
 
@@ -306,15 +306,16 @@ _PASS_WORDS = {"text": ("FAIL", "PASS"), "jsonl": ("false", "true"), "csv": ("fa
 
 def _render_block(b: ReportBlock, fmt: str) -> str:
     """Every line of one block through one %-template: the identity and p
-    are written into it, params and int sides fill %d slots, and
+    are written into it, params and scalar sides fill %d slots, and
     polynomial sides and pass words fill %s slots."""
     keys = [k for k in cg.PARAM_ORDER if k in b.params]
     params = [b.params[k].tolist() for k in keys]
-    if isinstance(b.lhs, list):
+    if b.lhs.ndim == 2:
         show = _side_json if fmt == "jsonl" else _side_flat
-        lhs = list(map(show, b.lhs))
-        # a passing row's sides are equal tuples, so render its side once
-        side, rhs = "%s", [text if x == y else show(y) for text, x, y in zip(lhs, b.lhs, b.rhs)]
+        lhs = list(map(show, cg._coeff_tuples(b.lhs)))
+        # a row whose sides are equal renders its side once
+        same = (b.lhs == b.rhs).all(axis=1).tolist()
+        side, rhs = "%s", [text if s else show(y) for text, s, y in zip(lhs, same, cg._coeff_tuples(b.rhs))]
     else:
         side, lhs, rhs = '"%d"' if fmt == "jsonl" else "%d", b.lhs.tolist(), b.rhs.tolist()
     words = _PASS_WORDS[fmt]
@@ -356,14 +357,17 @@ def _describe_failure(r: VerificationReport) -> str:
     """The text line of a failing report; for a polynomial-valued one, also
     the first coefficient index where the sides differ, a missing
     coefficient counting as 0."""
-    side = list if isinstance(r.lhs, tuple) else np.array
     params = {k: np.array([v]) for k, v in r.params.items() if k != "p"}
-    row = ReportBlock(r.identity, r.p, params, side([r.lhs]), side([r.rhs]), np.array([r.passed]))
+    if isinstance(r.lhs, tuple):  # zero-padded to one coefficient row of one width
+        width = max(len(r.lhs), len(r.rhs))
+        lhs, rhs = (np.array([side + (0,) * (width - len(side))], dtype=np.int64) for side in (r.lhs, r.rhs))
+    else:
+        lhs, rhs = np.array([r.lhs]), np.array([r.rhs])
+    row = ReportBlock(r.identity, r.p, params, lhs, rhs, np.array([r.passed]))
     line = render_reports([row], "text").strip()
-    if isinstance(r.lhs, tuple) and isinstance(r.rhs, tuple):
-        for i, (a, b) in enumerate(zip_longest(r.lhs, r.rhs, fillvalue=0)):
-            if a != b:
-                return f"{line}; first differing coefficient: index {i} (lhs {a}, rhs {b})"
+    if lhs.ndim == 2 and (lhs != rhs).any():
+        i = int(np.argmax(lhs[0] != rhs[0]))
+        return f"{line}; first differing coefficient: index {i} (lhs {lhs[0, i]}, rhs {rhs[0, i]})"
     return line
 
 
@@ -437,6 +441,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"--x must be an integer or 'all', got {args.x!r}", file=sys.stderr)
             return 2
+    if args.m is not None and args.m_max is not None:
+        print("--m checks one weight, so it takes no --m-max", file=sys.stderr)
+        return 2
     bounds = (("--m", args.m, 1), ("--m-max", args.m_max, 1), ("--n-max", args.n_max, 0))
     for flag, value, low in (*bounds, ("--workers", args.workers, 1)):
         if value is not None and value < low:
@@ -457,9 +464,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         spools = defaultdict(lambda: stack.enter_context(tempfile.TemporaryFile()))  # by Identity
 
         def spool(b: ReportBlock) -> None:
-            # cells of the widest row: a polynomial row's coefficients, or 1
-            poly = isinstance(b.lhs, list)
-            width = max([1, *(len(x) + len(y) for x, y in zip(b.lhs, b.rhs))]) if poly else 1
+            # cells of a row: a polynomial row's coefficient columns, or 1
+            width = max(1, 2 * b.lhs.shape[1]) if b.lhs.ndim == 2 else 1
             rows = max(1, SPOOL_ROWS // width)
             for i in range(0, len(b), rows):
                 text = render_reports([b[i : i + rows]], args.format, header=False)

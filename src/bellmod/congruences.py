@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import eq
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -102,9 +101,9 @@ _IDENTITY_RANK = {ident: i for i, ident in enumerate(Identity)}
 # canonical key order for params, report sorting and serialization
 PARAM_ORDER = ("m", "n", "x", "k", "l", "j", "r")
 
-# weights handled per block by the batched Touchard-sum kernels: a block
-# holds one (block x p) array of powers of u, and theorem2 builds its sides
-# one (block x (p + max m)) array at a time, whatever the number of weights
+# weights per block: the weighted-power kernel holds one (block x p) array
+# of powers of u at a time, and the sweep runs its m-major identities one
+# block of weights at a time, whatever the number of weights
 WEIGHT_BLOCK = 256
 
 
@@ -112,9 +111,9 @@ WEIGHT_BLOCK = 256
 class VerificationReport:
     """One checked instance of one identity at one prime.
 
-    ``lhs`` and ``rhs`` are canonical residues (ints), or tuples of them
-    for polynomial-valued identities.  ``params`` always includes ``p``,
-    mirrored in the dedicated field for convenience.
+    ``lhs`` and ``rhs`` are canonical residues (ints), or for polynomial-valued
+    identities tuples of them with trailing zeros stripped.  ``params`` always
+    includes ``p``, mirrored in the dedicated field for convenience.
     """
 
     identity: Identity
@@ -130,8 +129,9 @@ class ReportBlock:
     """The reports of one identity at one prime with one set of params, as
     columns: ``params`` maps each param name to an integer array with one
     entry per report, in report_sort_key order.  ``lhs`` and ``rhs`` are
-    int64 arrays, or lists of coefficient tuples for polynomial-valued
-    identities, and ``passed`` is the boolean mask of reports that pass.
+    int64 arrays of one shape, one entry per report or, for polynomial-valued
+    identities, one zero-padded row of coefficients per report; ``passed``
+    is the boolean mask of reports that pass.
 
     Indexing or iterating a block yields its reports as VerificationReport
     rows, which the sweep never builds; a slice is the block of its rows.
@@ -140,8 +140,8 @@ class ReportBlock:
     identity: Identity
     p: int
     params: dict[str, np.ndarray]
-    lhs: np.ndarray | list[tuple[int, ...]]
-    rhs: np.ndarray | list[tuple[int, ...]]
+    lhs: np.ndarray
+    rhs: np.ndarray
     passed: np.ndarray
 
     def __len__(self) -> int:
@@ -154,7 +154,9 @@ class ReportBlock:
         params = {"p": self.p}
         params.update((k, int(col[i])) for k, col in self.params.items())
         lhs, rhs = self.lhs[i], self.rhs[i]
-        if not isinstance(lhs, tuple):
+        if self.lhs.ndim == 2:
+            lhs, rhs = _coeff_tuples(np.stack([lhs, rhs]))
+        else:
             lhs, rhs = int(lhs), int(rhs)
         return VerificationReport(self.identity, self.p, params, lhs, rhs, bool(self.passed[i]))
 
@@ -163,12 +165,12 @@ class ReportBlock:
 
 
 def _block(identity: Identity, ctx: PrimeContext, params: dict, lhs, rhs) -> ReportBlock:
-    """A block whose pass mask compares the sides: elementwise for arrays,
-    tuple by tuple for polynomial sides."""
-    if isinstance(lhs, list):
-        passed = np.fromiter(map(eq, lhs, rhs), bool, len(lhs))
-    else:
-        passed = lhs == rhs
+    """A block whose pass mask compares the sides report by report: entry
+    by entry, or all of a row's coefficients.  Sides of two shapes raise
+    ValueError, since they would broadcast into a wrong mask."""
+    if lhs.shape != rhs.shape:
+        raise ValueError(f"report sides of shapes {lhs.shape} and {rhs.shape}")
+    passed = (lhs == rhs).all(axis=tuple(range(1, lhs.ndim)))
     return ReportBlock(identity, ctx.p, params, lhs, rhs, passed)
 
 
@@ -468,8 +470,8 @@ def _coeff_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
     """Each row of coefficients as a tuple of ints with its trailing zeros
     stripped, so a zero row gives ().  Rows are converted one at a time, so
     no list of the whole array is held next to the tuples."""
-    nonzero = rows != 0
-    lens = np.where(nonzero.any(axis=1), rows.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0)
+    # a row's length is the largest 1-based column of a nonzero entry
+    lens = (np.arange(1, rows.shape[1] + 1) * (rows != 0)).max(axis=1, initial=0)
     return [tuple(row[:n].tolist()) for row, n in zip(rows, lens.tolist())]
 
 
@@ -543,15 +545,11 @@ def theorem2_rhs(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
 def verify_theorem2(
     ctx: PrimeContext, ms: Sequence[int], sums: np.ndarray
 ) -> list[ReportBlock]:
-    """Compare both sides of the polynomial congruence as coefficient
-    tuples at every weight of ms, given their weighted Touchard sums from
-    weighted_touchard_sum; they agree identically in x when the identity
-    holds.  Both sides are built WEIGHT_BLOCK weights at a time."""
-    lhs, rhs = [], []
-    for lo in range(0, len(ms), WEIGHT_BLOCK):
-        block = ms[lo : lo + WEIGHT_BLOCK]
-        lhs += _coeff_tuples(theorem2_lhs(ctx, block, sums[lo : lo + WEIGHT_BLOCK]))
-        rhs += _coeff_tuples(theorem2_rhs(ctx, block))
+    """Compare both sides of the polynomial congruence coefficient by
+    coefficient at every weight of ms, given their weighted Touchard sums
+    from weighted_touchard_sum; they agree identically in x when the
+    identity holds."""
+    lhs, rhs = theorem2_lhs(ctx, ms, sums), theorem2_rhs(ctx, ms)
     return [_block(Identity.THEOREM2_POLY, ctx, {"m": np.asarray(ms)}, lhs, rhs)]
 
 
@@ -643,8 +641,7 @@ def verify_proof_intermediate(
     """Compare each weight's direct weighted Touchard sum, from
     weighted_touchard_sum, against its closed form."""
     params = {"m": np.asarray(ms), "r": -_require_units(ctx, ms) % ctx.p}
-    lhs, rhs = _coeff_tuples(sums), _coeff_tuples(proof_intermediate(ctx, ms))
-    return [_block(Identity.PROOF_INTERMEDIATE, ctx, params, lhs, rhs)]
+    return [_block(Identity.PROOF_INTERMEDIATE, ctx, params, sums, proof_intermediate(ctx, ms))]
 
 
 def verify_factorial_lemma(ctx: PrimeContext, ms: Sequence[int]) -> list[ReportBlock]:

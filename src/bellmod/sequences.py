@@ -18,6 +18,7 @@ from .modarith import (
     PrimeContext,
     Residue,
     binomial_mod,
+    powers_mod,
 )
 
 __all__ = [
@@ -319,11 +320,7 @@ def touchard_value_table(ctx: PrimeContext, matrix: np.ndarray | None = None) ->
     p = ctx.p
     if matrix is None:
         matrix = touchard_coeff_matrix(ctx)
-    powers = np.zeros((p, p), dtype=np.int64)
-    powers[0, :] = 1 % p
-    xs = np.arange(p, dtype=np.int64)
-    for k in range(1, p):
-        powers[k] = powers[k - 1] * xs % p
+    powers = powers_mod(np.arange(p), p, p).T  # powers[k, x] = x^k
     table = _mod_matmul(matrix, powers, p)
     table.setflags(write=False)
     return table

@@ -144,6 +144,11 @@ def test_verify_usage_errors(capsys):
         code, out, err = run_main(capsys, "verify", "--primes", "5", "--identities", "all", flag, value)
         assert (code, out) == (2, ""), (flag, value)
         assert err.startswith(flag) and len(err.splitlines()) == 1, (flag, value)
+    # one weight and a weight range together
+    code, out, err = run_main(
+        capsys, "verify", "--primes", "7", "--identities", "theorem1", "--m", "5", "--m-max", "3"
+    )
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
     # the lowest grid bounds still run
     assert run_main(capsys, "verify", "--primes", "5", "--m-max", "1", "--n-max", "0")[0] == 0
 
@@ -642,7 +647,7 @@ def test_verify_renders_at_most_spool_rows_cells(capsys, monkeypatch, tmp_path):
     widths = {
         (b.identity, b.p): max(len(x) + len(y) for x, y in zip(b.lhs, b.rhs))
         for b in blocks
-        if isinstance(b.lhs, list)
+        if b.lhs.ndim == 2
     }
     real = cli.render_reports
     calls = []
@@ -805,7 +810,7 @@ def test_render_text_format():
     rep = cg._block(Identity.THEOREM1, ctx, {"m": np.array([3])}, np.array([1]), np.array([1]))
     assert render_reports([rep], "text") == "THEOREM1 p=7 m=3 lhs=1 rhs=1 PASS\n"
     poly = cg._block(Identity.PROOF_INTERMEDIATE, ctx, {"m": np.array([2]), "r": np.array([5])},
-                     [(0, 2, 1)], [(0, 2, 1)])
+                     np.array([[0, 2, 1, 0]]), np.array([[0, 2, 1, 0]]))
     line = render_reports([poly], "text").strip()
     assert line == "PROOF_INTERMEDIATE p=7 m=2 r=5 lhs=[0;2;1] rhs=[0;2;1] PASS"
 

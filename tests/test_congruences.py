@@ -604,6 +604,19 @@ def make_report(identity, ctx, params, lhs, rhs):
     return report
 
 
+def test_block_compares_rows_of_one_shape(cache):
+    ctx = cache.ctx(7)
+    params = {"m": np.array([1, 2])}
+    rows = np.array([[1, 2, 0], [3, 4, 0]])
+    block = cg._block(Identity.THEOREM2_POLY, ctx, params, rows, np.array([[1, 2, 0], [3, 5, 0]]))
+    assert block.passed.tolist() == [True, False]
+    assert [(r.lhs, r.rhs) for r in block] == [((1, 2), (1, 2)), ((3, 4), (3, 5))]
+    # sides that would broadcast against each other into a wrong mask
+    for lhs, rhs in ((rows[:, :1], rows), (rows[:, 0], rows[:, :1]), (rows[:, 0], rows[:1, 0])):
+        with pytest.raises(ValueError, match="shapes"):
+            cg._block(Identity.THEOREM2_POLY, ctx, params, lhs, rhs)
+
+
 def test_make_report_and_sort_key(cache):
     ctx = cache.ctx(7)
     rep = make_report(Identity.THEOREM1, ctx, {"m": 3}, 1, 1)

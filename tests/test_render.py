@@ -82,14 +82,25 @@ def mask(*flags):
     return np.array(flags, dtype=bool)
 
 
+def coeffs(*rows):
+    """A polynomial side: one int64 row of coefficients per report."""
+    return np.array(rows, dtype=np.int64)
+
+
 def hand_built_blocks():
     every_key = {k: col(i, i + 10) for i, k in enumerate(reversed(PARAM_ORDER))}  # out of order
     big = 2**31 - 1
     return [
         ReportBlock(Identity.THEOREM1, 7, {"m": col(3, 4)}, col(1, 1), col(1, 2), mask(True, False)),
-        ReportBlock(Identity.PROOF_INTERMEDIATE, 7, {"m": col(2), "r": col(5)}, [(0, 2, 1)], [(0, 2, 1)], mask(True)),
+        # trailing zeros, which the rows strip
+        ReportBlock(Identity.PROOF_INTERMEDIATE, 7, {"m": col(2), "r": col(5)}, coeffs((0, 2, 1, 0)), coeffs((0, 2, 1, 0)), mask(True)),
         # the zero polynomial on either side
-        ReportBlock(Identity.THEOREM2_POLY, 7, {"m": col(1, 2)}, [(), (3,)], [(6,), ()], mask(False, False)),
+        ReportBlock(Identity.THEOREM2_POLY, 7, {"m": col(1, 2)}, coeffs((0, 0), (3, 0)), coeffs((6, 0), (0, 0)), mask(False, False)),
+        # a pass mask that disagrees with the sides
+        ReportBlock(Identity.THEOREM2_POLY, 7, {"m": col(4, 5)}, coeffs((1, 2), (3, 4)), coeffs((1, 3), (3, 4)), mask(True, False)),
+        # rows of zero columns, and no rows
+        ReportBlock(Identity.PROOF_INTERMEDIATE, 7, {"m": col(1, 3)}, coeffs((), ()), coeffs((), ()), mask(True, False)),
+        ReportBlock(Identity.THEOREM2_POLY, 7, {"m": col()}, np.zeros((0, 3), np.int64), np.zeros((0, 3), np.int64), mask()),
         ReportBlock(Identity.BELL_P, 7, {}, col(2), col(2), mask(True)),  # empty params
         ReportBlock(Identity.GEOMETRIC_SUM, 7, every_key, col(0, 1), col(6, 1), mask(False, True)),
         ReportBlock(Identity.COROLLARY, big, {"n": col(5), "k": col(9)}, col(big - 1), col(big - 1), mask(True)),
@@ -125,18 +136,27 @@ def test_renderers_match_reference_on_random_reports():
         def column(values):
             return draw(st.lists(values, min_size=n, max_size=n))
 
-        def ints():
-            return np.array(column(st.integers(-(2**63), 2**63 - 1)), dtype=np.int64)
+        int64 = st.integers(-(2**63), 2**63 - 1)
 
-        poly = draw(st.booleans())
+        def ints():
+            return np.array(column(int64), dtype=np.int64)
+
+        # scalar sides, or rows of one width whose zeros make trailing zeros likely
+        width = draw(st.none() | st.integers(min_value=0, max_value=6))
 
         def side():
-            return column(st.lists(st.integers(), max_size=6).map(tuple)) if poly else ints()
+            if width is None:
+                return ints()
+            rows = column(st.lists(st.just(0) | int64, min_size=width, max_size=width))
+            return np.array(rows, dtype=np.int64).reshape(n, width)
 
         keys = draw(st.lists(st.sampled_from(PARAM_ORDER), unique=True))  # in any insertion order
+        lhs, rhs = side(), side()
+        same = mask(*column(st.booleans()))  # rows whose sides are equal
+        rhs[same] = lhs[same]
         return ReportBlock(
             draw(st.sampled_from(Identity)), draw(st.integers(min_value=2)),
-            {k: ints() for k in keys}, side(), side(), mask(*column(st.booleans())),
+            {k: ints() for k in keys}, lhs, rhs, mask(*column(st.booleans())),
         )
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)

@@ -179,7 +179,7 @@ def test_touchard_polys_from_matrix(cache):
 
 
 def test_touchard_value_table(cache):
-    for p in (2, 5, 13, 31):
+    for p in (2, 5, 13, 31, 101):
         ctx = cache.ctx(p)
         table = touchard_value_table(ctx)
         polys = touchard_polys_from_matrix(ctx)

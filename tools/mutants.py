@@ -59,9 +59,21 @@ MUTANTS = {
     ),
     "mask_from_lhs_alone": (
         CONGRUENCES,
-        "passed = lhs == rhs",
-        "passed = lhs == lhs",
-        "every report with int sides passes",
+        "passed = (lhs == rhs).all(",
+        "passed = (lhs == lhs).all(",
+        "every report passes",
+    ),
+    "block_shape_check_dropped": (
+        CONGRUENCES,
+        "    if lhs.shape != rhs.shape:\n",
+        "    if False:\n",
+        "sides of two shapes broadcast into a pass mask",
+    ),
+    "row_mask_any": (
+        CONGRUENCES,
+        "(lhs == rhs).all(axis=tuple(range(1, lhs.ndim)))",
+        "(lhs == rhs).any(axis=tuple(range(1, lhs.ndim)))",
+        "a polynomial report passes when one coefficient agrees",
     ),
     "first_failure_from_last_identity": (
         CLI,
@@ -114,15 +126,21 @@ MUTANTS = {
     ),
     "budget_ignores_width": (
         CLI,
-        "rows = max(1, SPOOL_ROWS // width)",
-        "rows = SPOOL_ROWS",
+        "width = max(1, 2 * b.lhs.shape[1]) if b.lhs.ndim == 2 else 1",
+        "width = 1",
         "a render call takes SPOOL_ROWS rows, however wide they are",
     ),
     "shared_side_for_failing_rows": (
         CLI,
-        "[text if x == y else show(y) for text, x, y in zip(lhs, b.lhs, b.rhs)]",
-        "[text if len(x) == len(y) else show(y) for text, x, y in zip(lhs, b.lhs, b.rhs)]",
-        "a failing polynomial row whose sides have one length shows its lhs as rhs",
+        "same = (b.lhs == b.rhs).all(axis=1)",
+        "same = (b.lhs == b.rhs).any(axis=1)",
+        "a failing polynomial row whose sides share one coefficient shows its lhs as rhs",
+    ),
+    "shared_side_from_passed": (
+        CLI,
+        "same = (b.lhs == b.rhs).all(axis=1).tolist()",
+        "same = b.passed.tolist()",
+        "a row the pass mask calls passing shows its lhs as rhs, whatever its sides",
     ),
     "block_slice_keeps_params": (
         CONGRUENCES,
@@ -453,8 +471,8 @@ MUTANTS = {
     ),
     "missing_coefficient_fill": (
         CLI,
-        "zip_longest(r.lhs, r.rhs, fillvalue=0)",
-        "zip_longest(r.lhs, r.rhs, fillvalue=-1)",
+        "side + (0,) * (width - len(side))",
+        "side + (-1,) * (width - len(side))",
         "a missing coefficient reads -1 in the failure note",
     ),
     "corollary_kernel_offset": (
