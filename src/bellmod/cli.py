@@ -33,7 +33,7 @@ import numpy as np
 
 from . import congruences as cg
 from . import oracle
-from .congruences import ReportBlock, VerificationReport
+from .congruences import ReportBlock
 from .modarith import (
     IndexTooLargeError,
     NotPrimeError,
@@ -87,7 +87,7 @@ class SweepSummary:
     primes_checked: int
     reports_total: int
     reports_failed: int
-    first_failure: VerificationReport | None
+    first_failure: ReportBlock | None  # one row, copied out of its block
     wall_time: float
 
 
@@ -138,6 +138,14 @@ class PrimeTables:
         return bell_row(self.ctx)
 
     @cached_property
+    def drow(self):
+        return derangement_row(self.ctx)
+
+    @cached_property
+    def sigma(self):
+        return signed_series_row(self.ctx)
+
+    @cached_property
     def matrix(self):
         return touchard_coeff_matrix(self.ctx)
 
@@ -178,14 +186,6 @@ def _touchard(t: PrimeTables) -> list[ReportBlock]:
     return cg.verify_touchard(t.ctx, n_max, t.row)
 
 
-def _theorem1(t: PrimeTables) -> list[ReportBlock]:
-    if not t.ms:
-        return []
-    return cg.verify_theorem1(
-        t.ctx, t.ms, t.row, derangement_row(t.ctx), signed_series_row(t.ctx)
-    )
-
-
 def _intro(t: PrimeTables) -> list[ReportBlock]:
     m = t.cfg.m_single if t.cfg.m_single is not None else 8
     return cg.verify_intro_constant(t.ctx, m, t.row) if m % t.ctx.p else []
@@ -199,9 +199,9 @@ def _intro(t: PrimeTables) -> list[ReportBlock]:
 # eq10 stays whole, since its R_m recurrence runs up from m = 1.
 IDENTITIES: dict[str, Callable[[PrimeTables], Iterable[ReportBlock]]] = {
     "touchard": _touchard,
-    "theorem1": _theorem1,
+    "theorem1": lambda t: cg.verify_theorem1(t.ctx, t.ms, t.row, t.drow, t.sigma) if t.ms else [],
     "intro": _intro,
-    "corollary": lambda t: cg.verify_corollary(t.ctx, t.row),
+    "corollary": lambda t: cg.verify_corollary(t.ctx, t.row, t.drow),
     "eq4": lambda t: cg.verify_eq4(t.ctx, t.row) if t.ctx.p >= 3 else [],
     "bellp": lambda t: cg.verify_bell_p(t.ctx, t.row),
     "theorem2": _by_weight_slice(lambda t, ms, rows: cg.verify_theorem2(t.ctx, ms, t.sums[rows])),
@@ -273,7 +273,7 @@ def _sweep(cfg: SweepConfig, take: Callable[[ReportBlock], object]) -> SweepSumm
         rank, bad = cg._IDENTITY_RANK[b.identity], len(b) - np.count_nonzero(b.passed)
         total, failed = total + len(b), failed + bad
         if bad and (first is None or rank < first[0]):
-            first = rank, b[int(np.argmin(b.passed))]
+            first = rank, b[[int(np.argmin(b.passed))]]
         take(b)
         b = None  # no block outlives its turn
     return SweepSummary(len(primes), total, failed, first[1] if first else None, perf_counter() - t0)
@@ -312,10 +312,11 @@ def _render_block(b: ReportBlock, fmt: str) -> str:
     params = [b.params[k].tolist() for k in keys]
     if b.lhs.ndim == 2:
         show = _side_json if fmt == "jsonl" else _side_flat
-        lhs = list(map(show, cg._coeff_tuples(b.lhs)))
+        side, lhs = "%s", list(map(show, cg._coeff_tuples(b.lhs)))
         # a row whose sides are equal renders its side once
-        same = (b.lhs == b.rhs).all(axis=1).tolist()
-        side, rhs = "%s", [text if s else show(y) for text, s, y in zip(lhs, same, cg._coeff_tuples(b.rhs))]
+        rhs, differ = lhs.copy(), np.flatnonzero((b.lhs != b.rhs).any(axis=1))
+        for i, y in zip(differ.tolist(), cg._coeff_tuples(b.rhs[differ])):
+            rhs[i] = show(y)
     else:
         side, lhs, rhs = '"%d"' if fmt == "jsonl" else "%d", b.lhs.tolist(), b.rhs.tolist()
     words = _PASS_WORDS[fmt]
@@ -353,21 +354,14 @@ def render_reports(blocks: list[ReportBlock], fmt: str, header: bool = True) -> 
     )
 
 
-def _describe_failure(r: VerificationReport) -> str:
-    """The text line of a failing report; for a polynomial-valued one, also
-    the first coefficient index where the sides differ, a missing
-    coefficient counting as 0."""
-    params = {k: np.array([v]) for k, v in r.params.items() if k != "p"}
-    if isinstance(r.lhs, tuple):  # zero-padded to one coefficient row of one width
-        width = max(len(r.lhs), len(r.rhs))
-        lhs, rhs = (np.array([side + (0,) * (width - len(side))], dtype=np.int64) for side in (r.lhs, r.rhs))
-    else:
-        lhs, rhs = np.array([r.lhs]), np.array([r.rhs])
-    row = ReportBlock(r.identity, r.p, params, lhs, rhs, np.array([r.passed]))
-    line = render_reports([row], "text").strip()
-    if lhs.ndim == 2 and (lhs != rhs).any():
-        i = int(np.argmax(lhs[0] != rhs[0]))
-        return f"{line}; first differing coefficient: index {i} (lhs {lhs[0, i]}, rhs {rhs[0, i]})"
+def _describe_failure(b: ReportBlock) -> str:
+    """The text line of a one-row failing block; for a polynomial-valued
+    one, also the first coefficient index where the zero-padded sides
+    differ."""
+    line = render_reports([b], "text").strip()
+    if b.lhs.ndim == 2 and (b.lhs != b.rhs).any():
+        i = int(np.argmax(b.lhs[0] != b.rhs[0]))
+        return f"{line}; first differing coefficient: index {i} (lhs {b.lhs[0, i]}, rhs {b.rhs[0, i]})"
     return line
 
 

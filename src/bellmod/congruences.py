@@ -134,7 +134,8 @@ class ReportBlock:
     is the boolean mask of reports that pass.
 
     Indexing or iterating a block yields its reports as VerificationReport
-    rows, which the sweep never builds; a slice is the block of its rows.
+    rows, which the sweep never builds.  A slice is the block of its rows, a
+    view; a list of row indices is the block of those rows, copied.
     """
 
     identity: Identity
@@ -147,8 +148,8 @@ class ReportBlock:
     def __len__(self) -> int:
         return len(self.passed)
 
-    def __getitem__(self, i: int | slice) -> VerificationReport | ReportBlock:
-        if isinstance(i, slice):
+    def __getitem__(self, i: int | slice | list[int]) -> VerificationReport | ReportBlock:
+        if isinstance(i, (slice, list)):
             params = {k: col[i] for k, col in self.params.items()}
             return ReportBlock(self.identity, self.p, params, self.lhs[i], self.rhs[i], self.passed[i])
         params = {"p": self.p}
@@ -407,7 +408,7 @@ def verify_bell_p(ctx: PrimeContext, row: BellRow | None = None) -> list[ReportB
     p = ctx.p
     if row is None:
         row = bell_row(ctx)
-    w = ctx.inv_fact_np * ctx.inv_fact_np[::-1] % p
+    w = ctx.inv_fact * ctx.inv_fact[::-1] % p
     lhs = int(ctx.fact[p - 1]) * int(_mod_matmul(w, row.values, p)) % p
     return [_block(Identity.BELL_P, ctx, {}, np.array([lhs]), np.array([2 % p]))]
 
@@ -631,7 +632,7 @@ def proof_intermediate(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
     r = (-_require_units(ctx, ms) % p)[:, None]
     k = np.arange(p)
     idx = k - r  # negative exactly below x^r
-    v = np.where(idx >= 0, ctx.inv_fact_np[r] * ctx.inv_fact_np[idx.clip(0)] % p, 0)
+    v = np.where(idx >= 0, ctx.inv_fact[r] * ctx.inv_fact[idx.clip(0)] % p, 0)
     return np.where((r + 1 + k) % 2 == 0, v, -v % p)
 
 
@@ -662,7 +663,7 @@ def verify_factorial_lemma(ctx: PrimeContext, ms: Sequence[int]) -> list[ReportB
     m, r, l, lhs = np.repeat(w, w), np.repeat(r, w), cols[live], f[live]
     del f  # free the square table before the report columns are built
     idx = p + l - m - r  # negative exactly below the split l < m + r - p
-    rhs = np.where(idx >= 0, ctx.inv_fact_np[r] * ctx.inv_fact_np[idx.clip(0)] % p, 0)
+    rhs = np.where(idx >= 0, ctx.inv_fact[r] * ctx.inv_fact[idx.clip(0)] % p, 0)
     rhs = np.where(r % 2 == 0, -rhs % p, rhs)
     return [_block(Identity.FACTORIAL_LEMMA, ctx, {"m": m, "l": l, "r": r}, lhs, rhs)]
 

@@ -99,12 +99,12 @@ class PrimeContext:
     """A verified prime modulus together with factorial tables.
 
     ``fact[i] = i! mod p`` and ``inv_fact[i]`` is its multiplicative
-    inverse, for ``0 <= i < p``.  The tables are plain int tuples (used by
-    scalar code, immune to overflow) plus read-only int64 array copies for
-    vectorized kernels.
+    inverse, for ``0 <= i < p``, as read-only int64 arrays.  Scalar code
+    takes ``int()`` of the entries it reads, so its residues stay Python
+    ints.
     """
 
-    __slots__ = ("p", "fact", "inv_fact", "fact_np", "inv_fact_np")
+    __slots__ = ("p", "fact", "inv_fact")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
@@ -114,22 +114,20 @@ class PrimeContext:
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         self.p = p
-        fact = [1] * p
+        table = [1] * p
         for i in range(1, p):
-            fact[i] = fact[i - 1] * i % p
+            table[i] = table[i - 1] * i % p
         # Wilson's theorem: (p-1)! = -1 mod p.  A cheap self-check that the
         # table construction and the primality test agree.
-        assert fact[p - 1] == p - 1 or p == 2
-        inv_fact = [1] * p
-        inv_fact[p - 1] = pow(fact[p - 1], p - 2, p)
+        assert table[p - 1] == p - 1 or p == 2
+        self.fact = np.array(table, dtype=np.int64)
+        # the same list again, overwritten from the top: 1/(i-1)! = i/i!
+        table[p - 1] = pow(table[p - 1], p - 2, p)
         for i in range(p - 1, 0, -1):
-            inv_fact[i - 1] = inv_fact[i] * i % p
-        self.fact = tuple(fact)
-        self.inv_fact = tuple(inv_fact)
-        self.fact_np = np.array(fact, dtype=np.int64)
-        self.inv_fact_np = np.array(inv_fact, dtype=np.int64)
-        self.fact_np.setflags(write=False)
-        self.inv_fact_np.setflags(write=False)
+            table[i - 1] = table[i] * i % p
+        self.inv_fact = np.array(table, dtype=np.int64)
+        self.fact.setflags(write=False)
+        self.inv_fact.setflags(write=False)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeContext) and other.p == self.p
@@ -265,7 +263,7 @@ def binomial_mod(n: int, k: int, ctx: PrimeContext) -> Residue:
         raise IndexTooLargeError(f"binomial row {n} needs n < p = {ctx.p}")
     if k > n:
         return Residue(0, ctx)
-    v = ctx.fact[n] * ctx.inv_fact[k] % ctx.p * ctx.inv_fact[n - k] % ctx.p
+    v = int(ctx.fact[n]) * int(ctx.inv_fact[k]) % ctx.p * int(ctx.inv_fact[n - k]) % ctx.p
     return Residue(v, ctx)
 
 

@@ -95,14 +95,14 @@ def bell_row(ctx: PrimeContext) -> BellRow:
     the inverse factorials 1/n! .. 1/0!, and B_k = k! b_k at the end.
     """
     p = ctx.p
-    fact, invf = ctx.fact, ctx.inv_fact
-    rev = ctx.inv_fact_np[::-1].copy()  # rev[p-1-j] = 1/j!
+    step = (ctx.fact[:-1] * ctx.inv_fact[1:] % p).tolist()  # step[n] = n!/(n+1)!
+    rev = ctx.inv_fact[::-1].copy()  # rev[p-1-j] = 1/j!
     b = np.zeros(p, dtype=np.int64)
     b[0] = 1 % p
     for n in range(p - 1):
         dot = int(_mod_matmul(b[: n + 1], rev[p - 1 - n :], p))
-        b[n + 1] = fact[n] * dot % p * invf[n + 1] % p
-    values = b * ctx.fact_np % p
+        b[n + 1] = dot * step[n] % p
+    values = b * ctx.fact % p
     values.setflags(write=False)
     return BellRow(ctx, values)
 
@@ -154,7 +154,7 @@ def bell_mod(n: int, ctx: PrimeContext, row: BellRow | None = None) -> Residue:
         return Residue(int(vals[n]), ctx)
     q, s = divmod(n, p)
     total = 0
-    fq = ctx.fact[q]
+    fq, invf = int(ctx.fact[q]), ctx.inv_fact[: q + 1].tolist()
     for j in range(q + 1):
         t = s + j
         if t < p:
@@ -163,7 +163,7 @@ def bell_mod(n: int, ctx: PrimeContext, row: BellRow | None = None) -> Residue:
             # s + j <= 2p - 2, so one extra fold always lands inside the row
             t -= p
             b = (int(vals[t]) + int(vals[t + 1])) % p
-        c = fq * ctx.inv_fact[j] % p * ctx.inv_fact[q - j] % p
+        c = fq * invf[j] % p * invf[q - j] % p
         total = (total + c * b) % p
     return Residue(total, ctx)
 
@@ -231,10 +231,10 @@ def signed_series_row(ctx: PrimeContext) -> np.ndarray:
     the inverse-factorial table; a final alternating sign gives sigma.
     """
     p = ctx.p
-    alt = ctx.inv_fact_np.copy()
+    alt = ctx.inv_fact.copy()
     alt[1::2] = (p - alt[1::2]) % p
     acc = np.cumsum(alt) % p  # prefix sums stay below p * p < 2**62
-    sigma = ctx.fact_np * acc % p
+    sigma = ctx.fact * acc % p
     sigma[1::2] = (p - sigma[1::2]) % p
     sigma.setflags(write=False)
     return sigma
@@ -256,7 +256,7 @@ def stirling2_mod(n: int, k: int, ctx: PrimeContext) -> Residue:
         term = binomial_mod(k, j, ctx).value * pow(j, n, p) % p
         total = (total + term) if (k - j) % 2 == 0 else (total - term)
         total %= p
-    return Residue(total * ctx.inv_fact[k] % p, ctx)
+    return Residue(total * int(ctx.inv_fact[k]) % p, ctx)
 
 
 def touchard_poly(n: int, ctx: PrimeContext) -> DensePoly:

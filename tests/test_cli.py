@@ -3,6 +3,7 @@ import errno
 import gc
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import weakref
@@ -28,6 +29,7 @@ from bellmod.cli import (
 )
 from bellmod.congruences import Identity, report_sort_key
 from bellmod.modarith import DensePoly, make_context, primes_in_range
+from bellmod.sequences import derangement_row
 
 
 def run_main(capsys, *argv):
@@ -284,6 +286,21 @@ def test_each_token_builds_only_its_tables(capsys, monkeypatch, builders, tokens
     code, _, err = run_main(capsys, "verify", "--identities", tokens, "--primes", "2..13")
     assert code == 0, err
     assert "failures: 0" in err
+
+
+def test_theorem1_and_corollary_share_one_derangement_row(monkeypatch):
+    built = []
+
+    def counted(ctx):
+        built.append(ctx.p)
+        return derangement_row(ctx)
+
+    # verify_corollary's own default would build a second row
+    monkeypatch.setattr(cli, "derangement_row", counted)
+    monkeypatch.setattr(cg, "derangement_row", counted)
+    summary, _ = run_sweep(SweepConfig(prime_lo=2, prime_hi=13, identities=("theorem1", "corollary")))
+    assert summary.reports_failed == 0
+    assert built == primes_in_range(2, 13)
 
 
 def test_pool_size_clamps_to_jobs_and_cpus(monkeypatch):
@@ -675,6 +692,26 @@ def test_verify_stream_builds_no_report_rows(capsys, monkeypatch, tmp_path, fmt)
     def unbuilt(*args):
         raise AssertionError("a VerificationReport was built on the sweep path")
 
+    real = cg.weighted_touchard_sum
+
+    def crooked(ctx, ms, matrix=None):
+        sums = real(ctx, ms, matrix)
+        sums[:, 2] = (sums[:, 2] + 1) % ctx.p
+        return sums
+
+    def untimed(err):
+        return re.sub(r" in \d+\.\d+s;", " in Ts;", err).splitlines()
+
+    # a failing sweep, whose first failure carries a coefficient note
+    failing = ("verify", "--identities", "theorem1,intermediate", "--primes", "5..7", "--format", fmt)
+    with monkeypatch.context() as patch:
+        patch.setattr(cg, "weighted_touchard_sum", crooked)
+        expected = run_main(capsys, *failing)
+        patch.setattr(cg, "VerificationReport", unbuilt)
+        code, out, err = run_main(capsys, *failing)
+    assert code == expected[0] == 1 and out == expected[1]
+    assert untimed(err) == untimed(expected[2])
+    assert "first differing coefficient: index 2" in err
     monkeypatch.setattr(cg, "VerificationReport", unbuilt)
     target = tmp_path / f"all.{fmt}"
     code, _, err = run_main(
@@ -717,8 +754,15 @@ def test_run_sweep_first_failure_is_canonical(monkeypatch):
     assert summary.reports_failed == summary.reports_total
     failed = [r for b in blocks for r in b if not r.passed]
     fields = attrgetter("identity", "p", "params", "lhs", "rhs", "passed")
-    assert fields(summary.first_failure) == fields(failed[0])
+    assert fields(summary.first_failure[0]) == fields(failed[0])
     assert (summary.first_failure.p, summary.first_failure.params["m"]) == (3, 1)
+    # a one-row copy, so no block outlives its turn in a failing sweep
+    first, source = summary.first_failure, blocks[0]
+    assert len(first) == 1 and first.identity is source.identity
+    for key in source.params:
+        assert not np.shares_memory(first.params[key], source.params[key])
+    for side in ("lhs", "rhs", "passed"):
+        assert not np.shares_memory(getattr(first, side), getattr(source, side))
 
 
 def test_first_failure_is_canonical_across_identities(capsys, monkeypatch):
@@ -742,7 +786,7 @@ def test_first_failure_is_canonical_across_identities(capsys, monkeypatch):
     failed = [r for b in blocks for r in b if not r.passed]
     fields = attrgetter("identity", "p", "params", "lhs", "rhs", "passed")
     assert {r.identity for r in failed} == {Identity.THEOREM1, Identity.THEOREM2_POLY}
-    assert fields(summary.first_failure) == fields(failed[0])
+    assert fields(summary.first_failure[0]) == fields(failed[0])
     assert (summary.first_failure.identity, summary.first_failure.p) == (Identity.THEOREM1, 7)
     code, out, err = run_main(capsys, "verify", "--identities", "theorem2,theorem1", "--primes", "3..7")
     first_fail = next(line for line in out.splitlines() if line.endswith("FAIL"))

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from bellmod import congruences as cg
 from bellmod.cli import IDENTITIES, SweepConfig, render_reports, run_sweep
 from bellmod.congruences import PARAM_ORDER, Identity, ReportBlock
 
@@ -115,6 +116,25 @@ def test_renderers_match_reference_on_hand_built_reports(fmt, reference):
     for b in blocks:
         assert render_reports([b], fmt) == reference(list(b))
     assert render_reports([], fmt) == reference([])
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text", "csv"])
+def test_renderer_converts_only_the_rhs_rows_that_differ(monkeypatch, fmt):
+    converted = []
+
+    def counted(rows):
+        converted.append(len(rows))
+        return real(rows)
+
+    real = cg._coeff_tuples
+    monkeypatch.setattr(cg, "_coeff_tuples", counted)
+    lhs = coeffs((1, 2, 0), (0, 0, 0), (3, 0, 4), (5, 6, 0), (0, 7, 0))
+    for rhs, k in [(lhs.copy(), 0), (coeffs((1, 2, 0), (0, 0, 1), (3, 0, 4), (5, 0, 0), (0, 7, 0)), 2)]:
+        converted.clear()
+        passed = (lhs == rhs).all(axis=1)
+        block = ReportBlock(Identity.THEOREM2_POLY, 11, {"m": col(1, 2, 3, 4, 5)}, lhs, rhs, passed)
+        render_reports([block], fmt)
+        assert sum(converted) == len(lhs) + k
 
 
 @pytest.mark.parametrize("fmt, reference", REFERENCES)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from bellmod import oracle
-from bellmod.modarith import IndexTooLargeError, is_prime, make_context, primes_in_range
+from bellmod.congruences import s_m
+from bellmod.modarith import (
+    IndexTooLargeError,
+    PrimeContext,
+    binomial_mod,
+    is_prime,
+    make_context,
+    primes_in_range,
+)
 from bellmod.sequences import (
     _DOT_LIMIT,
     _mod_matmul,
@@ -44,6 +52,26 @@ def test_bell_row_values_are_read_only(cache):
     row = cache.bell(13)
     with pytest.raises(ValueError):
         row.values[0] = 5
+
+
+def test_factorial_tables_are_int64_and_residues_hold_ints(cache):
+    """One read-only int64 copy of each factorial table, while every scalar
+    route that reads them still returns Python ints."""
+    assert PrimeContext.__slots__ == ("p", "fact", "inv_fact")
+    ctx, row = cache.ctx(11), cache.bell(11)
+    for table in (ctx.fact, ctx.inv_fact):
+        assert isinstance(table, np.ndarray) and table.dtype == np.int64
+        assert not table.flags.writeable
+    residues = [
+        binomial_mod(7, 3, ctx),
+        bell_mod(5, ctx, row),
+        bell_mod(40, ctx, row),  # above p, through the shift fold
+        stirling2_mod(7, 3, ctx),
+        derangement_mod(9, ctx),
+        s_m(ctx, 3, row),
+    ]
+    assert [type(r.value) for r in residues] == [int] * len(residues)
+    assert all(type(c) is int for c in touchard_poly(6, ctx).coeffs)
 
 
 def test_bell_mod_small(cache):

@@ -132,14 +132,14 @@ MUTANTS = {
     ),
     "shared_side_for_failing_rows": (
         CLI,
-        "same = (b.lhs == b.rhs).all(axis=1)",
-        "same = (b.lhs == b.rhs).any(axis=1)",
+        "(b.lhs != b.rhs).any(axis=1))",
+        "(b.lhs != b.rhs).all(axis=1))",
         "a failing polynomial row whose sides share one coefficient shows its lhs as rhs",
     ),
     "shared_side_from_passed": (
         CLI,
-        "same = (b.lhs == b.rhs).all(axis=1).tolist()",
-        "same = b.passed.tolist()",
+        "np.flatnonzero((b.lhs != b.rhs).any(axis=1))",
+        "np.flatnonzero(~b.passed)",
         "a row the pass mask calls passing shows its lhs as rhs, whatever its sides",
     ),
     "block_slice_keeps_params": (
@@ -374,13 +374,13 @@ MUTANTS = {
     ),
     "bell_scaled_by_n_factorial": (
         SEQUENCES,
-        "b[n + 1] = fact[n] * dot % p * invf[n + 1] % p",
-        "b[n + 1] = fact[n] * dot % p * invf[n] % p",
+        "ctx.fact[:-1] * ctx.inv_fact[1:]",
+        "ctx.fact[:-1] * ctx.inv_fact[:-1]",
         "b_{n+1} is B_{n+1} / n! in place of B_{n+1} / (n+1)!",
     ),
     "bell_fact_scaling_dropped": (
         SEQUENCES,
-        "values = b * ctx.fact_np % p",
+        "values = b * ctx.fact % p",
         "values = b % p",
         "the row returns B_k / k! in place of B_k",
     ),
@@ -469,11 +469,11 @@ MUTANTS = {
         "powers_mod(np.arange(2, p + 1, dtype=np.int64), p, p).T",
         "the geometric kernel table starts at j = 2",
     ),
-    "missing_coefficient_fill": (
+    "first_coefficient_from_equal": (
         CLI,
-        "side + (0,) * (width - len(side))",
-        "side + (-1,) * (width - len(side))",
-        "a missing coefficient reads -1 in the failure note",
+        "np.argmax(b.lhs[0] != b.rhs[0])",
+        "np.argmax(b.lhs[0] == b.rhs[0])",
+        "the failure note names the first coefficient where the sides agree",
     ),
     "corollary_kernel_offset": (
         CONGRUENCES,
@@ -499,6 +499,31 @@ MUTANTS = {
         "    except ValueError:\n        raise MemoryError",
         "    except TypeError:\n        raise MemoryError",
         "a weight past numpy's index range reaches the user as a ValueError traceback",
+    ),
+    # one int64 copy of each factorial table, and the first failure as a block
+    "binomial_int_dropped": (
+        MODARITH,
+        "v = int(ctx.fact[n]) * int(ctx.inv_fact[k]) % ctx.p * int(ctx.inv_fact[n - k]) % ctx.p",
+        "v = ctx.fact[n] * ctx.inv_fact[k] % ctx.p * ctx.inv_fact[n - k] % ctx.p",
+        "binomial_mod returns a Residue holding a numpy int64",
+    ),
+    "first_failure_sliced": (
+        CLI,
+        "first = rank, b[[int(np.argmin(b.passed))]]",
+        "i = int(np.argmin(b.passed))\n            first = rank, b[i : i + 1]",
+        "the first failure is a view that keeps its whole block alive",
+    ),
+    "renderer_skips_differing_rhs": (
+        CLI,
+        "            rhs[i] = show(y)\n",
+        "            pass\n",
+        "a row whose sides differ shows its lhs as rhs",
+    ),
+    "corollary_builds_own_drow": (
+        CLI,
+        "cg.verify_corollary(t.ctx, t.row, t.drow)",
+        "cg.verify_corollary(t.ctx, t.row)",
+        "corollary builds a second derangement row at each prime",
     ),
     # the identity registry and the tables of one prime
     "walk_cfg_identities": (
