@@ -20,9 +20,11 @@ from bellmod.congruences import (
     verify_special_cases,
     weighted_touchard_sum,
 )
+from bellmod.sequences import touchard_coeff_matrix, touchard_value_table
 
 P = 7
 ctx = make_context(P)
+matrix = touchard_coeff_matrix(ctx)  # M[n, k] = S(n, k) mod P
 
 
 def coeffs(row):
@@ -32,7 +34,7 @@ def coeffs(row):
 
 print(f"both sides as coefficient lists mod {P} (ascending degree):")
 ms = list(range(1, 7))
-lhs_rows = theorem2_lhs(ctx, ms, weighted_touchard_sum(ctx, ms))
+lhs_rows = theorem2_lhs(ctx, ms, weighted_touchard_sum(ctx, ms, matrix))
 for m, lhs, rhs in zip(ms, map(coeffs, lhs_rows), map(coeffs, theorem2_rhs(ctx, ms))):
     tag = "equal" if lhs == rhs else "DIFFER"
     print(f"  m = {m}: lhs {lhs}")
@@ -43,7 +45,7 @@ for m, lhs, rhs in zip(ms, map(coeffs, lhs_rows), map(coeffs, theorem2_rhs(ctx, 
 print()
 m = 3
 [mid] = proof_intermediate(ctx, [m])
-[direct] = weighted_touchard_sum(ctx, [m])
+[direct] = weighted_touchard_sum(ctx, [m], matrix)
 print(f"intermediate closed form at m = {m}: {coeffs(mid)}")
 print(f"direct weighted sum:                {coeffs(direct)}")
 
@@ -59,7 +61,7 @@ for rep in geometric:
 # (-6 + 6x - 3x^2 + x^3) / x^3, checked here at every x
 print()
 print("low-weight rational forms at every point of the field:")
-[reports] = verify_special_cases(ctx, range(1, P))
+[reports] = verify_special_cases(ctx, range(1, P), touchard_value_table(ctx, matrix))
 for x in range(1, P):
     marks = [
         f"m={r.params['m']}:{'ok' if r.passed else 'BAD'}"

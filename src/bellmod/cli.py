@@ -58,10 +58,10 @@ X_ALL_LIMIT = 101
 X_SAMPLE_SIZE = 32
 # at most this many weights are recomputed by the direct s_m loop in bench
 BENCH_SAMPLE = 32
-# verify renders at most this many cells per call, a scalar row being one
+# verify renders at most SPOOL_CELLS cells per call, a scalar row being one
 # cell and a polynomial row its lhs and rhs coefficient columns, and copies
-# spools out in pieces of this many bytes
-SPOOL_ROWS = 1 << 12
+# spools out in pieces of SPOOL_PIECE bytes
+SPOOL_CELLS = 1 << 12
 SPOOL_PIECE = 1 << 16
 
 SEQ_FAMILIES = ("bell", "derangement", "stirling", "touchard")
@@ -460,7 +460,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         def spool(b: ReportBlock) -> None:
             # cells of a row: a polynomial row's coefficient columns, or 1
             width = max(1, 2 * b.lhs.shape[1]) if b.lhs.ndim == 2 else 1
-            rows = max(1, SPOOL_ROWS // width)
+            rows = max(1, SPOOL_CELLS // width)
             for i in range(0, len(b), rows):
                 text = render_reports([b[i : i + rows]], args.format, header=False)
                 spools[b.identity].write(text.encode())
@@ -513,8 +513,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
+    drow, sigma = derangement_row(ctx), signed_series_row(ctx)
     t0 = perf_counter()
-    bad = sum(len(b) - np.count_nonzero(b.passed) for b in cg.verify_theorem1(ctx, ms, row))
+    bad = sum(len(b) - np.count_nonzero(b.passed) for b in cg.verify_theorem1(ctx, ms, row, drow, sigma))
     t_sweep = perf_counter() - t0
     print(f"weighted-sum sweep over {len(ms)} weights: {t_sweep:.3f}s")
     if bad:

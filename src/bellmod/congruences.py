@@ -31,11 +31,6 @@ from .sequences import (
     _bell_triangle,
     _mod_matmul,
     bell_mod,
-    bell_row,
-    derangement_row,
-    signed_series_row,
-    touchard_coeff_matrix,
-    touchard_value_table,
 )
 
 __all__ = [
@@ -204,12 +199,10 @@ def _require_units(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
     return np.where(w < p, w, p + r).astype(np.int64, copy=False)
 
 
-def s_m(ctx: PrimeContext, m: int, row: BellRow | None = None) -> Residue:
+def s_m(ctx: PrimeContext, m: int, row: BellRow) -> Residue:
     """The weighted Bell sum sum_{0<k<p} B_k / (-m)^k mod p."""
     _require_units(ctx, [m])
     p = ctx.p
-    if row is None:
-        row = bell_row(ctx)
     vals = row.values.tolist()
     u = pow(-m % p, p - 2, p)
     acc = 0
@@ -220,7 +213,7 @@ def s_m(ctx: PrimeContext, m: int, row: BellRow | None = None) -> Residue:
     return Residue(acc, ctx)
 
 
-def s_m_all_units(ctx: PrimeContext, row: BellRow | None = None) -> list[int]:
+def s_m_all_units(ctx: PrimeContext, row: BellRow) -> list[int]:
     """S_m for every unit weight at once, as a list indexed by m mod p
     (slot 0 unused).
 
@@ -233,8 +226,6 @@ def s_m_all_units(ctx: PrimeContext, row: BellRow | None = None) -> list[int]:
     Raises OverflowError where the convolution would not be exact.
     """
     p = ctx.p
-    if row is None:
-        row = bell_row(ctx)
     n = p - 1
     g = primitive_root(p)
     pw = powers_mod(g, n, p)  # pw[e] = g^e
@@ -254,9 +245,7 @@ def s_m_all_units(ctx: PrimeContext, row: BellRow | None = None) -> list[int]:
     return table.tolist()
 
 
-def s_m_many(
-    ctx: PrimeContext, ms: Sequence[int], row: BellRow | None = None
-) -> list[int]:
+def s_m_many(ctx: PrimeContext, ms: Sequence[int], row: BellRow) -> list[int]:
     """s_m for many weights at once; aligned with ms.
 
     Reads every weight from the s_m_all_units table, or takes the direct
@@ -266,8 +255,6 @@ def s_m_many(
     _require_units(ctx, ms)
     if not ms:
         return []
-    if row is None:
-        row = bell_row(ctx)
     try:
         table = s_m_all_units(ctx, row)
     except OverflowError:
@@ -277,10 +264,7 @@ def s_m_many(
 
 
 def theorem1_rhs(
-    ctx: PrimeContext,
-    ms: Sequence[int],
-    drow: DerangementRow | None = None,
-    sigma: np.ndarray | None = None,
+    ctx: PrimeContext, ms: Sequence[int], drow: DerangementRow, sigma: np.ndarray
 ) -> np.ndarray:
     """(-1)^(m-1) D_{m-1} mod p for every weight of ms, aligned with ms.
 
@@ -291,20 +275,12 @@ def theorem1_rhs(
     """
     p = ctx.p
     n0 = _require_units(ctx, ms) - 1
-    if drow is None:
-        drow = derangement_row(ctx)
-    if sigma is None:
-        sigma = signed_series_row(ctx)
     d = drow.values[n0.clip(max=p - 1)]
     return np.where(n0 < p, np.where(n0 % 2 == 0, d, -d % p), sigma[n0 % p])
 
 
 def verify_theorem1(
-    ctx: PrimeContext,
-    ms: Sequence[int],
-    row: BellRow | None = None,
-    drow: DerangementRow | None = None,
-    sigma: np.ndarray | None = None,
+    ctx: PrimeContext, ms: Sequence[int], row: BellRow, drow: DerangementRow, sigma: np.ndarray
 ) -> list[ReportBlock]:
     """Check sum_{0<k<p} B_k / (-m)^k = (-1)^(m-1) D_{m-1} (mod p) at every
     weight m of ms, in order.  The left side comes from s_m_many, which
@@ -314,13 +290,11 @@ def verify_theorem1(
     return [_block(Identity.THEOREM1, ctx, {"m": np.asarray(ms)}, lhs, rhs)]
 
 
-def verify_intro_constant(
-    ctx: PrimeContext, m: int = 8, row: BellRow | None = None
-) -> list[ReportBlock]:
+def verify_intro_constant(ctx: PrimeContext, m: int, row: BellRow) -> list[ReportBlock]:
     """Check that sum_{n=0}^{p-1} B_n / (-m)^n is the same integer mod every
     prime not dividing m: 1 + (-1)^(m-1) D_{m-1}, with D taken exactly.
 
-    At the default weight m = 8 the constant is -1853.
+    At m = 8 the constant is -1853.
     """
     lhs = (1 + s_m(ctx, m, row).value) % ctx.p  # the n = 0 term contributes B_0 = 1
     sign = 1 if (m - 1) % 2 == 0 else -1
@@ -329,20 +303,12 @@ def verify_intro_constant(
     return [_block(Identity.INTRO_CONSTANT, ctx, params, np.array([lhs]), np.array([rhs.value]))]
 
 
-def verify_corollary(
-    ctx: PrimeContext,
-    row: BellRow | None = None,
-    drow: DerangementRow | None = None,
-) -> list[ReportBlock]:
+def verify_corollary(ctx: PrimeContext, row: BellRow, drow: DerangementRow) -> list[ReportBlock]:
     """Check the closed form B_n = sum_{0<m<p} (-1)^m D_{m-1} (-m)^n (mod p)
     for 0 < n < p, plus the power-sum kernel it rests on:
     sum_{0<m<p} (-m)^(n-k) = -[n = k] (mod p) for 0 < n, k < p.
     """
     p = ctx.p
-    if row is None:
-        row = bell_row(ctx)
-    if drow is None:
-        drow = derangement_row(ctx)
     base = (p - np.arange(1, p, dtype=np.int64)) % p  # (-m) mod p for m = 1..p-1
     weights = drow.values[: p - 1].copy()  # D_{m-1} for m = 1..p-1
     weights[::2] = (p - weights[::2]) % p  # odd m gets the minus sign
@@ -364,17 +330,13 @@ def verify_corollary(
     return blocks
 
 
-def verify_eq4(
-    ctx: PrimeContext, row: BellRow | None = None
-) -> list[ReportBlock]:
+def verify_eq4(ctx: PrimeContext, row: BellRow) -> list[ReportBlock]:
     """Check the weighted-sum chain: S_1 = 1 and m S_m = S_1 - S_{m+1}
     (mod p) for 1 <= m <= p - 2.  Needs p >= 3 to have any chain step.
     """
     p = ctx.p
     if p < 3:
         raise BadModulusError("the chain needs p >= 3")
-    if row is None:
-        row = bell_row(ctx)
     s = np.array(s_m_many(ctx, list(range(1, p)), row), dtype=np.int64)  # s[m - 1] = S_m
     ms = np.arange(1, p - 1)
     return [
@@ -399,23 +361,19 @@ def s_m_chain(ctx: PrimeContext) -> list[int]:
     return out
 
 
-def verify_bell_p(ctx: PrimeContext, row: BellRow | None = None) -> list[ReportBlock]:
+def verify_bell_p(ctx: PrimeContext, row: BellRow) -> list[ReportBlock]:
     """Check B_p = 2 (mod p).
 
     The left side extends the Bell row one step by the genuine binomial
     recurrence B_p = sum_k C(p-1, k) B_k; the right side is the constant.
     """
     p = ctx.p
-    if row is None:
-        row = bell_row(ctx)
     w = ctx.inv_fact * ctx.inv_fact[::-1] % p
     lhs = int(ctx.fact[p - 1]) * int(_mod_matmul(w, row.values, p)) % p
     return [_block(Identity.BELL_P, ctx, {}, np.array([lhs]), np.array([2 % p]))]
 
 
-def verify_touchard(
-    ctx: PrimeContext, n_max: int | None = None, row: BellRow | None = None
-) -> list[ReportBlock]:
+def verify_touchard(ctx: PrimeContext, n_max: int, row: BellRow) -> list[ReportBlock]:
     """Check B_{p+n} = B_n + B_{n+1} (mod p) for 0 <= n <= n_max.
 
     The left side continues the additive triangle to row p + n_max; the
@@ -424,12 +382,8 @@ def verify_touchard(
     (p + n_max + 1)(p - 1), and past 2**63 it raises IndexTooLargeError.
     """
     p = ctx.p
-    if n_max is None:
-        n_max = p
     if p + n_max >= p * p:
         raise IndexTooLargeError(f"n_max {n_max} needs p + n < p**2")
-    if row is None:
-        row = bell_row(ctx)
     lhs = _bell_triangle(ctx, p + n_max + 1)[p:]
     ns = range(n_max + 1)
     rhs = np.array(
@@ -492,14 +446,10 @@ def _require_points(ctx: PrimeContext, xs: Sequence[int]) -> list[int]:
     return [x % p for x in xs]
 
 
-def weighted_touchard_sum(
-    ctx: PrimeContext, ms: Sequence[int], matrix: np.ndarray | None = None
-) -> np.ndarray:
+def weighted_touchard_sum(ctx: PrimeContext, ms: Sequence[int], matrix: np.ndarray) -> np.ndarray:
     """sum_{0<n<p} T_n(x) / (-m)^n mod p for every weight in ms, one row of
     the coefficients of x^0..x^(p-1) per weight, from the coefficient
     matrix M[n, k] = S(n, k) mod p."""
-    if matrix is None:
-        matrix = touchard_coeff_matrix(ctx)
     return _weighted_power_rows(ctx, -_require_units(ctx, ms) % ctx.p, matrix)
 
 
@@ -555,10 +505,7 @@ def verify_theorem2(
 
 
 def verify_theorem2_eval(
-    ctx: PrimeContext,
-    ms: Sequence[int],
-    xs: Sequence[int],
-    values: np.ndarray | None = None,
+    ctx: PrimeContext, ms: Sequence[int], xs: Sequence[int], values: np.ndarray
 ) -> list[ReportBlock]:
     """Check the evaluated form at every weight m of ms and every point x
     of xs with p not dividing x, in m-major order:
@@ -575,8 +522,6 @@ def verify_theorem2_eval(
     xs = _require_points(ctx, xs)
     if not ms or not xs:
         return []
-    if values is None:
-        values = touchard_value_table(ctx)
     lhs = _weighted_power_rows(ctx, -_require_units(ctx, ms) % p, values[:, xs])
     w = np.asarray(ms, dtype=np.int64)
     y = p - np.array(xs, dtype=np.int64)  # -x mod p
@@ -601,7 +546,7 @@ _SPECIAL_NUMERATORS = {
 
 
 def verify_special_cases(
-    ctx: PrimeContext, xs: Sequence[int], values: np.ndarray | None = None
+    ctx: PrimeContext, xs: Sequence[int], values: np.ndarray
 ) -> list[ReportBlock]:
     """Check the displayed m = 2, 3, 4 evaluations of the weighted sum
     against their hard-coded rational forms, at every point of xs coprime
@@ -611,8 +556,6 @@ def verify_special_cases(
     xs = _require_points(ctx, xs)
     if not xs:
         return []
-    if values is None:
-        values = touchard_value_table(ctx)
     ms = [m for m in _SPECIAL_NUMERATORS if m % p]
     lhs = _weighted_power_rows(ctx, -_require_units(ctx, ms) % p, values[:, xs])
     num = _mod_matmul(np.array([_SPECIAL_NUMERATORS[m] for m in ms]) % p, powers_mod(xs, 4, p).T, p)

@@ -134,7 +134,7 @@ def bell_triangle_row(ctx: PrimeContext) -> BellRow:
     return BellRow(ctx, values)
 
 
-def bell_mod(n: int, ctx: PrimeContext, row: BellRow | None = None) -> Residue:
+def bell_mod(n: int, ctx: PrimeContext, row: BellRow) -> Residue:
     """B_n mod p for any 0 <= n < p**2.
 
     Indices below p read the precomputed row.  Larger ones are folded with
@@ -147,8 +147,6 @@ def bell_mod(n: int, ctx: PrimeContext, row: BellRow | None = None) -> Residue:
     p = ctx.p
     if n >= p * p:
         raise IndexTooLargeError(f"index {n} needs n < p**2 = {p * p}")
-    if row is None:
-        row = bell_row(ctx)
     vals = row.values
     if n < p:
         return Residue(int(vals[n]), ctx)
@@ -207,7 +205,7 @@ def derangement_series_mod(n: int, ctx: PrimeContext) -> Residue:
     return Residue(acc, ctx)
 
 
-def derangement_mod(n: int, ctx: PrimeContext, sigma: np.ndarray | None = None) -> Residue:
+def derangement_mod(n: int, ctx: PrimeContext, sigma: np.ndarray) -> Residue:
     """D_n mod p for any n >= 0.
 
     (-1)^n D_n mod p is periodic in n with period p, because the
@@ -218,8 +216,6 @@ def derangement_mod(n: int, ctx: PrimeContext, sigma: np.ndarray | None = None) 
     if n < 0:
         raise ValueError("index must be nonnegative")
     p = ctx.p
-    if sigma is None:
-        sigma = signed_series_row(ctx)
     v = int(sigma[n % p])
     return Residue(v if n % 2 == 0 else -v % p, ctx)
 
@@ -306,20 +302,14 @@ def touchard_coeff_matrix(ctx: PrimeContext) -> np.ndarray:
     return m
 
 
-def touchard_polys_from_matrix(
-    ctx: PrimeContext, matrix: np.ndarray | None = None
-) -> list[DensePoly]:
+def touchard_polys_from_matrix(ctx: PrimeContext, matrix: np.ndarray) -> list[DensePoly]:
     """[T_0 .. T_{p-1}] as polynomials, read off the coefficient matrix."""
-    if matrix is None:
-        matrix = touchard_coeff_matrix(ctx)
     return [DensePoly(ctx, matrix[n, : n + 1].tolist()) for n in range(ctx.p)]
 
 
-def touchard_value_table(ctx: PrimeContext, matrix: np.ndarray | None = None) -> np.ndarray:
+def touchard_value_table(ctx: PrimeContext, matrix: np.ndarray) -> np.ndarray:
     """Table E with E[n, x] = T_n(x) mod p for all n, x < p."""
     p = ctx.p
-    if matrix is None:
-        matrix = touchard_coeff_matrix(ctx)
     powers = powers_mod(np.arange(p), p, p).T  # powers[k, x] = x^k
     table = _mod_matmul(matrix, powers, p)
     table.setflags(write=False)

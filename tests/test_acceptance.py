@@ -69,7 +69,7 @@ def test_criterion_03_corollary():
     ok = True
     for p in primes_in_range(2, 100):
         ctx, row = _row(p)
-        reports = _rows(cg.verify_corollary(ctx, row))
+        reports = _rows(cg.verify_corollary(ctx, row, derangement_row(ctx)))
         ok = ok and len(reports) == (p - 1) + (p - 1) ** 2
         ok = ok and all(r.passed for r in reports)
     _verdict(3, "Bell closed form plus power-sum kernel, p <= 100", ok)
@@ -135,7 +135,7 @@ def test_criterion_08_eval_and_special_cases():
     for p in primes_in_range(2, 97):
         ctx, row = _row(p)
         drow = derangement_row(ctx)
-        values = touchard_value_table(ctx)
+        values = touchard_value_table(ctx, touchard_coeff_matrix(ctx))
         xs = list(range(1, p))
         low = [m for m in (2, 3, 4) if m % p]
         reports = _rows(cg.verify_special_cases(ctx, xs, values))
@@ -144,7 +144,7 @@ def test_criterion_08_eval_and_special_cases():
         ok = ok and seen == [(m, x) for m in low for x in xs]
         ok = ok and all(r.passed for r in _rows(cg.verify_theorem2_eval(ctx, low, xs, values)))
         at_one = _rows(cg.verify_special_cases(ctx, [1], values))
-        rhs = cg.theorem1_rhs(ctx, [rep.params["m"] for rep in at_one], drow).tolist()
+        rhs = cg.theorem1_rhs(ctx, [rep.params["m"] for rep in at_one], drow, signed_series_row(ctx)).tolist()
         for rep, want in zip(at_one, rhs):
             m = rep.params["m"]
             ok = ok and rep.lhs == cg.s_m(ctx, m, row).value

@@ -1,7 +1,9 @@
+import ast
 import concurrent.futures
 import errno
 import gc
 import hashlib
+import importlib
 import json
 import re
 import subprocess
@@ -10,6 +12,7 @@ import weakref
 from collections import Counter
 from concurrent.futures import Future
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,6 @@ from bellmod.cli import (
 )
 from bellmod.congruences import Identity, report_sort_key
 from bellmod.modarith import DensePoly, make_context, primes_in_range
-from bellmod.sequences import derangement_row
 
 
 def run_main(capsys, *argv):
@@ -288,19 +290,39 @@ def test_each_token_builds_only_its_tables(capsys, monkeypatch, builders, tokens
     assert "failures: 0" in err
 
 
-def test_theorem1_and_corollary_share_one_derangement_row(monkeypatch):
-    built = []
+@pytest.mark.parametrize(
+    "builder",
+    ["bell_row", "derangement_row", "signed_series_row", "touchard_coeff_matrix", "touchard_value_table"],
+)
+def test_sweep_builds_each_table_once_per_prime(monkeypatch, builder):
+    """Every identity reads its tables from PrimeTables, which builds each
+    one through its cli name, so every identity at once builds each table
+    once per prime: theorem1 and corollary share one derangement row."""
+    built, real = [], getattr(cli, builder)
 
-    def counted(ctx):
+    def counted(ctx, *tables):
         built.append(ctx.p)
-        return derangement_row(ctx)
+        return real(ctx, *tables)
 
-    # verify_corollary's own default would build a second row
-    monkeypatch.setattr(cli, "derangement_row", counted)
-    monkeypatch.setattr(cg, "derangement_row", counted)
-    summary, _ = run_sweep(SweepConfig(prime_lo=2, prime_hi=13, identities=("theorem1", "corollary")))
+    monkeypatch.setattr(cli, builder, counted)
+    summary, _ = run_sweep(SweepConfig(prime_lo=2, prime_hi=13, identities=tuple(IDENTITIES)))
     assert summary.reports_failed == 0
     assert built == primes_in_range(2, 13)
+
+
+def test_tracer_names_resolve():
+    """Every (module, attribute) the benchmark's tracer wraps exists, read
+    from perfbench/child.py without running it, so renaming or removing a
+    traced function fails here."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "child.py").read_text())
+    [wrapped] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]
+    ]
+    pairs = [(module, attr) for module, attr, _ in ast.literal_eval(wrapped)]
+    assert pairs
+    assert [f"{m}.{a}" for m, a in pairs if not hasattr(importlib.import_module(m), a)] == []
 
 
 def test_pool_size_clamps_to_jobs_and_cpus(monkeypatch):
@@ -635,8 +657,9 @@ def test_pool_keeps_at_most_its_size_of_primes_in_flight(monkeypatch):
 
 @pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
 def test_verify_renders_large_blocks_in_slices(capsys, monkeypatch, tmp_path, fmt):
-    """A block longer than SPOOL_ROWS is rendered a slice of rows at a time,
-    so render memory does not grow with the block; the stream is the same."""
+    """A block of more than SPOOL_CELLS cells is rendered a slice of rows at
+    a time, so render memory does not grow with the block; the stream is
+    the same."""
     real = cli.render_reports
     rendered = []
 
@@ -644,7 +667,7 @@ def test_verify_renders_large_blocks_in_slices(capsys, monkeypatch, tmp_path, fm
         rendered.extend(map(len, blocks))
         return real(blocks, fmt, header)
 
-    monkeypatch.setattr(cli, "SPOOL_ROWS", 7)
+    monkeypatch.setattr(cli, "SPOOL_CELLS", 7)
     monkeypatch.setattr(cli, "render_reports", recorded)
     target = tmp_path / f"all.{fmt}"
     code, _, err = run_main(
@@ -656,9 +679,9 @@ def test_verify_renders_large_blocks_in_slices(capsys, monkeypatch, tmp_path, fm
 
 
 def test_verify_renders_at_most_spool_rows_cells(capsys, monkeypatch, tmp_path):
-    """SPOOL_ROWS bounds the cells of one render call, not its rows: a
+    """SPOOL_CELLS bounds the cells of one render call, not its rows: a
     scalar row is one cell and a polynomial row its lhs and rhs
-    coefficients, so a call holds at most max(1, SPOOL_ROWS // width) rows
+    coefficients, so a call holds at most max(1, SPOOL_CELLS // width) rows
     of a block whose widest row has width cells."""
     _, blocks = run_sweep(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
     widths = {
@@ -673,7 +696,7 @@ def test_verify_renders_at_most_spool_rows_cells(capsys, monkeypatch, tmp_path):
         calls.extend((b.identity, b.p, len(b)) for b in blocks)
         return real(blocks, fmt, header)
 
-    monkeypatch.setattr(cli, "SPOOL_ROWS", 64)
+    monkeypatch.setattr(cli, "SPOOL_CELLS", 64)
     monkeypatch.setattr(cli, "render_reports", recorded)
     target = tmp_path / "all.jsonl"
     code, _, err = run_main(

@@ -1,3 +1,4 @@
+import inspect
 import random
 from types import SimpleNamespace
 
@@ -38,7 +39,6 @@ from bellmod.sequences import (
     touchard_coeff_matrix,
     touchard_polys_by_recursion,
     touchard_polys_from_matrix,
-    touchard_value_table,
 )
 
 
@@ -47,15 +47,29 @@ def rows(blocks):
     return [r for b in blocks for r in b]
 
 
+@pytest.mark.parametrize("module", [cg, sequences], ids=lambda module: module.__name__)
+def test_public_functions_take_every_table(module):
+    """No public function defaults a parameter, so none builds a table or
+    picks a grid of its own: the caller passes every one."""
+    defaulted = [
+        f"{name}({param.name})"
+        for name in module.__all__
+        if inspect.isfunction(func := getattr(module, name))
+        for param in inspect.signature(func).parameters.values()
+        if param.default is not param.empty
+    ]
+    assert defaulted == []
+
+
 def test_s_m_examples(cache):
-    assert s_m(cache.ctx(7), 1).value == 1
-    assert s_m(cache.ctx(7), 2).value == 0
-    assert s_m(cache.ctx(7), 9).value == 0  # 9 = 2 mod 7
-    assert s_m(cache.ctx(5), 8).value == 1
+    assert s_m(cache.ctx(7), 1, cache.bell(7)).value == 1
+    assert s_m(cache.ctx(7), 2, cache.bell(7)).value == 0
+    assert s_m(cache.ctx(7), 9, cache.bell(7)).value == 0  # 9 = 2 mod 7
+    assert s_m(cache.ctx(5), 8, cache.bell(5)).value == 1
     with pytest.raises(BadModulusError):
-        s_m(cache.ctx(7), 14)
+        s_m(cache.ctx(7), 14, cache.bell(7))
     with pytest.raises(ValueError):
-        s_m(cache.ctx(7), 0)
+        s_m(cache.ctx(7), 0, cache.bell(7))
 
 
 def test_s_m_many_matches_scalar(cache):
@@ -65,7 +79,7 @@ def test_s_m_many_matches_scalar(cache):
         ms = [m for m in range(1, 3 * p + 1) if m % p != 0]
         got = s_m_many(ctx, ms, row)
         assert got == [s_m(ctx, m, row).value for m in ms]
-    assert s_m_many(cache.ctx(7), []) == []
+    assert s_m_many(cache.ctx(7), [], cache.bell(7)) == []
 
 
 def test_s_m_many_all_units_route(cache):
@@ -91,7 +105,7 @@ def test_s_m_many_falls_back_to_scalar_loop(cache, monkeypatch):
     calls = []
     real = cg.s_m
 
-    def counted(ctx, m, row=None):
+    def counted(ctx, m, row):
         calls.append(m)
         return real(ctx, m, row)
 
@@ -122,7 +136,7 @@ def test_s_m_chain_reproduces_direct_sums(cache):
 
 
 def test_theorem1_example(cache):
-    [rep] = rows(verify_theorem1(cache.ctx(7), [3]))
+    [rep] = rows(verify_theorem1(cache.ctx(7), [3], cache.bell(7), cache.drow(7), cache.sigma(7)))
     assert rep.lhs == rep.rhs == 1
     assert rep.passed
     assert rep.params == {"p": 7, "m": 3}
@@ -138,7 +152,7 @@ def test_theorem1_rhs_routes_agree_with_oracle(cache):
         ms = [m for m in range(1, 3 * p + 1) if m % p]
         assert p - 1 in ms and p + 1 in ms
         want = [oracle.reduce((-1) ** (m - 1) * oracle.derangement_exact(m - 1), ctx).value for m in ms]
-        assert theorem1_rhs(ctx, ms).tolist() == want, p
+        assert theorem1_rhs(ctx, ms, cache.drow(p), cache.sigma(p)).tolist() == want, p
 
 
 def test_theorem1_sweep(cache):
@@ -148,12 +162,12 @@ def test_theorem1_sweep(cache):
         ctx = cache.ctx(p)
         row, drow = cache.bell(p), cache.drow(p)
         ms = [m for m in range(1, 3 * p + 1) if m % p]
-        reports = rows(verify_theorem1(ctx, ms, row, drow))
+        reports = rows(verify_theorem1(ctx, ms, row, drow, cache.sigma(p)))
         assert [r.params["m"] for r in reports] == ms
         assert all(r.passed for r in reports), p
-        for m, rhs in zip(ms, theorem1_rhs(ctx, ms, drow).tolist()):
+        for m, rhs in zip(ms, theorem1_rhs(ctx, ms, drow, cache.sigma(p)).tolist()):
             assert s_m(ctx, m, row).value == rhs, (p, m)
-    assert rows(verify_theorem1(cache.ctx(7), [])) == []
+    assert rows(verify_theorem1(cache.ctx(7), [], cache.bell(7), cache.drow(7), cache.sigma(7))) == []
 
 
 def test_theorem1_past_int64_weights(cache):
@@ -162,30 +176,30 @@ def test_theorem1_past_int64_weights(cache):
     for p in (7, 13):
         ctx = cache.ctx(p)
         for r in range(1, p):
-            [big] = rows(verify_theorem1(ctx, [10**30 * p + r]))
-            [small] = rows(verify_theorem1(ctx, [p + r]))
+            [big] = rows(verify_theorem1(ctx, [10**30 * p + r], cache.bell(p), cache.drow(p), cache.sigma(p)))
+            [small] = rows(verify_theorem1(ctx, [p + r], cache.bell(p), cache.drow(p), cache.sigma(p)))
             assert big.passed and big.params["m"] == 10**30 * p + r
             assert (big.lhs, big.rhs) == (small.lhs, small.rhs), (p, r)
         with pytest.raises(BadModulusError):
-            verify_theorem1(ctx, [1, 10**30 * p])
+            verify_theorem1(ctx, [1, 10**30 * p], cache.bell(p), cache.drow(p), cache.sigma(p))
         with pytest.raises(BadModulusError):
-            theorem1_rhs(ctx, [2 * p, 1])
+            theorem1_rhs(ctx, [2 * p, 1], cache.drow(p), cache.sigma(p))
         with pytest.raises(ValueError):
-            s_m_many(ctx, [1, -(10**30)])
+            s_m_many(ctx, [1, -(10**30)], cache.bell(p))
 
 
 def test_intro_constant_examples(cache):
-    [rep] = rows(verify_intro_constant(cache.ctx(3)))
+    [rep] = rows(verify_intro_constant(cache.ctx(3), 8, cache.bell(3)))
     assert (rep.lhs, rep.rhs) == (1, 1)
-    assert rows(verify_intro_constant(cache.ctx(5)))[0].lhs == 2
-    [rep] = rows(verify_intro_constant(cache.ctx(7), m=1))
+    assert rows(verify_intro_constant(cache.ctx(5), 8, cache.bell(5)))[0].lhs == 2
+    [rep] = rows(verify_intro_constant(cache.ctx(7), 1, cache.bell(7)))
     assert rep.lhs == rep.rhs == 2  # 1 + D_0 = 2 at weight 1
 
 
 def test_intro_constant_is_minus_1853(cache):
-    # at the default weight the full sum is 1 + s_8 = 1 - D_7 = -1853
+    # at the sweep's weight 8 the full sum is 1 + s_8 = 1 - D_7 = -1853
     for p in primes_in_range(3, 100):
-        [rep] = rows(verify_intro_constant(cache.ctx(p)))
+        [rep] = rows(verify_intro_constant(cache.ctx(p), 8, cache.bell(p)))
         assert rep.passed
         assert rep.lhs == -1853 % p
 
@@ -198,7 +212,7 @@ def test_corollary_all_pass(cache):
 
 
 def test_corollary_kernel_reports_carry_both_indices(cache):
-    reports = rows(verify_corollary(cache.ctx(5)))
+    reports = rows(verify_corollary(cache.ctx(5), cache.bell(5), cache.drow(5)))
     kernel = [r for r in reports if "k" in r.params]
     assert len(kernel) == 16
     diag = [r for r in kernel if r.params["n"] == r.params["k"]]
@@ -214,7 +228,7 @@ def test_eq4_chain(cache):
     for p in primes_in_range(3, 101):
         assert all(r.passed for r in rows(verify_eq4(cache.ctx(p), cache.bell(p)))), p
     with pytest.raises(BadModulusError):
-        verify_eq4(cache.ctx(2))
+        verify_eq4(cache.ctx(2), cache.bell(2))
 
 
 def test_bell_p(cache):
@@ -232,7 +246,7 @@ def test_touchard_fold_consistency(cache):
         assert len(reports) == n_max + 1
         assert all(r.passed for r in reports), p
     with pytest.raises(IndexTooLargeError):
-        verify_touchard(cache.ctx(5), 20)
+        verify_touchard(cache.ctx(5), 20, cache.bell(5))
 
 
 def test_touchard_fails_on_a_corrupt_row(cache):
@@ -266,7 +280,7 @@ def test_touchard_against_exact_bell_numbers(cache):
 
 def test_theorem2_polynomial_examples(cache):
     ctx3 = cache.ctx(3)
-    lhs = theorem2_lhs(ctx3, [2, 5], weighted_touchard_sum(ctx3, [2, 5]))
+    lhs = theorem2_lhs(ctx3, [2, 5], weighted_touchard_sum(ctx3, [2, 5], cache.matrix(3)))
     assert cg._coeff_tuples(lhs) == [(0, 0, 0, 2, 1), (0, 0, 0, 0, 0, 0, 1, 2)]
     assert cg._coeff_tuples(theorem2_rhs(ctx3, [2])) == [(0, 0, 0, 2, 1)]
     assert cg._coeff_tuples(theorem2_rhs(cache.ctx(5), [4])) == [(0, 0, 0, 0, 0, 4, 1, 2, 1)]
@@ -296,7 +310,7 @@ def test_theorem2_sweep(cache):
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
         ms = _weights(p)
-        reports = rows(verify_theorem2(ctx, ms, weighted_touchard_sum(ctx, ms)))
+        reports = rows(verify_theorem2(ctx, ms, weighted_touchard_sum(ctx, ms, cache.matrix(p))))
         assert [r.params["m"] for r in reports] == ms
         for rep in reports:
             assert rep.passed, (p, rep.params)
@@ -304,19 +318,19 @@ def test_theorem2_sweep(cache):
 
 
 def test_theorem2_eval_examples(cache):
-    [rep] = rows(verify_theorem2_eval(cache.ctx(5), [2], [2]))
+    [rep] = rows(verify_theorem2_eval(cache.ctx(5), [2], [2], cache.values(5)))
     assert rep.lhs == rep.rhs == 3
-    [rep] = rows(verify_theorem2_eval(cache.ctx(7), [3], [1]))
+    [rep] = rows(verify_theorem2_eval(cache.ctx(7), [3], [1], cache.values(7)))
     assert rep.lhs == rep.rhs == 1
     with pytest.raises(BadPointError):
-        verify_theorem2_eval(cache.ctx(5), [2], [10])
+        verify_theorem2_eval(cache.ctx(5), [2], [10], cache.values(5))
 
 
 def test_theorem2_eval_matches_polynomial_route(cache):
     for p in primes_in_range(2, 13):
         ctx = cache.ctx(p)
-        values = touchard_value_table(ctx)
-        polys = touchard_polys_from_matrix(ctx)
+        values = cache.values(p)
+        polys = touchard_polys_from_matrix(ctx, cache.matrix(p))
         ms, xs = _weights(p), list(range(1, p))
         reports = iter(rows(verify_theorem2_eval(ctx, ms, xs, values)))
         lhs_rows = theorem2_lhs(ctx, ms, weighted_touchard_sum(ctx, ms, _matrix_of(polys, p)))
@@ -335,32 +349,32 @@ def test_theorem2_eval_at_one_is_theorem1(cache):
     # T_n(1) = B_n collapses the weighted sum to the Bell-number sum
     for p in primes_in_range(2, 61):
         ctx = cache.ctx(p)
-        values = touchard_value_table(ctx)
+        values = cache.values(p)
         row, drow = cache.bell(p), cache.drow(p)
         ms = list(range(1, p))
-        rhs = theorem1_rhs(ctx, ms, drow).tolist()
+        rhs = theorem1_rhs(ctx, ms, drow, cache.sigma(p)).tolist()
         for m, rep, want in zip(ms, rows(verify_theorem2_eval(ctx, ms, [1], values)), rhs):
             assert rep.lhs == s_m(ctx, m, row).value
             assert rep.rhs == want
 
 
 def test_special_cases(cache):
-    reports = rows(verify_special_cases(cache.ctx(7), [1]))
+    reports = rows(verify_special_cases(cache.ctx(7), [1], cache.values(7)))
     by_m = {r.params["m"]: r for r in reports}
     assert set(by_m) == {2, 3, 4}
     assert by_m[4].lhs == by_m[4].rhs == 5
     assert all(r.passed for r in reports)
     # weights divisible by p are skipped
-    assert {r.params["m"] for r in rows(verify_special_cases(cache.ctx(2), [1]))} == {3}
-    assert {r.params["m"] for r in rows(verify_special_cases(cache.ctx(3), [1]))} == {2, 4}
+    assert {r.params["m"] for r in rows(verify_special_cases(cache.ctx(2), [1], cache.values(2)))} == {3}
+    assert {r.params["m"] for r in rows(verify_special_cases(cache.ctx(3), [1], cache.values(3)))} == {2, 4}
     with pytest.raises(BadPointError):
-        verify_special_cases(cache.ctx(5), [0])
+        verify_special_cases(cache.ctx(5), [0], cache.values(5))
 
 
 def test_special_cases_sweep(cache):
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
-        values = touchard_value_table(ctx)
+        values = cache.values(p)
         reports = rows(verify_special_cases(ctx, list(range(1, p)), values))
         assert {r.params["x"] for r in reports} == set(range(1, p))
         assert all(r.passed for r in reports), p
@@ -370,20 +384,20 @@ def test_special_cases_at_one_match_theorem1(cache):
     for p in primes_in_range(5, 61):
         ctx = cache.ctx(p)
         row = cache.bell(p)
-        for rep in rows(verify_special_cases(ctx, [1])):
+        for rep in rows(verify_special_cases(ctx, [1], cache.values(p))):
             assert rep.lhs == s_m(ctx, rep.params["m"], row).value, p
 
 
 def test_proof_intermediate(cache):
     ctx = cache.ctx(3)
     assert cg._coeff_tuples(proof_intermediate(ctx, [2])) == [(0, 2, 1)]
-    [rep] = rows(verify_proof_intermediate(ctx, [2], weighted_touchard_sum(ctx, [2])))
+    [rep] = rows(verify_proof_intermediate(ctx, [2], weighted_touchard_sum(ctx, [2], cache.matrix(3))))
     assert rep.passed
     assert rep.params == {"p": 3, "m": 2, "r": 1}
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
         ms = _weights(p)
-        reports = rows(verify_proof_intermediate(ctx, ms, weighted_touchard_sum(ctx, ms)))
+        reports = rows(verify_proof_intermediate(ctx, ms, weighted_touchard_sum(ctx, ms, cache.matrix(p))))
         assert [r.params["m"] for r in reports] == ms
         assert all(r.passed for r in reports), p
 
@@ -414,7 +428,7 @@ def test_batched_eval_matches_polynomial_route(cache):
         ctx = cache.ctx(p)
         ms, xs = _weights(p), list(range(1, p))
         polys = touchard_polys_by_recursion(p - 1, ctx)
-        values = touchard_value_table(ctx)
+        values = cache.values(p)
         evals = rows(verify_theorem2_eval(ctx, ms, xs, values))
         assert [(r.params["m"], r.params["x"]) for r in evals] == [(m, x) for m in ms for x in xs]
         special = {(r.params["m"], r.params["x"]): r for r in rows(verify_special_cases(ctx, xs, values))}
@@ -439,7 +453,7 @@ def test_eq10_recurrence_matches_theorem2_rhs(cache):
     for p in primes_in_range(2, 13):
         ctx = cache.ctx(p)
         ms, xs = [m for m in range(1, 3 * p + 1) if m % p], list(range(1, p))
-        evals = rows(verify_theorem2_eval(ctx, ms, xs, touchard_value_table(ctx)))
+        evals = rows(verify_theorem2_eval(ctx, ms, xs, cache.values(p)))
         got = {(r.params["m"], r.params["x"]): r.rhs for r in evals}
         for m, coeffs in zip(ms, theorem2_rhs(ctx, ms)):
             poly = DensePoly(ctx, coeffs.tolist())
@@ -453,7 +467,7 @@ def test_corrupt_table_entry_fails_exactly_its_point(cache):
     p, bad_x = 11, 4
     ctx = cache.ctx(p)
     ms, xs = _weights(p), list(range(1, p))
-    values = touchard_value_table(ctx).copy()
+    values = cache.values(p).copy()
     values[6, bad_x] = (values[6, bad_x] + 1) % p
     reports = rows(verify_theorem2_eval(ctx, ms, xs, values)) + rows(verify_special_cases(ctx, xs, values))
     failed = [r for r in reports if not r.passed]
@@ -465,7 +479,7 @@ def test_weight_blocks_do_not_change_reports(cache, monkeypatch):
     p = 13
     ctx = cache.ctx(p)
     ms, xs = _weights(p) + [7 * p + 2], list(range(1, p))
-    matrix, values = touchard_coeff_matrix(ctx), touchard_value_table(ctx)
+    matrix, values = cache.matrix(p), cache.values(p)
 
     def grid():
         reports = _touchard_grid(ctx, ms, xs, values, weighted_touchard_sum(ctx, ms, matrix))
@@ -480,8 +494,8 @@ def test_weight_blocks_do_not_change_reports(cache, monkeypatch):
 def test_batched_report_sides_are_python_ints(cache):
     ctx = cache.ctx(7)
     ms, xs = _weights(7), [1, 3, 6]
-    values = touchard_value_table(ctx)
-    sums = weighted_touchard_sum(ctx, ms)
+    values = cache.values(7)
+    sums = weighted_touchard_sum(ctx, ms, cache.matrix(7))
     for rep in _touchard_grid(ctx, ms, xs, values, sums):
         sides = (rep.lhs, rep.rhs) if isinstance(rep.lhs, int) else rep.lhs + rep.rhs
         assert all(type(v) is int for v in sides), rep
@@ -491,11 +505,11 @@ def test_batched_report_sides_are_python_ints(cache):
 
 def test_batched_verifiers_on_empty_grids(cache):
     ctx = cache.ctx(7)
-    values = touchard_value_table(ctx)
+    values = cache.values(7)
     assert rows(verify_theorem2_eval(ctx, [], [1, 2], values)) == []
     assert rows(verify_theorem2_eval(ctx, [1, 2], [], values)) == []
     assert rows(verify_special_cases(ctx, [], values)) == []
-    none = weighted_touchard_sum(ctx, [])
+    none = weighted_touchard_sum(ctx, [], cache.matrix(7))
     assert none.shape == (0, 7)
     assert rows(verify_theorem2(ctx, [], none)) == []
     assert rows(verify_proof_intermediate(ctx, [], none)) == []
@@ -508,7 +522,7 @@ def test_batched_verifiers_on_empty_grids(cache):
     with pytest.raises(BadModulusError):
         verify_theorem2_eval(ctx, [1, 14], [3], values)
     with pytest.raises(BadModulusError):
-        weighted_touchard_sum(ctx, [7])
+        weighted_touchard_sum(ctx, [7], cache.matrix(7))
     with pytest.raises(BadModulusError):
         verify_factorial_lemma(ctx, [1, 14])
 
@@ -516,7 +530,8 @@ def test_batched_verifiers_on_empty_grids(cache):
 def pivots(ctx, ms):
     """The r param, the least positive residue of -m, of each weight's
     intermediate and factorial reports."""
-    inter = [r.params["r"] for r in rows(verify_proof_intermediate(ctx, ms, weighted_touchard_sum(ctx, ms)))]
+    sums = weighted_touchard_sum(ctx, ms, touchard_coeff_matrix(ctx))
+    inter = [r.params["r"] for r in rows(verify_proof_intermediate(ctx, ms, sums))]
     fact = {r.params["m"]: r.params["r"] for r in rows(verify_factorial_lemma(ctx, ms))}
     assert inter == [fact[m] for m in ms]
     return inter

@@ -1,11 +1,13 @@
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # sha256 of each demo's stdout: a refactor under a demo must print the same bytes
 STDOUT_SHA256 = {
@@ -26,3 +28,11 @@ def test_demo_runs(script):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[script.name]
+
+
+def test_readme_quickstart_runs():
+    """The python block under "Library quickstart" in README.md runs as
+    written, so the quickstart cannot go stale against the library."""
+    section = (ROOT / "README.md").read_text().split("## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
+    [code] = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    exec(compile(code, "README.md quickstart", "exec"), {})

@@ -128,7 +128,7 @@ MUTANTS = {
         CLI,
         "width = max(1, 2 * b.lhs.shape[1]) if b.lhs.ndim == 2 else 1",
         "width = 1",
-        "a render call takes SPOOL_ROWS rows, however wide they are",
+        "a render call takes SPOOL_CELLS rows, however wide they are",
     ),
     "shared_side_for_failing_rows": (
         CLI,
@@ -522,7 +522,7 @@ MUTANTS = {
     "corollary_builds_own_drow": (
         CLI,
         "cg.verify_corollary(t.ctx, t.row, t.drow)",
-        "cg.verify_corollary(t.ctx, t.row)",
+        "cg.verify_corollary(t.ctx, t.row, derangement_row(t.ctx))",
         "corollary builds a second derangement row at each prime",
     ),
     # the identity registry and the tables of one prime
@@ -551,6 +551,31 @@ MUTANTS = {
     tables.matrix
 """,
         "every prime builds the Touchard matrix, needed or not",
+    ),
+    # the tables and grid defaults that only cli decides
+    "values_builds_own_matrix": (
+        CLI,
+        "touchard_value_table(self.ctx, self.matrix)",
+        "touchard_value_table(self.ctx, touchard_coeff_matrix(self.ctx))",
+        "the value table builds a second Touchard matrix at each prime",
+    ),
+    "intro_weight_7": (
+        CLI,
+        "m = t.cfg.m_single if t.cfg.m_single is not None else 8",
+        "m = t.cfg.m_single if t.cfg.m_single is not None else 7",
+        "intro checks weight 7 when no --m is given",
+    ),
+    "touchard_n_max_p": (
+        CLI,
+        "else min(p, p * p - p - 1)",
+        "else p",
+        "touchard's default n_max is p, past the triangle's cap at p = 2",
+    ),
+    "bench_tables_swapped": (
+        CLI,
+        "cg.verify_theorem1(ctx, ms, row, drow, sigma)",
+        "cg.verify_theorem1(ctx, ms, row, sigma, drow)",
+        "bench passes the signed series as the derangement row",
     ),
 }
 
