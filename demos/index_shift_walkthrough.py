@@ -14,7 +14,7 @@ P = 11
 ctx = make_context(P)
 row = bell_row(ctx)
 
-print(f"stored row mod {P}:", row.values.tolist())
+print(f"stored row mod {P}:", row.tolist())
 print()
 print(f"{'n':>4}  {'B_n mod p (fold)':>17}  {'B_n exact':>28}")
 for n in list(range(P, P + 8)) + [P * P - 2, P * P - 1]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import shutil
 import sys
 import tempfile
 from collections import defaultdict, deque
@@ -59,10 +60,8 @@ X_SAMPLE_SIZE = 32
 # at most this many weights are recomputed by the direct s_m loop in bench
 BENCH_SAMPLE = 32
 # verify renders at most SPOOL_CELLS cells per call, a scalar row being one
-# cell and a polynomial row its lhs and rhs coefficient columns, and copies
-# spools out in pieces of SPOOL_PIECE bytes
+# cell and a polynomial row its lhs and rhs coefficient columns
 SPOOL_CELLS = 1 << 12
-SPOOL_PIECE = 1 << 16
 
 SEQ_FAMILIES = ("bell", "derangement", "stirling", "touchard")
 
@@ -455,7 +454,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     with ExitStack() as stack:
-        spools = defaultdict(lambda: stack.enter_context(tempfile.TemporaryFile()))  # by Identity
+        # one text spool per Identity; the stream is ASCII
+        spools = defaultdict(lambda: stack.enter_context(tempfile.TemporaryFile("w+", newline="")))
 
         def spool(b: ReportBlock) -> None:
             # cells of a row: a polynomial row's coefficient columns, or 1
@@ -463,15 +463,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             rows = max(1, SPOOL_CELLS // width)
             for i in range(0, len(b), rows):
                 text = render_reports([b[i : i + rows]], args.format, header=False)
-                spools[b.identity].write(text.encode())
+                spools[b.identity].write(text)
 
         summary = _sweep(cfg, spool)
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
             fh.write(_CSV_HEADER if args.format == "csv" else "")
             for identity in sorted(spools, key=cg._IDENTITY_RANK.get):
                 spools[identity].seek(0)
-                while piece := spools[identity].read(SPOOL_PIECE):
-                    fh.write(piece.decode())  # the stream is ASCII
+                shutil.copyfileobj(spools[identity], fh)
     print(
         f"checked {summary.reports_total} reports across "
         f"{summary.primes_checked} primes in {summary.wall_time:.2f}s; "
@@ -486,17 +485,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        ctx = make_context(args.p)
+        t = PrimeTables(args.p, SweepConfig(args.p, args.p, ("theorem1",)))
     except (NotPrimeError, OverflowError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    p = ctx.p
+    ctx, p, ms = t.ctx, t.ctx.p, t.ms
     t0 = perf_counter()
-    row = bell_row(ctx)
+    row = t.row
     t_row = perf_counter() - t0
     rate = p * (p - 1) / 2 / t_row / 1e6 if t_row > 0 else float("inf")
     print(f"bell_row({p}): {t_row:.3f}s ({rate:.1f}M term-ops/s)")
-    ms = [m for m in range(1, 2 * p + 1) if m % p]
     t0 = perf_counter()
     table = cg.s_m_all_units(ctx, row)
     t_table = perf_counter() - t0
@@ -513,7 +511,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    drow, sigma = derangement_row(ctx), signed_series_row(ctx)
+    drow, sigma = t.drow, t.sigma  # built before the sweep timer starts
     t0 = perf_counter()
     bad = sum(len(b) - np.count_nonzero(b.passed) for b in cg.verify_theorem1(ctx, ms, row, drow, sigma))
     t_sweep = perf_counter() - t0

@@ -25,13 +25,7 @@ from .modarith import (
     powers_mod,
     primitive_root,
 )
-from .sequences import (
-    BellRow,
-    DerangementRow,
-    _bell_triangle,
-    _mod_matmul,
-    bell_mod,
-)
+from .sequences import _bell_triangle, _mod_matmul, bell_mod
 
 __all__ = [
     "BadModulusError",
@@ -199,11 +193,11 @@ def _require_units(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
     return np.where(w < p, w, p + r).astype(np.int64, copy=False)
 
 
-def s_m(ctx: PrimeContext, m: int, row: BellRow) -> Residue:
+def s_m(ctx: PrimeContext, m: int, row: np.ndarray) -> Residue:
     """The weighted Bell sum sum_{0<k<p} B_k / (-m)^k mod p."""
     _require_units(ctx, [m])
     p = ctx.p
-    vals = row.values.tolist()
+    vals = row.tolist()
     u = pow(-m % p, p - 2, p)
     acc = 0
     upow = 1
@@ -213,7 +207,7 @@ def s_m(ctx: PrimeContext, m: int, row: BellRow) -> Residue:
     return Residue(acc, ctx)
 
 
-def s_m_all_units(ctx: PrimeContext, row: BellRow) -> list[int]:
+def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> list[int]:
     """S_m for every unit weight at once, as a list indexed by m mod p
     (slot 0 unused).
 
@@ -236,7 +230,7 @@ def s_m_all_units(ctx: PrimeContext, row: BellRow) -> list[int]:
     tri[1:] = np.cumsum(np.arange(2 * n - 2, dtype=np.int64) % n) % n
     chirp = pw[tri]
     unchirp = pw[-tri[:n] % n]
-    coeffs = np.roll(row.values[1:], 1)  # B_{p-1} stands in for B_0 u^0
+    coeffs = np.roll(row[1:], 1)  # B_{p-1} stands in for B_0 u^0
     x = coeffs * unchirp % p
     corr = mod_convolve(x[::-1], chirp, p)[n - 1 : 2 * n - 1]
     evals = corr * unchirp % p
@@ -245,7 +239,7 @@ def s_m_all_units(ctx: PrimeContext, row: BellRow) -> list[int]:
     return table.tolist()
 
 
-def s_m_many(ctx: PrimeContext, ms: Sequence[int], row: BellRow) -> list[int]:
+def s_m_many(ctx: PrimeContext, ms: Sequence[int], row: np.ndarray) -> list[int]:
     """s_m for many weights at once; aligned with ms.
 
     Reads every weight from the s_m_all_units table, or takes the direct
@@ -264,7 +258,7 @@ def s_m_many(ctx: PrimeContext, ms: Sequence[int], row: BellRow) -> list[int]:
 
 
 def theorem1_rhs(
-    ctx: PrimeContext, ms: Sequence[int], drow: DerangementRow, sigma: np.ndarray
+    ctx: PrimeContext, ms: Sequence[int], drow: np.ndarray, sigma: np.ndarray
 ) -> np.ndarray:
     """(-1)^(m-1) D_{m-1} mod p for every weight of ms, aligned with ms.
 
@@ -275,12 +269,12 @@ def theorem1_rhs(
     """
     p = ctx.p
     n0 = _require_units(ctx, ms) - 1
-    d = drow.values[n0.clip(max=p - 1)]
+    d = drow[n0.clip(max=p - 1)]
     return np.where(n0 < p, np.where(n0 % 2 == 0, d, -d % p), sigma[n0 % p])
 
 
 def verify_theorem1(
-    ctx: PrimeContext, ms: Sequence[int], row: BellRow, drow: DerangementRow, sigma: np.ndarray
+    ctx: PrimeContext, ms: Sequence[int], row: np.ndarray, drow: np.ndarray, sigma: np.ndarray
 ) -> list[ReportBlock]:
     """Check sum_{0<k<p} B_k / (-m)^k = (-1)^(m-1) D_{m-1} (mod p) at every
     weight m of ms, in order.  The left side comes from s_m_many, which
@@ -290,7 +284,7 @@ def verify_theorem1(
     return [_block(Identity.THEOREM1, ctx, {"m": np.asarray(ms)}, lhs, rhs)]
 
 
-def verify_intro_constant(ctx: PrimeContext, m: int, row: BellRow) -> list[ReportBlock]:
+def verify_intro_constant(ctx: PrimeContext, m: int, row: np.ndarray) -> list[ReportBlock]:
     """Check that sum_{n=0}^{p-1} B_n / (-m)^n is the same integer mod every
     prime not dividing m: 1 + (-1)^(m-1) D_{m-1}, with D taken exactly.
 
@@ -303,21 +297,21 @@ def verify_intro_constant(ctx: PrimeContext, m: int, row: BellRow) -> list[Repor
     return [_block(Identity.INTRO_CONSTANT, ctx, params, np.array([lhs]), np.array([rhs.value]))]
 
 
-def verify_corollary(ctx: PrimeContext, row: BellRow, drow: DerangementRow) -> list[ReportBlock]:
+def verify_corollary(ctx: PrimeContext, row: np.ndarray, drow: np.ndarray) -> list[ReportBlock]:
     """Check the closed form B_n = sum_{0<m<p} (-1)^m D_{m-1} (-m)^n (mod p)
     for 0 < n < p, plus the power-sum kernel it rests on:
     sum_{0<m<p} (-m)^(n-k) = -[n = k] (mod p) for 0 < n, k < p.
     """
     p = ctx.p
     base = (p - np.arange(1, p, dtype=np.int64)) % p  # (-m) mod p for m = 1..p-1
-    weights = drow.values[: p - 1].copy()  # D_{m-1} for m = 1..p-1
+    weights = drow[: p - 1].copy()  # D_{m-1} for m = 1..p-1
     weights[::2] = (p - weights[::2]) % p  # odd m gets the minus sign
     pw = powers_mod(base, p, p)  # pw[m-1, e] = (-m)^e
     closed = _mod_matmul(weights, pw[:, 1:], p)  # n = 1..p-1
     # kernel power sums K[e] = sum_m (-m)^e; p - 1 residues sum below p**2
     kernel = pw[:, : p - 1].sum(axis=0) % p
     ks = np.arange(1, p)  # n and k both run 1..p-1
-    bell = row.values[1:p]
+    bell = row[1:p]
     lhs = kernel[(ks[:, None] - ks) % (p - 1)]  # row n - 1 holds K[n - k] for every k
     rhs = np.eye(p - 1, dtype=np.int64) * ((p - 1) % p)
     # canonical order: each {n} report just before its own {n, k} block
@@ -330,7 +324,7 @@ def verify_corollary(ctx: PrimeContext, row: BellRow, drow: DerangementRow) -> l
     return blocks
 
 
-def verify_eq4(ctx: PrimeContext, row: BellRow) -> list[ReportBlock]:
+def verify_eq4(ctx: PrimeContext, row: np.ndarray) -> list[ReportBlock]:
     """Check the weighted-sum chain: S_1 = 1 and m S_m = S_1 - S_{m+1}
     (mod p) for 1 <= m <= p - 2.  Needs p >= 3 to have any chain step.
     """
@@ -361,7 +355,7 @@ def s_m_chain(ctx: PrimeContext) -> list[int]:
     return out
 
 
-def verify_bell_p(ctx: PrimeContext, row: BellRow) -> list[ReportBlock]:
+def verify_bell_p(ctx: PrimeContext, row: np.ndarray) -> list[ReportBlock]:
     """Check B_p = 2 (mod p).
 
     The left side extends the Bell row one step by the genuine binomial
@@ -369,11 +363,11 @@ def verify_bell_p(ctx: PrimeContext, row: BellRow) -> list[ReportBlock]:
     """
     p = ctx.p
     w = ctx.inv_fact * ctx.inv_fact[::-1] % p
-    lhs = int(ctx.fact[p - 1]) * int(_mod_matmul(w, row.values, p)) % p
+    lhs = int(ctx.fact[p - 1]) * int(_mod_matmul(w, row, p)) % p
     return [_block(Identity.BELL_P, ctx, {}, np.array([lhs]), np.array([2 % p]))]
 
 
-def verify_touchard(ctx: PrimeContext, n_max: int, row: BellRow) -> list[ReportBlock]:
+def verify_touchard(ctx: PrimeContext, n_max: int, row: np.ndarray) -> list[ReportBlock]:
     """Check B_{p+n} = B_n + B_{n+1} (mod p) for 0 <= n <= n_max.
 
     The left side continues the additive triangle to row p + n_max; the

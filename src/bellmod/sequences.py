@@ -8,8 +8,6 @@ instead of trusting a single code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .modarith import (
@@ -22,8 +20,6 @@ from .modarith import (
 )
 
 __all__ = [
-    "BellRow",
-    "DerangementRow",
     "bell_row",
     "bell_triangle_row",
     "bell_mod",
@@ -61,34 +57,9 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
-class BellRow:
-    """Bell numbers B_0 .. B_{p-1} reduced mod p, as a read-only array."""
-
-    ctx: PrimeContext
-    values: np.ndarray
-
-    def __post_init__(self):
-        p = self.ctx.p
-        assert self.values.shape == (p,)
-        assert int(self.values[0]) == 1 % p and int(self.values[1]) == 1 % p
-
-
-@dataclass(frozen=True)
-class DerangementRow:
-    """Derangement counts D_0 .. D_{p-1} reduced mod p."""
-
-    ctx: PrimeContext
-    values: np.ndarray
-
-    def __post_init__(self):
-        p = self.ctx.p
-        assert self.values.shape == (p,)
-        assert int(self.values[0]) == 1 % p and int(self.values[1]) == 0
-
-
-def bell_row(ctx: PrimeContext) -> BellRow:
-    """B_0 .. B_{p-1} mod p by the binomial recurrence.
+def bell_row(ctx: PrimeContext) -> np.ndarray:
+    """B_0 .. B_{p-1} mod p by the binomial recurrence, as a read-only
+    int64 array.
 
     B_{n+1} = sum_k C(n, k) B_k = n! sum_k (B_k / k!) (1 / (n-k)!), so the
     row is built as b_k = B_k / k!: each step is one dot of b_0 .. b_n with
@@ -103,8 +74,9 @@ def bell_row(ctx: PrimeContext) -> BellRow:
         dot = int(_mod_matmul(b[: n + 1], rev[p - 1 - n :], p))
         b[n + 1] = dot * step[n] % p
     values = b * ctx.fact % p
+    assert values[1] == 1 % p  # B_1 = 1, a cheap self-check of the recurrence
     values.setflags(write=False)
-    return BellRow(ctx, values)
+    return values
 
 
 def _bell_triangle(ctx: PrimeContext, count: int) -> np.ndarray:
@@ -126,15 +98,16 @@ def _bell_triangle(ctx: PrimeContext, count: int) -> np.ndarray:
     return values
 
 
-def bell_triangle_row(ctx: PrimeContext) -> BellRow:
+def bell_triangle_row(ctx: PrimeContext) -> np.ndarray:
     """B_0 .. B_{p-1} mod p by the additive triangle of _bell_triangle.
     Independent of the factorial tables, so it cross-checks bell_row."""
     values = _bell_triangle(ctx, ctx.p)
+    assert values[1] == 1 % ctx.p  # B_1 = 1
     values.setflags(write=False)
-    return BellRow(ctx, values)
+    return values
 
 
-def bell_mod(n: int, ctx: PrimeContext, row: BellRow) -> Residue:
+def bell_mod(n: int, ctx: PrimeContext, row: np.ndarray) -> Residue:
     """B_n mod p for any 0 <= n < p**2.
 
     Indices below p read the precomputed row.  Larger ones are folded with
@@ -147,27 +120,27 @@ def bell_mod(n: int, ctx: PrimeContext, row: BellRow) -> Residue:
     p = ctx.p
     if n >= p * p:
         raise IndexTooLargeError(f"index {n} needs n < p**2 = {p * p}")
-    vals = row.values
     if n < p:
-        return Residue(int(vals[n]), ctx)
+        return Residue(int(row[n]), ctx)
     q, s = divmod(n, p)
     total = 0
     fq, invf = int(ctx.fact[q]), ctx.inv_fact[: q + 1].tolist()
     for j in range(q + 1):
         t = s + j
         if t < p:
-            b = int(vals[t])
+            b = int(row[t])
         else:
             # s + j <= 2p - 2, so one extra fold always lands inside the row
             t -= p
-            b = (int(vals[t]) + int(vals[t + 1])) % p
+            b = (int(row[t]) + int(row[t + 1])) % p
         c = fq * invf[j] % p * invf[q - j] % p
         total = (total + c * b) % p
     return Residue(total, ctx)
 
 
-def derangement_row(ctx: PrimeContext) -> DerangementRow:
-    """D_0 .. D_{p-1} mod p by D_n = n D_{n-1} + (-1)^n."""
+def derangement_row(ctx: PrimeContext) -> np.ndarray:
+    """D_0 .. D_{p-1} mod p by D_n = n D_{n-1} + (-1)^n, as a read-only
+    int64 array."""
     p = ctx.p
     values = np.zeros(p, dtype=np.int64)
     values[0] = 1 % p
@@ -177,8 +150,9 @@ def derangement_row(ctx: PrimeContext) -> DerangementRow:
         sign = -sign
         cur = (n * cur + sign) % p
         values[n] = cur
+    assert values[0] == 1 % p and values[1] == 0  # D_0 = 1, D_1 = 0
     values.setflags(write=False)
-    return DerangementRow(ctx, values)
+    return values
 
 
 def derangement_series_mod(n: int, ctx: PrimeContext) -> Residue:

@@ -176,9 +176,9 @@ def test_criterion_09_oracle_agreement():
             want_d = oracle.reduce(oracle.derangement_exact(n), ctx)
             ok = ok and derangement_mod(n, ctx, sigma) == want_d
             if n < p:
-                ok = ok and int(row.values[n]) == want_b.value
-                ok = ok and int(tri.values[n]) == want_b.value
-                ok = ok and int(drow.values[n]) == want_d.value
+                ok = ok and int(row[n]) == want_b.value
+                ok = ok and int(tri[n]) == want_b.value
+                ok = ok and int(drow[n]) == want_d.value
                 ok = ok and derangement_series_mod(n, ctx) == want_d
     for p in primes_in_range(2, 61):
         ctx = make_context(p)
@@ -196,7 +196,7 @@ def test_criterion_10_performance_and_determinism():
     ctx = make_context(9973)
     row = bell_row(ctx)
     t_row = perf_counter() - t0
-    ok = t_row <= 10.0 and int(row.values[0]) == 1
+    ok = t_row <= 10.0 and int(row[0]) == 1
 
     t0 = perf_counter()
     cfg = SweepConfig(prime_lo=2, prime_hi=500, identities=("theorem1",), workers=4)

@@ -1,6 +1,5 @@
 import inspect
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,9 +253,9 @@ def test_touchard_fails_on_a_corrupt_row(cache):
     # row, so a wrong entry anywhere in the row fails a report
     for p in (5, 7, 31):
         for k in range(p):
-            values = cache.bell(p).values.copy()
-            values[k] = (values[k] + 1) % p
-            reports = rows(verify_touchard(cache.ctx(p), p, SimpleNamespace(values=values)))
+            row = cache.bell(p).copy()
+            row[k] = (row[k] + 1) % p
+            reports = rows(verify_touchard(cache.ctx(p), p, row))
             assert [r.params["n"] for r in reports if not r.passed][:1] == [max(k - 1, 0)], (p, k)
 
 

@@ -33,25 +33,50 @@ from bellmod.sequences import (
 
 
 def test_bell_row_known_values(cache):
-    assert cache.bell(11).values[:9].tolist() == [1, 1, 2, 5, 4, 8, 5, 8, 4]
-    assert cache.bell(2).values.tolist() == [1, 1]
-    assert cache.bell(3).values.tolist() == [1, 1, 2]
-    assert cache.bell(5).values.tolist() == [1, 1, 2, 0, 0]
-    assert int(cache.bell(7).values[6]) == 0  # B_6 = 203 = 7 * 29
+    assert cache.bell(11)[:9].tolist() == [1, 1, 2, 5, 4, 8, 5, 8, 4]
+    assert cache.bell(2).tolist() == [1, 1]
+    assert cache.bell(3).tolist() == [1, 1, 2]
+    assert cache.bell(5).tolist() == [1, 1, 2, 0, 0]
+    assert int(cache.bell(7)[6]) == 0  # B_6 = 203 = 7 * 29
 
 
 def test_bell_rows_cross_path():
     for p in primes_in_range(2, 200) + [1009, 2003, 9973]:
         ctx = make_context(p)
-        a = bell_row(ctx).values
-        b = bell_triangle_row(ctx).values
+        a = bell_row(ctx)
+        b = bell_triangle_row(ctx)
         assert np.array_equal(a, b), p
 
 
-def test_bell_row_values_are_read_only(cache):
-    row = cache.bell(13)
+@pytest.mark.parametrize(
+    "build",
+    [
+        bell_row,
+        bell_triangle_row,
+        derangement_row,
+        signed_series_row,
+        touchard_coeff_matrix,
+        lambda ctx: touchard_value_table(ctx, touchard_coeff_matrix(ctx)),
+    ],
+    ids=[
+        "bell_row",
+        "bell_triangle_row",
+        "derangement_row",
+        "signed_series_row",
+        "touchard_coeff_matrix",
+        "touchard_value_table",
+    ],
+)
+def test_tables_are_read_only_int64(cache, build):
+    """Every per-prime table is a bare int64 array that no reader can
+    write, since a sweep shares each one across identities."""
+    p = 13
+    table = build(cache.ctx(p))
+    assert type(table) is np.ndarray and table.dtype == np.int64
+    assert table.shape in {(p,), (p, p)}
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
-        row.values[0] = 5
+        table[0] = 5
 
 
 def test_factorial_tables_are_int64_and_residues_hold_ints(cache):
@@ -80,7 +105,7 @@ def test_bell_mod_small(cache):
     assert bell_mod(6, ctx, row).value == 3  # 203 mod 5
     assert bell_mod(7, ctx, row).value == 2  # 877 mod 5
     for n in range(5):
-        assert bell_mod(n, ctx, row).value == int(row.values[n])
+        assert bell_mod(n, ctx, row).value == int(row[n])
     with pytest.raises(IndexTooLargeError):
         bell_mod(25, ctx, row)
     with pytest.raises(ValueError):
@@ -103,9 +128,9 @@ def test_bell_p_is_two(cache):
 
 
 def test_derangement_row_known_values(cache):
-    assert cache.drow(11).values[:9].tolist() == [1, 0, 1, 2, 9, 0, 1, 6, 5]
-    assert cache.drow(2).values.tolist() == [1, 0]
-    assert int(cache.drow(7).values[5]) == 2  # 44 mod 7
+    assert cache.drow(11)[:9].tolist() == [1, 0, 1, 2, 9, 0, 1, 6, 5]
+    assert cache.drow(2).tolist() == [1, 0]
+    assert int(cache.drow(7)[5]) == 2  # 44 mod 7
 
 
 def test_derangement_series_examples(cache):
@@ -118,7 +143,7 @@ def test_derangement_series_examples(cache):
 
 def test_derangement_series_matches_row(cache):
     for p in primes_in_range(2, 101):
-        row = cache.drow(p).values
+        row = cache.drow(p)
         for n in range(p):
             assert derangement_series_mod(n, cache.ctx(p)).value == int(row[n])
 
@@ -126,7 +151,7 @@ def test_derangement_series_matches_row(cache):
 def test_signed_series_row(cache):
     for p in primes_in_range(2, 101):
         sigma = signed_series_row(cache.ctx(p))
-        row = cache.drow(p).values
+        row = cache.drow(p)
         for n in range(p):
             want = int(row[n]) if n % 2 == 0 else (p - int(row[n])) % p
             assert int(sigma[n]) == want
@@ -184,7 +209,7 @@ def test_touchard_at_one_is_bell(cache):
     for p in primes_in_range(2, 101):
         ctx = cache.ctx(p)
         matrix = touchard_coeff_matrix(ctx)
-        row = cache.bell(p).values
+        row = cache.bell(p)
         # row sums of the coefficient matrix evaluate the polynomials at 1
         sums = matrix.sum(axis=1) % p
         assert np.array_equal(sums, row), p
@@ -265,8 +290,8 @@ def test_rows_match_sympy_mod_p():
 
     for p in primes_in_range(2, 61):
         ctx = make_context(p)
-        assert bell_row(ctx).values.tolist() == [int(sympy.bell(n)) % p for n in range(p)]
-        assert derangement_row(ctx).values.tolist() == [
+        assert bell_row(ctx).tolist() == [int(sympy.bell(n)) % p for n in range(p)]
+        assert derangement_row(ctx).tolist() == [
             int(sympy.subfactorial(n)) % p for n in range(p)
         ]
         assert touchard_coeff_matrix(ctx).tolist() == [

@@ -102,8 +102,8 @@ MUTANTS = {
     ),
     "spool_read_whole": (
         CLI,
-        "while piece := spools[identity].read(SPOOL_PIECE):",
-        "while piece := spools[identity].read():",
+        "shutil.copyfileobj(spools[identity], fh)",
+        "fh.write(spools[identity].read())",
         "the writer copies each spool as one string",
     ),
     "spools_in_arrival_order": (
@@ -576,6 +576,49 @@ MUTANTS = {
         "cg.verify_theorem1(ctx, ms, row, drow, sigma)",
         "cg.verify_theorem1(ctx, ms, row, sigma, drow)",
         "bench passes the signed series as the derangement row",
+    ),
+    # every per-prime table a bare read-only int64 array
+    "bell_row_writable": (
+        SEQUENCES,
+        "# B_1 = 1, a cheap self-check of the recurrence\n    values.setflags(write=False)\n",
+        "# B_1 = 1, a cheap self-check of the recurrence\n",
+        "bell_row returns a writeable array",
+    ),
+    "bell_triangle_row_writable": (
+        SEQUENCES,
+        "# B_1 = 1\n    values.setflags(write=False)\n",
+        "# B_1 = 1\n",
+        "bell_triangle_row returns a writeable array",
+    ),
+    "derangement_row_writable": (
+        SEQUENCES,
+        "# D_0 = 1, D_1 = 0\n    values.setflags(write=False)\n",
+        "# D_0 = 1, D_1 = 0\n",
+        "derangement_row returns a writeable array",
+    ),
+    "signed_series_row_writable": (
+        SEQUENCES,
+        "    sigma.setflags(write=False)\n",
+        "",
+        "signed_series_row returns a writeable array",
+    ),
+    "touchard_coeff_matrix_writable": (
+        SEQUENCES,
+        "    m.setflags(write=False)\n",
+        "",
+        "touchard_coeff_matrix returns a writeable array",
+    ),
+    "touchard_value_table_writable": (
+        SEQUENCES,
+        "    table.setflags(write=False)\n",
+        "",
+        "touchard_value_table returns a writeable array",
+    ),
+    "theorem1_row_drow_swapped": (
+        CLI,
+        "cg.verify_theorem1(t.ctx, t.ms, t.row, t.drow, t.sigma)",
+        "cg.verify_theorem1(t.ctx, t.ms, t.drow, t.row, t.sigma)",
+        "theorem1 reads the derangement row as the Bell row and the Bell row as the derangement row",
     ),
 }
 
