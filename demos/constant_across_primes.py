@@ -19,7 +19,7 @@ print(f"{'p':>5}  {'sum':>6}  {'expected':>9}")
 for p in primes_in_range(3, 80):
     ctx = make_context(p)
     # the n = 0 term contributes B_0 = 1 on top of the 0 < n < p sum
-    total = (1 + s_m(ctx, WEIGHT, bell_row(ctx)).value) % p
+    total = (1 + s_m(ctx, WEIGHT, bell_row(ctx))) % p
     print(f"{p:>5}  {total:>6}  {CONSTANT % p:>9}")
 
 # the same game at other weights lands on other fixed integers:

@@ -18,7 +18,7 @@ print(f"stored row mod {P}:", row.tolist())
 print()
 print(f"{'n':>4}  {'B_n mod p (fold)':>17}  {'B_n exact':>28}")
 for n in list(range(P, P + 8)) + [P * P - 2, P * P - 1]:
-    folded = bell_mod(n, ctx, row).value
+    folded = bell_mod(n, ctx, row)
     exact = oracle.bell_exact(n)
     mark = "ok" if folded == exact % P else "MISMATCH"
     print(f"{n:>4}  {folded:>17}  {exact % P:>28}  {mark}")
@@ -26,6 +26,6 @@ for n in list(range(P, P + 8)) + [P * P - 2, P * P - 1]:
 print()
 print("the shift rule itself, n = 0..9:")
 for n in range(10):
-    lhs = bell_mod(P + n, ctx, row).value
-    rhs = (bell_mod(n, ctx, row).value + bell_mod(n + 1, ctx, row).value) % P
+    lhs = bell_mod(P + n, ctx, row)
+    rhs = (bell_mod(n, ctx, row) + bell_mod(n + 1, ctx, row)) % P
     print(f"  B_{P + n} = {lhs}   B_{n} + B_{n + 1} = {rhs}")

@@ -2,18 +2,12 @@
 plus verifiers for the congruence identities connecting them."""
 
 from .modarith import (
-    ContextMismatchError,
-    DensePoly,
     IndexTooLargeError,
     NotPrimeError,
     PrimeContext,
-    Residue,
     binomial_mod,
     is_prime,
     make_context,
-    mod_inv,
-    mod_pow,
-    normalize,
     primes_in_range,
 )
 from .sequences import (
@@ -43,18 +37,12 @@ from .congruences import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContextMismatchError",
-    "DensePoly",
     "IndexTooLargeError",
     "NotPrimeError",
     "PrimeContext",
-    "Residue",
     "binomial_mod",
     "is_prime",
     "make_context",
-    "mod_inv",
-    "mod_pow",
-    "normalize",
     "primes_in_range",
     "bell_mod",
     "bell_row",

@@ -383,9 +383,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
             if ctx is None:
                 vals = [oracle.stirling2_exact(n, args.k) for n in range(lo, hi + 1)]
             else:
-                vals = [
-                    stirling2_mod(n, args.k, ctx).value for n in range(lo, hi + 1)
-                ]
+                vals = [stirling2_mod(n, args.k, ctx) for n in range(lo, hi + 1)]
             print(" ".join(str(v) for v in vals))
             return 0
         if family == "touchard":
@@ -395,7 +393,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
             if ctx is None:
                 polys = [[oracle.stirling2_exact(n, k) for k in range(n + 1)] for n in ns]
             else:
-                polys = [touchard_poly(n, ctx).coeffs for n in ns]
+                polys = [touchard_poly(n, ctx) for n in ns]
             print("\n".join("[" + ",".join(map(str, c)) + "]" for c in polys))
             return 0
         if family == "bell":
@@ -403,13 +401,13 @@ def cmd_seq(args: argparse.Namespace) -> int:
                 vals = [oracle.bell_exact(n) for n in range(lo, hi + 1)]
             else:
                 row = bell_row(ctx)
-                vals = [bell_mod(n, ctx, row).value for n in range(lo, hi + 1)]
+                vals = [bell_mod(n, ctx, row) for n in range(lo, hi + 1)]
         else:
             if ctx is None:
                 vals = [oracle.derangement_exact(n) for n in range(lo, hi + 1)]
             else:
                 sigma = signed_series_row(ctx)
-                vals = [derangement_mod(n, ctx, sigma).value for n in range(lo, hi + 1)]
+                vals = [derangement_mod(n, ctx, sigma) for n in range(lo, hi + 1)]
         print(" ".join(str(v) for v in vals))
         return 0
     except ValueError as exc:
@@ -501,7 +499,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"all-units route over {p - 1} units: {t_table:.3f}s")
     sample = ms[:: -(-len(ms) // BENCH_SAMPLE)]
     t0 = perf_counter()
-    direct = [cg.s_m(ctx, m, row).value for m in sample]
+    direct = [cg.s_m(ctx, m, row) for m in sample]
     t_direct = perf_counter() - t0
     print(f"direct s_m loop over {len(sample)} sampled weights: {t_direct:.3f}s")
     for m, dv in zip(sample, direct):

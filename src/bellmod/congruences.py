@@ -19,9 +19,7 @@ from . import oracle
 from .modarith import (
     IndexTooLargeError,
     PrimeContext,
-    Residue,
     mod_convolve,
-    normalize,
     powers_mod,
     primitive_root,
 )
@@ -193,7 +191,7 @@ def _require_units(ctx: PrimeContext, ms: Sequence[int]) -> np.ndarray:
     return np.where(w < p, w, p + r).astype(np.int64, copy=False)
 
 
-def s_m(ctx: PrimeContext, m: int, row: np.ndarray) -> Residue:
+def s_m(ctx: PrimeContext, m: int, row: np.ndarray) -> int:
     """The weighted Bell sum sum_{0<k<p} B_k / (-m)^k mod p."""
     _require_units(ctx, [m])
     p = ctx.p
@@ -204,7 +202,7 @@ def s_m(ctx: PrimeContext, m: int, row: np.ndarray) -> Residue:
     for k in range(1, p):
         upow = upow * u % p
         acc = (acc + vals[k] * upow) % p
-    return Residue(acc, ctx)
+    return acc
 
 
 def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> list[int]:
@@ -252,7 +250,7 @@ def s_m_many(ctx: PrimeContext, ms: Sequence[int], row: np.ndarray) -> list[int]
     try:
         table = s_m_all_units(ctx, row)
     except OverflowError:
-        return [s_m(ctx, m, row).value for m in ms]
+        return [s_m(ctx, m, row) for m in ms]
     p = ctx.p
     return [table[m % p] for m in ms]
 
@@ -290,11 +288,11 @@ def verify_intro_constant(ctx: PrimeContext, m: int, row: np.ndarray) -> list[Re
 
     At m = 8 the constant is -1853.
     """
-    lhs = (1 + s_m(ctx, m, row).value) % ctx.p  # the n = 0 term contributes B_0 = 1
+    lhs = (1 + s_m(ctx, m, row)) % ctx.p  # the n = 0 term contributes B_0 = 1
     sign = 1 if (m - 1) % 2 == 0 else -1
-    rhs = normalize(1 + sign * oracle.derangement_exact(m - 1), ctx)
+    rhs = (1 + sign * oracle.derangement_exact(m - 1)) % ctx.p
     params = {"m": np.array([m])}
-    return [_block(Identity.INTRO_CONSTANT, ctx, params, np.array([lhs]), np.array([rhs.value]))]
+    return [_block(Identity.INTRO_CONSTANT, ctx, params, np.array([lhs]), np.array([rhs]))]
 
 
 def verify_corollary(ctx: PrimeContext, row: np.ndarray, drow: np.ndarray) -> list[ReportBlock]:
@@ -381,7 +379,7 @@ def verify_touchard(ctx: PrimeContext, n_max: int, row: np.ndarray) -> list[Repo
     lhs = _bell_triangle(ctx, p + n_max + 1)[p:]
     ns = range(n_max + 1)
     rhs = np.array(
-        [(bell_mod(n, ctx, row).value + bell_mod(n + 1, ctx, row).value) % p for n in ns],
+        [(bell_mod(n, ctx, row) + bell_mod(n + 1, ctx, row)) % p for n in ns],
         dtype=np.int64,
     )
     return [_block(Identity.TOUCHARD_EQ1, ctx, {"n": np.arange(n_max + 1)}, lhs, rhs)]

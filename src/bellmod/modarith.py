@@ -1,30 +1,23 @@
-"""Prime-field scalar and polynomial arithmetic.
+"""Prime-field arithmetic on plain ints and int64 arrays.
 
 Everything else in the package builds on this module: verified prime
-contexts carrying factorial tables, canonical residues in ``[0, p)``, and
-normalized dense polynomials over GF(p).
+contexts carrying factorial tables, binomials mod p, the prime sieve and
+primitive roots, and exact convolution of residue vectors.  A residue is
+a plain int in ``[0, p)``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, Union
-
 import numpy as np
 
 __all__ = [
     "NotPrimeError",
     "IndexTooLargeError",
-    "ContextMismatchError",
     "PrimeContext",
-    "Residue",
-    "DensePoly",
     "make_context",
     "is_prime",
-    "normalize",
-    "mod_pow",
-    "mod_inv",
     "binomial_mod",
     "primes_in_range",
     "primitive_root",
@@ -59,10 +52,6 @@ class NotPrimeError(ValueError):
 
 class IndexTooLargeError(ValueError):
     """Raised when a sequence index is outside the supported range."""
-
-
-class ContextMismatchError(ValueError):
-    """Raised when operands from different prime contexts are mixed."""
 
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3_215_031_751,
@@ -144,127 +133,15 @@ def make_context(p: int) -> PrimeContext:
     return PrimeContext(p)
 
 
-def _same_ctx(a: PrimeContext, b: PrimeContext) -> None:
-    if a.p != b.p:
-        raise ContextMismatchError(f"mixed moduli {a.p} and {b.p}")
-
-
-ResidueLike = Union["Residue", int]
-
-
-class Residue:
-    """An integer in [0, p) tagged with its context.
-
-    Arithmetic only combines residues from the same context; a plain int
-    operand is reduced into the context first.
-    """
-
-    __slots__ = ("value", "ctx")
-
-    def __init__(self, value: int, ctx: PrimeContext):
-        if not 0 <= value < ctx.p:
-            raise ValueError(f"{value} is not canonical modulo {ctx.p}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "ctx", ctx)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Residue is immutable")
-
-    def _coerce(self, other: ResidueLike) -> int:
-        if isinstance(other, Residue):
-            _same_ctx(self.ctx, other.ctx)
-            return other.value
-        if isinstance(other, int):
-            return other % self.ctx.p
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: ResidueLike) -> "Residue":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue((self.value + v) % self.ctx.p, self.ctx)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ResidueLike) -> "Residue":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue((self.value - v) % self.ctx.p, self.ctx)
-
-    def __rsub__(self, other: ResidueLike) -> "Residue":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue((v - self.value) % self.ctx.p, self.ctx)
-
-    def __mul__(self, other: ResidueLike) -> "Residue":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * v % self.ctx.p, self.ctx)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ResidueLike) -> "Residue":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * mod_inv(Residue(v, self.ctx))
-
-    def __pow__(self, exponent: int) -> "Residue":
-        return mod_pow(self, exponent)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value % self.ctx.p, self.ctx)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Residue):
-            return other.ctx.p == self.ctx.p and other.value == self.value
-        if isinstance(other, int):
-            return self.value == other % self.ctx.p
-        return NotImplemented
-
-    # == equates a residue with every congruent int, so no hash can agree
-    # with it: residues are unhashable
-    __hash__ = None
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Residue({self.value} mod {self.ctx.p})"
-
-
-def normalize(n: int, ctx: PrimeContext) -> Residue:
-    """Reduce an arbitrary (possibly negative) int into [0, p)."""
-    return Residue(n % ctx.p, ctx)
-
-
-def mod_pow(base: Residue, exponent: int) -> Residue:
-    """base**exponent with exponent >= 0; 0**0 = 1 by convention."""
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative; divide instead")
-    return Residue(pow(base.value, exponent, base.ctx.p), base.ctx)
-
-
-def mod_inv(a: Residue) -> Residue:
-    """Multiplicative inverse via Fermat; zero has none."""
-    if a.value == 0:
-        raise ZeroDivisionError(f"0 is not invertible modulo {a.ctx.p}")
-    return Residue(pow(a.value, a.ctx.p - 2, a.ctx.p), a.ctx)
-
-
-def binomial_mod(n: int, k: int, ctx: PrimeContext) -> Residue:
+def binomial_mod(n: int, k: int, ctx: PrimeContext) -> int:
     """C(n, k) mod p from the factorial tables; requires 0 <= n < p."""
     if n < 0 or k < 0:
         raise ValueError("binomial arguments must be nonnegative")
     if n >= ctx.p:
         raise IndexTooLargeError(f"binomial row {n} needs n < p = {ctx.p}")
     if k > n:
-        return Residue(0, ctx)
-    v = int(ctx.fact[n]) * int(ctx.inv_fact[k]) % ctx.p * int(ctx.inv_fact[n - k]) % ctx.p
-    return Residue(v, ctx)
+        return 0
+    return int(ctx.fact[n]) * int(ctx.inv_fact[k]) % ctx.p * int(ctx.inv_fact[n - k]) % ctx.p
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -430,121 +307,3 @@ def mod_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         out = (out + x * (big % p)) % p
         big *= qi
     return out
-
-
-def _coeff_value(c: ResidueLike, ctx: PrimeContext) -> int:
-    """A non-int coefficient reduced into ctx; a Residue must belong to it."""
-    if isinstance(c, Residue):
-        _same_ctx(ctx, c.ctx)
-    return int(c) % ctx.p
-
-
-class DensePoly:
-    """Dense polynomial over one prime context.
-
-    Coefficients are stored ascending by degree with trailing zeros
-    stripped; the zero polynomial is the empty tuple and has degree -1.
-    """
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: PrimeContext, coeffs: Iterable[ResidueLike] = ()):
-        p = ctx.p
-        vals = [c % p if c.__class__ is int else _coeff_value(c, ctx) for c in coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", tuple(vals))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("DensePoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _padded(self, size: int) -> list[int]:
-        out = list(self.coeffs)
-        out.extend(0 for _ in range(size - len(out)))
-        return out
-
-    def add(self, other: "DensePoly") -> "DensePoly":
-        _same_ctx(self.ctx, other.ctx)
-        size = max(len(self.coeffs), len(other.coeffs))
-        a, b = self._padded(size), other._padded(size)
-        return DensePoly(self.ctx, [x + y for x, y in zip(a, b)])
-
-    def sub(self, other: "DensePoly") -> "DensePoly":
-        _same_ctx(self.ctx, other.ctx)
-        size = max(len(self.coeffs), len(other.coeffs))
-        a, b = self._padded(size), other._padded(size)
-        return DensePoly(self.ctx, [x - y for x, y in zip(a, b)])
-
-    def scale(self, c: ResidueLike) -> "DensePoly":
-        if isinstance(c, Residue):
-            _same_ctx(self.ctx, c.ctx)
-        v = int(c) % self.ctx.p
-        return DensePoly(self.ctx, [v * x for x in self.coeffs])
-
-    def mul(self, other: "DensePoly") -> "DensePoly":
-        _same_ctx(self.ctx, other.ctx)
-        if self.is_zero() or other.is_zero():
-            return DensePoly(self.ctx)
-        p = self.ctx.p
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % p
-        return DensePoly(self.ctx, out)
-
-    def mul_monomial(self, k: int, c: ResidueLike = 1) -> "DensePoly":
-        """Multiply by c * x**k."""
-        if k < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        if isinstance(c, Residue):
-            _same_ctx(self.ctx, c.ctx)
-        v = int(c) % self.ctx.p
-        return DensePoly(self.ctx, [0] * k + [v * x for x in self.coeffs])
-
-    def eval(self, x: ResidueLike) -> Residue:
-        if isinstance(x, Residue):
-            _same_ctx(self.ctx, x.ctx)
-        p = self.ctx.p
-        xv = int(x) % p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * xv + c) % p
-        return Residue(acc, self.ctx)
-
-    def equals(self, other: "DensePoly") -> bool:
-        _same_ctx(self.ctx, other.ctx)
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other: "DensePoly") -> "DensePoly":
-        return self.add(other)
-
-    def __sub__(self, other: "DensePoly") -> "DensePoly":
-        return self.sub(other)
-
-    def __mul__(self, other: "DensePoly") -> "DensePoly":
-        return self.mul(other)
-
-    def __neg__(self) -> "DensePoly":
-        return self.scale(-1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        return other.ctx.p == self.ctx.p and other.coeffs == self.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.ctx.p))
-
-    def __repr__(self) -> str:
-        return f"DensePoly(p={self.ctx.p}, coeffs={list(self.coeffs)})"
-

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .modarith import IndexTooLargeError, PrimeContext, Residue
+from .modarith import IndexTooLargeError
 
 __all__ = [
     "BELL_MAX",
@@ -27,7 +27,6 @@ __all__ = [
     "stirling2_exact",
     "egf_bell_series",
     "egf_bell_check",
-    "reduce",
 ]
 
 BELL_MAX = 1200
@@ -168,7 +167,3 @@ def egf_bell_check(n_max: int) -> bool:
         factorial(n) * coeffs[n] == bell_exact(n) for n in range(n_max + 1)
     )
 
-
-def reduce(x: int, ctx: PrimeContext) -> Residue:
-    """Reduce an exact oracle value (possibly negative) into the context."""
-    return Residue(x % ctx.p, ctx)

@@ -10,14 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modarith import (
-    DensePoly,
-    IndexTooLargeError,
-    PrimeContext,
-    Residue,
-    binomial_mod,
-    powers_mod,
-)
+from .modarith import IndexTooLargeError, PrimeContext, binomial_mod, powers_mod
 
 __all__ = [
     "bell_row",
@@ -107,7 +100,7 @@ def bell_triangle_row(ctx: PrimeContext) -> np.ndarray:
     return values
 
 
-def bell_mod(n: int, ctx: PrimeContext, row: np.ndarray) -> Residue:
+def bell_mod(n: int, ctx: PrimeContext, row: np.ndarray) -> int:
     """B_n mod p for any 0 <= n < p**2.
 
     Indices below p read the precomputed row.  Larger ones are folded with
@@ -121,7 +114,7 @@ def bell_mod(n: int, ctx: PrimeContext, row: np.ndarray) -> Residue:
     if n >= p * p:
         raise IndexTooLargeError(f"index {n} needs n < p**2 = {p * p}")
     if n < p:
-        return Residue(int(row[n]), ctx)
+        return int(row[n])
     q, s = divmod(n, p)
     total = 0
     fq, invf = int(ctx.fact[q]), ctx.inv_fact[: q + 1].tolist()
@@ -135,7 +128,7 @@ def bell_mod(n: int, ctx: PrimeContext, row: np.ndarray) -> Residue:
             b = (int(row[t]) + int(row[t + 1])) % p
         c = fq * invf[j] % p * invf[q - j] % p
         total = (total + c * b) % p
-    return Residue(total, ctx)
+    return total
 
 
 def derangement_row(ctx: PrimeContext) -> np.ndarray:
@@ -155,7 +148,7 @@ def derangement_row(ctx: PrimeContext) -> np.ndarray:
     return values
 
 
-def derangement_series_mod(n: int, ctx: PrimeContext) -> Residue:
+def derangement_series_mod(n: int, ctx: PrimeContext) -> int:
     """D_n mod p from the alternating falling-factorial series.
 
     (-1)^n D_n = sum_{r=0}^{n} (-1)^r n(n-1)...(n-r+1); every term is an
@@ -176,10 +169,10 @@ def derangement_series_mod(n: int, ctx: PrimeContext) -> Residue:
         sign = -sign
     if n % 2 == 1:
         acc = -acc % p
-    return Residue(acc, ctx)
+    return acc
 
 
-def derangement_mod(n: int, ctx: PrimeContext, sigma: np.ndarray) -> Residue:
+def derangement_mod(n: int, ctx: PrimeContext, sigma: np.ndarray) -> int:
     """D_n mod p for any n >= 0.
 
     (-1)^n D_n mod p is periodic in n with period p, because the
@@ -191,7 +184,7 @@ def derangement_mod(n: int, ctx: PrimeContext, sigma: np.ndarray) -> Residue:
         raise ValueError("index must be nonnegative")
     p = ctx.p
     v = int(sigma[n % p])
-    return Residue(v if n % 2 == 0 else -v % p, ctx)
+    return v if n % 2 == 0 else -v % p
 
 
 def signed_series_row(ctx: PrimeContext) -> np.ndarray:
@@ -210,7 +203,7 @@ def signed_series_row(ctx: PrimeContext) -> np.ndarray:
     return sigma
 
 
-def stirling2_mod(n: int, k: int, ctx: PrimeContext) -> Residue:
+def stirling2_mod(n: int, k: int, ctx: PrimeContext) -> int:
     """Set-partition count S(n, k) mod p by the explicit alternating sum.
 
     k! S(n, k) = sum_j C(k, j) (-1)^(k-j) j^n, with 0^0 = 1.  Requires
@@ -223,37 +216,44 @@ def stirling2_mod(n: int, k: int, ctx: PrimeContext) -> Residue:
         raise IndexTooLargeError(f"block count {k} needs k < p = {p}")
     total = 0
     for j in range(k + 1):
-        term = binomial_mod(k, j, ctx).value * pow(j, n, p) % p
+        term = binomial_mod(k, j, ctx) * pow(j, n, p) % p
         total = (total + term) if (k - j) % 2 == 0 else (total - term)
         total %= p
-    return Residue(total * int(ctx.inv_fact[k]) % p, ctx)
+    return total * int(ctx.inv_fact[k]) % p
 
 
-def touchard_poly(n: int, ctx: PrimeContext) -> DensePoly:
-    """T_n as a polynomial: coefficient of x^k is S(n, k); needs n < p."""
+def touchard_poly(n: int, ctx: PrimeContext) -> tuple[int, ...]:
+    """T_n as its coefficients S(n, 0) .. S(n, n) mod p; needs n < p.
+
+    S(n, n) = 1, so the tuple has n + 1 entries, as from the other routes.
+    """
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n >= ctx.p:
         raise IndexTooLargeError(f"index {n} needs n < p = {ctx.p}")
-    return DensePoly(ctx, [stirling2_mod(n, k, ctx).value for k in range(n + 1)])
+    return tuple(stirling2_mod(n, k, ctx) for k in range(n + 1))
 
 
-def touchard_polys_by_recursion(n_max: int, ctx: PrimeContext) -> list[DensePoly]:
-    """[T_0 .. T_{n_max}] via T_{n+1} = x * sum_k C(n, k) T_k.
+def touchard_polys_by_recursion(n_max: int, ctx: PrimeContext) -> list[tuple[int, ...]]:
+    """[T_0 .. T_{n_max}] as coefficient tuples, via T_{n+1} = x * sum_k C(n, k) T_k.
 
-    Built entirely from DensePoly operations; independent of the explicit
-    Stirling sum behind touchard_poly.
+    Built from binomials and coefficient lists alone; independent of the
+    explicit Stirling sum behind touchard_poly and of the Stirling triangle
+    behind touchard_coeff_matrix.
     """
     if n_max < 0:
         raise ValueError("index must be nonnegative")
     if n_max >= ctx.p:
         raise IndexTooLargeError(f"index {n_max} needs n < p = {ctx.p}")
-    polys = [DensePoly(ctx, (1,))]
+    p = ctx.p
+    polys = [(1,)]
     for n in range(n_max):
-        acc = DensePoly(ctx)
+        acc = [0] * (n + 2)  # T_{n+1} has degree n + 1
         for k, t_k in enumerate(polys):
-            acc = acc.add(t_k.scale(binomial_mod(n, k, ctx)))
-        polys.append(acc.mul_monomial(1))
+            c = binomial_mod(n, k, ctx)
+            for i, t in enumerate(t_k):
+                acc[i + 1] = (acc[i + 1] + c * t) % p
+        polys.append(tuple(acc))
     return polys
 
 
@@ -276,9 +276,9 @@ def touchard_coeff_matrix(ctx: PrimeContext) -> np.ndarray:
     return m
 
 
-def touchard_polys_from_matrix(ctx: PrimeContext, matrix: np.ndarray) -> list[DensePoly]:
-    """[T_0 .. T_{p-1}] as polynomials, read off the coefficient matrix."""
-    return [DensePoly(ctx, matrix[n, : n + 1].tolist()) for n in range(ctx.p)]
+def touchard_polys_from_matrix(ctx: PrimeContext, matrix: np.ndarray) -> list[tuple[int, ...]]:
+    """[T_0 .. T_{p-1}] as coefficient tuples, read off the coefficient matrix."""
+    return [tuple(matrix[n, : n + 1].tolist()) for n in range(ctx.p)]
 
 
 def touchard_value_table(ctx: PrimeContext, matrix: np.ndarray) -> np.ndarray:

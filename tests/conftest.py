@@ -57,6 +57,16 @@ class RowCache:
         return self._values[p]
 
 
+def poly_eval(coeffs, x, p):
+    """sum_k coeffs[k] x^k mod p by Horner's rule, one point at a time: a
+    route to polynomial values independent of touchard_value_table."""
+    x %= p
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
 @pytest.fixture(scope="session")
 def cache():
     return RowCache()

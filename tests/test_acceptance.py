@@ -106,10 +106,10 @@ def test_criterion_06_touchard_congruence():
         for n in range(2 * p + 1):
             lhs = oracle.bell_exact(p + n)
             rhs = oracle.bell_exact(n) + oracle.bell_exact(n + 1)
-            ok = ok and oracle.reduce(lhs, ctx) == oracle.reduce(rhs, ctx)
+            ok = ok and lhs % p == rhs % p
             if n <= n_max:
                 got = bell_mod(p + n, ctx, row)
-                ok = ok and got == oracle.reduce(lhs, ctx)
+                ok = ok and got == lhs % p
     _verdict(6, "index-shift congruence for p <= 101, n up to 2p", ok)
 
 
@@ -147,7 +147,7 @@ def test_criterion_08_eval_and_special_cases():
         rhs = cg.theorem1_rhs(ctx, [rep.params["m"] for rep in at_one], drow, signed_series_row(ctx)).tolist()
         for rep, want in zip(at_one, rhs):
             m = rep.params["m"]
-            ok = ok and rep.lhs == cg.s_m(ctx, m, row).value
+            ok = ok and rep.lhs == cg.s_m(ctx, m, row)
             ok = ok and rep.rhs == want
     _verdict(8, "evaluated identity and low-weight cases, p <= 97, all x", ok)
 
@@ -170,23 +170,23 @@ def test_criterion_09_oracle_agreement():
         sigma = signed_series_row(ctx)
         drow = derangement_row(ctx)
         for n in range(2 * p + 1):
-            want_b = oracle.reduce(oracle.bell_exact(n), ctx)
+            want_b = oracle.bell_exact(n) % p
             if n < p * p:
                 ok = ok and bell_mod(n, ctx, row) == want_b
-            want_d = oracle.reduce(oracle.derangement_exact(n), ctx)
+            want_d = oracle.derangement_exact(n) % p
             ok = ok and derangement_mod(n, ctx, sigma) == want_d
             if n < p:
-                ok = ok and int(row[n]) == want_b.value
-                ok = ok and int(tri[n]) == want_b.value
-                ok = ok and int(drow[n]) == want_d.value
+                ok = ok and int(row[n]) == want_b
+                ok = ok and int(tri[n]) == want_b
+                ok = ok and int(drow[n]) == want_d
                 ok = ok and derangement_series_mod(n, ctx) == want_d
     for p in primes_in_range(2, 61):
         ctx = make_context(p)
         matrix = touchard_coeff_matrix(ctx)
         for n in range(p):
             for k in range(n + 1):
-                want = oracle.reduce(oracle.stirling2_exact(n, k), ctx)
-                ok = ok and int(matrix[n, k]) == want.value
+                want = oracle.stirling2_exact(n, k) % p
+                ok = ok and int(matrix[n, k]) == want
                 ok = ok and stirling2_mod(n, k, ctx) == want
     _verdict(9, "every modular path reduces the exact oracle values", ok)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellmod import cli
+from bellmod import cli, sequences
 from bellmod import congruences as cg
 from bellmod.cli import (
     IDENTITIES,
@@ -31,7 +31,7 @@ from bellmod.cli import (
     run_sweep,
 )
 from bellmod.congruences import Identity, report_sort_key
-from bellmod.modarith import DensePoly, make_context, primes_in_range
+from bellmod.modarith import make_context, primes_in_range
 
 
 def run_main(capsys, *argv):
@@ -748,13 +748,18 @@ def test_verify_stream_builds_no_report_rows(capsys, monkeypatch, tmp_path, fmt)
 @pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
 def test_verify_stream_builds_no_polynomial_objects(capsys, monkeypatch, tmp_path, fmt):
     # the closed forms and polynomial sides stay int64 rows from the tables
-    # to the report blocks
-    def unbuilt(self, *args):
-        raise AssertionError("a DensePoly was built on the sweep path")
+    # to the report blocks: no reference Touchard route runs on the sweep
+    def unbuilt(*args):
+        raise AssertionError("a Touchard polynomial route ran on the sweep path")
 
-    monkeypatch.setattr(DensePoly, "__init__", unbuilt)
-    with pytest.raises(AssertionError):
-        DensePoly(make_context(5), (1,))
+    routes = ("touchard_poly", "touchard_polys_by_recursion", "touchard_polys_from_matrix")
+    patched = [(sequences, name) for name in routes]
+    patched += [(cli, name) for name in routes if hasattr(cli, name)]
+    for module, name in patched:
+        monkeypatch.setattr(module, name, unbuilt)
+    for module, name in patched:
+        with pytest.raises(AssertionError):
+            getattr(module, name)(2, make_context(5))
     target = tmp_path / f"all.{fmt}"
     code, _, err = run_main(
         capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", fmt,

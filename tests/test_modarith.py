@@ -5,18 +5,12 @@ import pytest
 
 from bellmod import modarith
 from bellmod.modarith import (
-    ContextMismatchError,
-    DensePoly,
     IndexTooLargeError,
     NotPrimeError,
-    Residue,
     binomial_mod,
     is_prime,
     make_context,
     mod_convolve,
-    mod_inv,
-    mod_pow,
-    normalize,
     powers_mod,
     primes_in_range,
     primitive_root,
@@ -69,45 +63,14 @@ def test_wilson_and_fermat_all_small_primes():
     for p in primes_in_range(2, 100):
         ctx = make_context(p)
         assert ctx.fact[p - 1] == p - 1 or p == 2
-        for a in range(1, p):
-            assert mod_pow(Residue(a, ctx), p - 1).value == 1
-
-
-def test_mod_pow_examples():
-    ctx7 = make_context(7)
-    assert mod_pow(Residue(2, ctx7), 6).value == 1
-    assert mod_pow(Residue(5, ctx7), 3).value == 6
-    assert mod_pow(Residue(3, make_context(5)), 0).value == 1
-    with pytest.raises(ValueError):
-        mod_pow(Residue(2, ctx7), -1)
-
-
-def test_mod_inv():
-    ctx7 = make_context(7)
-    assert mod_inv(Residue(3, ctx7)).value == 5
-    for p in primes_in_range(2, 100):
-        ctx = make_context(p)
-        assert mod_inv(Residue(1, ctx)).value == 1
-        for a in range(1, p):
-            assert (mod_inv(Residue(a, ctx)) * a).value == 1
-    with pytest.raises(ZeroDivisionError):
-        mod_inv(Residue(0, make_context(5)))
-
-
-def test_normalize():
-    assert normalize(-8, make_context(3)).value == 1
-    assert normalize(-1853, make_context(3)).value == 1
-    assert normalize(-1853, make_context(5)).value == 2
-    assert normalize(0, make_context(11)).value == 0
-    assert normalize(22, make_context(11)).value == 0
 
 
 def test_binomial_examples():
     ctx7 = make_context(7)
-    assert binomial_mod(4, 2, ctx7).value == 6
-    assert binomial_mod(3, 5, ctx7).value == 0  # k > n
+    assert binomial_mod(4, 2, ctx7) == 6
+    assert binomial_mod(3, 5, ctx7) == 0  # k > n
     for n in range(7):
-        assert binomial_mod(n, 0, ctx7).value == 1
+        assert binomial_mod(n, 0, ctx7) == 1
     with pytest.raises(IndexTooLargeError):
         binomial_mod(7, 2, ctx7)
     with pytest.raises(ValueError):
@@ -119,11 +82,8 @@ def test_binomial_pascal_identity():
         ctx = make_context(p)
         for n in range(1, p):
             for k in range(1, n + 1):
-                lhs = binomial_mod(n, k, ctx).value
-                rhs = (
-                    binomial_mod(n - 1, k - 1, ctx).value
-                    + binomial_mod(n - 1, k, ctx).value
-                ) % p
+                lhs = binomial_mod(n, k, ctx)
+                rhs = (binomial_mod(n - 1, k - 1, ctx) + binomial_mod(n - 1, k, ctx)) % p
                 assert lhs == rhs
 
 
@@ -135,104 +95,6 @@ def test_primes_in_range():
     assert primes_in_range(10, 2) == []
     assert primes_in_range(0, 300) == [n for n in range(301) if is_prime(n)]
     assert primes_in_range(9970, 9980) == [9973]
-
-
-def test_residue_arithmetic():
-    ctx = make_context(7)
-    a, b = Residue(3, ctx), Residue(5, ctx)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (b - a).value == 2
-    assert (a * b).value == 1
-    assert (a / b).value == (a * mod_inv(b)).value
-    assert (-a).value == 4
-    assert (a**3).value == 6
-    assert a + 4 == 0
-    assert 4 + a == 0
-    assert 1 - a == 5
-    assert a == 3 and a == 10 and a == -4
-    assert int(a) == 3
-    with pytest.raises(ValueError):
-        Residue(7, ctx)
-    with pytest.raises(ValueError):
-        Residue(-1, ctx)
-
-
-def test_residue_is_unhashable():
-    # a == 3 and a == 10 both hold, so no hash could agree with ==
-    ctx = make_context(7)
-    a = Residue(3, ctx)
-    with pytest.raises(TypeError):
-        hash(a)
-    with pytest.raises(TypeError):
-        {a, 3}
-    assert a == 3 and a == 10
-
-
-def test_residue_context_guard():
-    a = Residue(3, make_context(5))
-    b = Residue(3, make_context(7))
-    with pytest.raises(ContextMismatchError):
-        a + b
-    with pytest.raises(ContextMismatchError):
-        a * b
-    assert a != b
-
-
-def test_poly_basics():
-    ctx = make_context(5)
-    one_x = DensePoly(ctx, (1, 1))
-    neg = DensePoly(ctx, (-1, -1))
-    assert one_x.add(neg).is_zero()
-    assert DensePoly(ctx).degree == -1
-    assert DensePoly(ctx, (0, 0, 0)).is_zero()
-    assert DensePoly(ctx, (1, 0, 2)).degree == 2
-    assert DensePoly(ctx, (1, 0, 1)).eval(3).value == 0  # 9 + 1 = 10
-    shifted = one_x.mul_monomial(2)
-    assert list(shifted.coeffs) == [0, 0, 1, 1]  # x^2 + x^3
-    assert one_x.scale(3).coeffs == (3, 3)
-    assert one_x.mul(one_x).coeffs == (1, 2, 1)
-    assert one_x.eval(Residue(4, ctx)).value == 0
-    assert one_x.sub(one_x).is_zero()
-
-
-def test_poly_algebra_properties():
-    rng = random.Random(20260814)
-    for p in (2, 5, 13):
-        ctx = make_context(p)
-
-        def rand_poly():
-            deg = rng.randrange(0, 6)
-            return DensePoly(ctx, [rng.randrange(p) for _ in range(deg + 1)])
-
-        for _ in range(40):
-            a, b, c = rand_poly(), rand_poly(), rand_poly()
-            assert a.add(b).equals(b.add(a))
-            assert a.mul(b).equals(b.mul(a))
-            assert a.add(b).add(c).equals(a.add(b.add(c)))
-            assert a.mul(b).mul(c).equals(a.mul(b.mul(c)))
-            assert a.mul(b.add(c)).equals(a.mul(b).add(a.mul(c)))
-            # equals is an equivalence: reflexive plus symmetry via copies
-            assert a.equals(a)
-            assert a.equals(DensePoly(ctx, a.coeffs))
-            # hash agrees with == on equal polynomials built apart
-            assert hash(a) == hash(DensePoly(ctx, a.coeffs))
-            x = rng.randrange(p)
-            assert a.mul(b).eval(x).value == a.eval(x).value * b.eval(x).value % p
-
-
-def test_poly_context_guard():
-    a = DensePoly(make_context(5), (1, 2))
-    b = DensePoly(make_context(7), (1, 2))
-    with pytest.raises(ContextMismatchError):
-        a.add(b)
-    with pytest.raises(ContextMismatchError):
-        a.equals(b)
-    assert a != b  # __eq__ compares moduli without raising
-    ctx7, ctx11 = make_context(7), make_context(11)
-    with pytest.raises(ContextMismatchError):
-        DensePoly(ctx7, [1, Residue(5, ctx11)])
-    assert DensePoly(ctx7, [Residue(5, ctx7), 9]).coeffs == (5, 2)
 
 
 def test_primitive_root():

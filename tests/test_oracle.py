@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from bellmod import oracle
-from bellmod.modarith import IndexTooLargeError, make_context
+from bellmod.modarith import IndexTooLargeError
 
 BELL_TABLE = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 DERANGEMENT_TABLE = [1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496]
@@ -86,9 +86,3 @@ def test_egf_bell_check():
     assert oracle.egf_bell_check(30)
     assert oracle.egf_bell_check(oracle.EGF_MAX)
 
-
-def test_reduce():
-    ctx = make_context(5)
-    assert oracle.reduce(-1853, ctx).value == 2
-    assert oracle.reduce(21147, make_context(11)).value == 21147 % 11
-    assert oracle.reduce(0, ctx).value == 0

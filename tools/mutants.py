@@ -251,8 +251,8 @@ MUTANTS = {
     ),
     "fallback_weight": (
         CONGRUENCES,
-        "return [s_m(ctx, m, row).value for m in ms]",
-        "return [s_m(ctx, 1, row).value for m in ms]",
+        "return [s_m(ctx, m, row) for m in ms]",
+        "return [s_m(ctx, 1, row) for m in ms]",
         "the fallback past the bound computes weight 1 only",
     ),
     "twiddles": (
@@ -346,12 +346,6 @@ MUTANTS = {
         "if inner <= chunk:",
         "if inner <= 4 * chunk:",
         "an unchunked product sums four times too many products",
-    ),
-    "poly_hash": (
-        MODARITH,
-        "return hash((self.coeffs, self.ctx.p))",
-        "return hash((self.coeffs, self.ctx.p, id(self)))",
-        "equal polynomials hash apart",
     ),
     "x_sample_seed": (
         CLI,
@@ -503,9 +497,9 @@ MUTANTS = {
     # one int64 copy of each factorial table, and the first failure as a block
     "binomial_int_dropped": (
         MODARITH,
-        "v = int(ctx.fact[n]) * int(ctx.inv_fact[k]) % ctx.p * int(ctx.inv_fact[n - k]) % ctx.p",
-        "v = ctx.fact[n] * ctx.inv_fact[k] % ctx.p * ctx.inv_fact[n - k] % ctx.p",
-        "binomial_mod returns a Residue holding a numpy int64",
+        "return int(ctx.fact[n]) * int(ctx.inv_fact[k]) % ctx.p * int(ctx.inv_fact[n - k]) % ctx.p",
+        "return ctx.fact[n] * ctx.inv_fact[k] % ctx.p * ctx.inv_fact[n - k] % ctx.p",
+        "binomial_mod returns a numpy int64, not a Python int",
     ),
     "first_failure_sliced": (
         CLI,
@@ -619,6 +613,25 @@ MUTANTS = {
         "cg.verify_theorem1(t.ctx, t.ms, t.row, t.drow, t.sigma)",
         "cg.verify_theorem1(t.ctx, t.ms, t.drow, t.row, t.sigma)",
         "theorem1 reads the derangement row as the Bell row and the Bell row as the derangement row",
+    ),
+    # scalar routes return ints and Touchard routes int tuples
+    "bell_mod_int_dropped": (
+        SEQUENCES,
+        "        return int(row[n])\n",
+        "        return row[n]\n",
+        "bell_mod below p returns a numpy int64, not a Python int",
+    ),
+    "recursion_x_shift_dropped": (
+        SEQUENCES,
+        "acc[i + 1] = (acc[i + 1] + c * t) % p",
+        "acc[i] = (acc[i] + c * t) % p",
+        "the Touchard recursion drops the factor x of T_{n+1} = x * sum_k C(n, k) T_k",
+    ),
+    "recursion_binomial_row_off_by_one": (
+        SEQUENCES,
+        "c = binomial_mod(n, k, ctx)",
+        "c = binomial_mod(n + 1, k, ctx)",
+        "the Touchard recursion weights T_k by C(n + 1, k) in place of C(n, k)",
     ),
 }
 
