@@ -137,6 +137,10 @@ class PrimeTables:
         return bell_row(self.ctx)
 
     @cached_property
+    def sm(self):
+        return cg.s_m_all_units(self.ctx, self.row)
+
+    @cached_property
     def drow(self):
         return derangement_row(self.ctx)
 
@@ -198,10 +202,10 @@ def _intro(t: PrimeTables) -> list[ReportBlock]:
 # eq10 stays whole, since its R_m recurrence runs up from m = 1.
 IDENTITIES: dict[str, Callable[[PrimeTables], Iterable[ReportBlock]]] = {
     "touchard": _touchard,
-    "theorem1": lambda t: cg.verify_theorem1(t.ctx, t.ms, t.row, t.drow, t.sigma) if t.ms else [],
+    "theorem1": lambda t: cg.verify_theorem1(t.ctx, t.ms, t.sm, t.drow, t.sigma) if t.ms else [],
     "intro": _intro,
     "corollary": lambda t: cg.verify_corollary(t.ctx, t.row, t.drow),
-    "eq4": lambda t: cg.verify_eq4(t.ctx, t.row) if t.ctx.p >= 3 else [],
+    "eq4": lambda t: cg.verify_eq4(t.ctx, t.sm) if t.ctx.p >= 3 else [],
     "bellp": lambda t: cg.verify_bell_p(t.ctx, t.row),
     "theorem2": _by_weight_slice(lambda t, ms, rows: cg.verify_theorem2(t.ctx, ms, t.sums[rows])),
     "eq10": lambda t: cg.verify_theorem2_eval(t.ctx, t.ms, t.xs, t.values),
@@ -482,20 +486,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        t = PrimeTables(args.p, SweepConfig(args.p, args.p, ("theorem1",)))
-    except (NotPrimeError, OverflowError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    t = PrimeTables(args.p, SweepConfig(args.p, args.p, ("theorem1",)))
     ctx, p, ms = t.ctx, t.ctx.p, t.ms
     t0 = perf_counter()
     row = t.row
     t_row = perf_counter() - t0
+    t0 = perf_counter()
+    table = t.sm  # built before anything is printed, so a refusal prints nothing
+    t_table = perf_counter() - t0
     rate = p * (p - 1) / 2 / t_row / 1e6 if t_row > 0 else float("inf")
     print(f"bell_row({p}): {t_row:.3f}s ({rate:.1f}M term-ops/s)")
-    t0 = perf_counter()
-    table = cg.s_m_all_units(ctx, row)
-    t_table = perf_counter() - t0
     print(f"all-units route over {p - 1} units: {t_table:.3f}s")
     sample = ms[:: -(-len(ms) // BENCH_SAMPLE)]
     t0 = perf_counter()
@@ -511,7 +511,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 1
     drow, sigma = t.drow, t.sigma  # built before the sweep timer starts
     t0 = perf_counter()
-    bad = sum(len(b) - np.count_nonzero(b.passed) for b in cg.verify_theorem1(ctx, ms, row, drow, sigma))
+    bad = sum(len(b) - np.count_nonzero(b.passed) for b in cg.verify_theorem1(ctx, ms, table, drow, sigma))
     t_sweep = perf_counter() - t0
     print(f"weighted-sum sweep over {len(ms)} weights: {t_sweep:.3f}s")
     if bad:

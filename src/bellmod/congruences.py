@@ -205,9 +205,9 @@ def s_m(ctx: PrimeContext, m: int, row: np.ndarray) -> int:
     return acc
 
 
-def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> list[int]:
-    """S_m for every unit weight at once, as a list indexed by m mod p
-    (slot 0 unused).
+def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> np.ndarray:
+    """S_m for every unit weight at once, as a read-only int64 array
+    indexed by m mod p (slot 0 unused).
 
     S_m is f(u) = sum_{0<k<p} B_k u^k at u = 1/(-m), and u^(p-1) = 1, so
     with a generator g and n = p - 1 the values E_j = f(g^j) form one
@@ -215,7 +215,8 @@ def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> list[int]:
     jk = C(j+k, 2) - C(j, 2) - C(k, 2) turns it into one correlation, which
     mod_convolve computes exactly, so the whole table costs O(p log p).
     Weight m then reads E at dlog(1/(-m)) = dlog(-1) - dlog(m) (mod n).
-    Raises OverflowError where the convolution would not be exact.
+    Raises OverflowError where the convolution would not be exact; no
+    other route takes over there.
     """
     p = ctx.p
     n = p - 1
@@ -234,25 +235,14 @@ def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> list[int]:
     evals = corr * unchirp % p
     table = np.zeros(p, dtype=np.int64)
     table[1:] = evals[(n // 2 - dlog[1:]) % n]
-    return table.tolist()
+    table.setflags(write=False)
+    return table
 
 
-def s_m_many(ctx: PrimeContext, ms: Sequence[int], row: np.ndarray) -> list[int]:
-    """s_m for many weights at once; aligned with ms.
-
-    Reads every weight from the s_m_all_units table, or takes the direct
-    s_m loop per weight at a prime where that table's convolution would
-    not be exact.
-    """
-    _require_units(ctx, ms)
-    if not ms:
-        return []
-    try:
-        table = s_m_all_units(ctx, row)
-    except OverflowError:
-        return [s_m(ctx, m, row) for m in ms]
-    p = ctx.p
-    return [table[m % p] for m in ms]
+def s_m_many(ctx: PrimeContext, ms: Sequence[int], sm: np.ndarray) -> np.ndarray:
+    """s_m for many weights at once, as int64 aligned with ms: each
+    weight's entry of the s_m_all_units table sm, read at its residue."""
+    return sm[_require_units(ctx, ms) % ctx.p]
 
 
 def theorem1_rhs(
@@ -272,12 +262,13 @@ def theorem1_rhs(
 
 
 def verify_theorem1(
-    ctx: PrimeContext, ms: Sequence[int], row: np.ndarray, drow: np.ndarray, sigma: np.ndarray
+    ctx: PrimeContext, ms: Sequence[int], sm: np.ndarray, drow: np.ndarray, sigma: np.ndarray
 ) -> list[ReportBlock]:
     """Check sum_{0<k<p} B_k / (-m)^k = (-1)^(m-1) D_{m-1} (mod p) at every
-    weight m of ms, in order.  The left side comes from s_m_many, which
-    the scalar s_m checks as an independent route."""
-    lhs = np.array(s_m_many(ctx, ms, row), dtype=np.int64)
+    weight m of ms, in order.  The left side reads each weight from the
+    s_m_all_units table sm through s_m_many; the scalar s_m checks that
+    table as an independent route."""
+    lhs = s_m_many(ctx, ms, sm)
     rhs = theorem1_rhs(ctx, ms, drow, sigma)
     return [_block(Identity.THEOREM1, ctx, {"m": np.asarray(ms)}, lhs, rhs)]
 
@@ -322,14 +313,15 @@ def verify_corollary(ctx: PrimeContext, row: np.ndarray, drow: np.ndarray) -> li
     return blocks
 
 
-def verify_eq4(ctx: PrimeContext, row: np.ndarray) -> list[ReportBlock]:
+def verify_eq4(ctx: PrimeContext, sm: np.ndarray) -> list[ReportBlock]:
     """Check the weighted-sum chain: S_1 = 1 and m S_m = S_1 - S_{m+1}
-    (mod p) for 1 <= m <= p - 2.  Needs p >= 3 to have any chain step.
+    (mod p) for 1 <= m <= p - 2, on the s_m_all_units table sm.  Needs
+    p >= 3 to have any chain step.
     """
     p = ctx.p
     if p < 3:
         raise BadModulusError("the chain needs p >= 3")
-    s = np.array(s_m_many(ctx, list(range(1, p)), row), dtype=np.int64)  # s[m - 1] = S_m
+    s = sm[1:p]  # s[m - 1] = S_m
     ms = np.arange(1, p - 1)
     return [
         _block(Identity.EQ4_BASE, ctx, {"m": ms[:1]}, s[:1], np.array([1 % p])),
@@ -340,8 +332,8 @@ def verify_eq4(ctx: PrimeContext, row: np.ndarray) -> list[ReportBlock]:
 def s_m_chain(ctx: PrimeContext) -> list[int]:
     """All S_m for m = 1..p-1 unrolled from the chain alone: S_1 = 1 and
     S_{m+1} = 1 - m S_m.  Returns a list indexed by m (slot 0 unused).
-    No Bell number is ever computed; compare against s_m_many to close the
-    loop.
+    No Bell number is ever computed; compare against s_m_all_units to close
+    the loop.
     """
     p = ctx.p
     if p < 3:

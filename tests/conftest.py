@@ -1,6 +1,7 @@
 import pytest
 
 from bellmod import make_context
+from bellmod.congruences import s_m_all_units
 from bellmod.sequences import (
     bell_row,
     derangement_row,
@@ -23,6 +24,7 @@ class RowCache:
         self._bell = {}
         self._drow = {}
         self._sigma = {}
+        self._sm = {}
         self._matrix = {}
         self._values = {}
 
@@ -35,6 +37,11 @@ class RowCache:
         if p not in self._bell:
             self._bell[p] = bell_row(self.ctx(p))
         return self._bell[p]
+
+    def sm(self, p):
+        if p not in self._sm:
+            self._sm[p] = s_m_all_units(self.ctx(p), self.bell(p))
+        return self._sm[p]
 
     def drow(self, p):
         if p not in self._drow:

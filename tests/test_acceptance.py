@@ -60,8 +60,8 @@ def test_criterion_02_theorem1():
         drow = derangement_row(ctx)
         sigma = signed_series_row(ctx)
         ms = [m for m in range(1, 3 * p + 1) if m % p]
-        lhs = cg.s_m_many(ctx, ms, row)
-        ok = ok and lhs == cg.theorem1_rhs(ctx, ms, drow, sigma).tolist()
+        lhs = cg.s_m_many(ctx, ms, cg.s_m_all_units(ctx, row))
+        ok = ok and lhs.tolist() == cg.theorem1_rhs(ctx, ms, drow, sigma).tolist()
     _verdict(2, "weighted sums match signed derangements, p <= 200, m <= 3p", ok)
 
 
@@ -79,10 +79,11 @@ def test_criterion_04_weighted_sum_chain():
     ok = True
     for p in primes_in_range(3, 101):
         ctx, row = _row(p)
-        ok = ok and all(r.passed for r in _rows(cg.verify_eq4(ctx, row)))
+        sm = cg.s_m_all_units(ctx, row)
+        ok = ok and all(r.passed for r in _rows(cg.verify_eq4(ctx, sm)))
         chain = cg.s_m_chain(ctx)
-        direct = cg.s_m_many(ctx, list(range(1, p)), row)
-        ok = ok and chain[1:] == direct
+        direct = cg.s_m_many(ctx, list(range(1, p)), sm)
+        ok = ok and chain[1:] == direct.tolist()
     _verdict(4, "chain relation holds and unrolls to the direct sums, p <= 101", ok)
 
 

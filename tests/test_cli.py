@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellmod import cli, sequences
+from bellmod import cli, modarith, sequences
 from bellmod import congruences as cg
 from bellmod.cli import (
     IDENTITIES,
@@ -291,20 +291,31 @@ def test_each_token_builds_only_its_tables(capsys, monkeypatch, builders, tokens
 
 
 @pytest.mark.parametrize(
-    "builder",
-    ["bell_row", "derangement_row", "signed_series_row", "touchard_coeff_matrix", "touchard_value_table"],
+    "module, builder",
+    [
+        pytest.param(module, name, id=name)
+        for module, name in [
+            (cli, "bell_row"),
+            (cli, "derangement_row"),
+            (cli, "signed_series_row"),
+            (cli, "touchard_coeff_matrix"),
+            (cli, "touchard_value_table"),
+            (cg, "s_m_all_units"),
+        ]
+    ],
 )
-def test_sweep_builds_each_table_once_per_prime(monkeypatch, builder):
+def test_sweep_builds_each_table_once_per_prime(monkeypatch, module, builder):
     """Every identity reads its tables from PrimeTables, which builds each
-    one through its cli name, so every identity at once builds each table
-    once per prime: theorem1 and corollary share one derangement row."""
-    built, real = [], getattr(cli, builder)
+    one through the module name it calls, so every identity at once builds
+    each table once per prime: theorem1 and corollary share one derangement
+    row, and theorem1 and eq4 one S_m table."""
+    built, real = [], getattr(module, builder)
 
     def counted(ctx, *tables):
         built.append(ctx.p)
         return real(ctx, *tables)
 
-    monkeypatch.setattr(cli, builder, counted)
+    monkeypatch.setattr(module, builder, counted)
     summary, _ = run_sweep(SweepConfig(prime_lo=2, prime_hi=13, identities=tuple(IDENTITIES)))
     assert summary.reports_failed == 0
     assert built == primes_in_range(2, 13)
@@ -396,8 +407,8 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     # sabotage the weighted sums so the pipeline sees real failures
     real = cg.s_m_many
 
-    def crooked(ctx, ms, row=None):
-        return [(v + 1) % ctx.p for v in real(ctx, ms, row)]
+    def crooked(ctx, ms, sm):
+        return (real(ctx, ms, sm) + 1) % ctx.p
 
     monkeypatch.setattr(cg, "s_m_many", crooked)
     code, out, err = run_main(
@@ -772,8 +783,8 @@ def test_verify_stream_builds_no_polynomial_objects(capsys, monkeypatch, tmp_pat
 def test_run_sweep_first_failure_is_canonical(monkeypatch):
     real = cg.s_m_many
 
-    def crooked(ctx, ms, row=None):
-        return [(v + 1) % ctx.p for v in real(ctx, ms, row)]
+    def crooked(ctx, ms, sm):
+        return (real(ctx, ms, sm) + 1) % ctx.p
 
     monkeypatch.setattr(cg, "s_m_many", crooked)
     summary, blocks = run_sweep(
@@ -799,9 +810,9 @@ def test_first_failure_is_canonical_across_identities(capsys, monkeypatch):
     the lowest identity rank wins, then the earliest prime."""
     real_sums, real_weighted = cg.s_m_many, cg.weighted_touchard_sum
 
-    def crooked_sums(ctx, ms, row=None):
-        sums = real_sums(ctx, ms, row)
-        return [(v + 1) % ctx.p for v in sums] if ctx.p == 7 else sums
+    def crooked_sums(ctx, ms, sm):
+        sums = real_sums(ctx, ms, sm)
+        return (sums + 1) % ctx.p if ctx.p == 7 else sums
 
     def crooked_weighted(ctx, ms, matrix=None):
         sums = real_weighted(ctx, ms, matrix)
@@ -841,6 +852,35 @@ def test_bench(capsys, monkeypatch):
     assert code == 1
     assert "ROUTE MISMATCH at m = 1:" in err
     assert "all weighted sums match" not in out
+
+
+def test_bench_builds_the_s_m_table_once(capsys, monkeypatch):
+    """bench times the S_m table of PrimeTables and sweeps theorem1 on that
+    same table."""
+    built, real = [], cg.s_m_all_units
+
+    def counted(ctx, row):
+        built.append(ctx.p)
+        return real(ctx, row)
+
+    monkeypatch.setattr(cg, "s_m_all_units", counted)
+    assert run_main(capsys, "bench", "101")[0] == 0
+    assert built == [101]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--identities", "theorem1", "--primes", "101"), ("bench", "101")],
+    ids=["verify", "bench"],
+)
+def test_past_the_convolution_bound_exits_two(capsys, monkeypatch, argv):
+    """Where the S_m table's convolution would not be exact, no other route
+    takes over: the run exits 2 with one line and prints nothing else."""
+    monkeypatch.setattr(modarith, "CONV_EXACT_LIMIT", 100 * 100**2)  # one term short at p = 101
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_parse_range():

@@ -82,9 +82,9 @@ def test_s_m_many_matches_scalar(cache):
         ctx = cache.ctx(p)
         row = cache.bell(p)
         ms = [m for m in range(1, 3 * p + 1) if m % p != 0]
-        got = s_m_many(ctx, ms, row)
-        assert got == [s_m(ctx, m, row) for m in ms]
-    assert s_m_many(cache.ctx(7), [], cache.bell(7)) == []
+        got = s_m_many(ctx, ms, cache.sm(p))
+        assert got.tolist() == [s_m(ctx, m, row) for m in ms]
+    assert s_m_many(cache.ctx(7), [], cache.sm(7)).tolist() == []
 
 
 def test_s_m_many_all_units_route(cache):
@@ -93,55 +93,43 @@ def test_s_m_many_all_units_route(cache):
     for p in (2, 3, 5, 1009, 9973):
         ctx, row = cache.ctx(p), cache.bell(p)
         units = list(range(1, p))
-        got = s_m_many(ctx, units, row)
+        got = s_m_many(ctx, units, cache.sm(p)).tolist()
         if p >= 3:
             assert got == s_m_chain(ctx)[1:], p
         sample = random.Random(p).sample(units, min(p - 1, 24))
         assert [got[m - 1] for m in sample] == [s_m(ctx, m, row) for m in sample]
         above = [m + k * p for m, k in zip(sample, (1, 2, 7, 10**30) * 6)]
-        assert s_m_many(ctx, above, row) == [got[m - 1] for m in sample], p
-        assert s_m_all_units(ctx, row)[1:] == got
+        assert s_m_many(ctx, above, cache.sm(p)).tolist() == [got[m - 1] for m in sample], p
+        assert s_m_all_units(ctx, row)[1:].tolist() == got
 
 
-def test_s_m_many_falls_back_to_scalar_loop(cache, monkeypatch):
+def test_s_m_all_units_raises_past_the_bound(cache, monkeypatch):
+    # no other route takes over: the sweep and bench exit 2 (test_cli)
     ctx, row = cache.ctx(101), cache.bell(101)
-    ms = [1, 2, 50, 100, 102, 304, 10**30 + 2]
-    expected = s_m_many(ctx, ms, row)
-    calls = []
-    real = cg.s_m
-
-    def counted(ctx, m, row):
-        calls.append(m)
-        return real(ctx, m, row)
-
-    monkeypatch.setattr(cg, "s_m", counted)
     monkeypatch.setattr(modarith, "CONV_EXACT_LIMIT", 100 * 100**2)  # one term short
     with pytest.raises(OverflowError):
         s_m_all_units(ctx, row)
-    assert s_m_many(ctx, ms, row) == expected
-    assert calls == ms
 
 
 def test_s_m_depends_only_on_m_mod_p(cache):
     for p in primes_in_range(2, 101):
-        ctx = cache.ctx(p)
-        row = cache.bell(p)
+        ctx, sm = cache.ctx(p), cache.sm(p)
         ms = list(range(1, p))
-        assert s_m_many(ctx, ms, row) == s_m_many(ctx, [m + p for m in ms], row)
+        assert s_m_many(ctx, ms, sm).tolist() == s_m_many(ctx, [m + p for m in ms], sm).tolist()
 
 
 def test_s_m_chain_reproduces_direct_sums(cache):
     for p in primes_in_range(3, 101):
         ctx = cache.ctx(p)
         chain = s_m_chain(ctx)
-        direct = s_m_many(ctx, list(range(1, p)), cache.bell(p))
-        assert chain[1:] == direct
+        direct = s_m_many(ctx, list(range(1, p)), cache.sm(p))
+        assert chain[1:] == direct.tolist()
     with pytest.raises(BadModulusError):
         s_m_chain(cache.ctx(2))
 
 
 def test_theorem1_example(cache):
-    [rep] = rows(verify_theorem1(cache.ctx(7), [3], cache.bell(7), cache.drow(7), cache.sigma(7)))
+    [rep] = rows(verify_theorem1(cache.ctx(7), [3], cache.sm(7), cache.drow(7), cache.sigma(7)))
     assert rep.lhs == rep.rhs == 1
     assert rep.passed
     assert rep.params == {"p": 7, "m": 3}
@@ -161,18 +149,19 @@ def test_theorem1_rhs_routes_agree_with_oracle(cache):
 
 
 def test_theorem1_sweep(cache):
-    # verify_theorem1 reads its left side from s_m_many, so the scalar s_m
-    # power loop is checked against the right side here, at every weight
+    # verify_theorem1 reads its left side from the s_m_all_units table, so
+    # the scalar s_m power loop is checked against the right side here, at
+    # every weight
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
         row, drow = cache.bell(p), cache.drow(p)
         ms = [m for m in range(1, 3 * p + 1) if m % p]
-        reports = rows(verify_theorem1(ctx, ms, row, drow, cache.sigma(p)))
+        reports = rows(verify_theorem1(ctx, ms, cache.sm(p), drow, cache.sigma(p)))
         assert [r.params["m"] for r in reports] == ms
         assert all(r.passed for r in reports), p
         for m, rhs in zip(ms, theorem1_rhs(ctx, ms, drow, cache.sigma(p)).tolist()):
             assert s_m(ctx, m, row) == rhs, (p, m)
-    assert rows(verify_theorem1(cache.ctx(7), [], cache.bell(7), cache.drow(7), cache.sigma(7))) == []
+    assert rows(verify_theorem1(cache.ctx(7), [], cache.sm(7), cache.drow(7), cache.sigma(7))) == []
 
 
 def test_theorem1_past_int64_weights(cache):
@@ -181,16 +170,16 @@ def test_theorem1_past_int64_weights(cache):
     for p in (7, 13):
         ctx = cache.ctx(p)
         for r in range(1, p):
-            [big] = rows(verify_theorem1(ctx, [10**30 * p + r], cache.bell(p), cache.drow(p), cache.sigma(p)))
-            [small] = rows(verify_theorem1(ctx, [p + r], cache.bell(p), cache.drow(p), cache.sigma(p)))
+            [big] = rows(verify_theorem1(ctx, [10**30 * p + r], cache.sm(p), cache.drow(p), cache.sigma(p)))
+            [small] = rows(verify_theorem1(ctx, [p + r], cache.sm(p), cache.drow(p), cache.sigma(p)))
             assert big.passed and big.params["m"] == 10**30 * p + r
             assert (big.lhs, big.rhs) == (small.lhs, small.rhs), (p, r)
         with pytest.raises(BadModulusError):
-            verify_theorem1(ctx, [1, 10**30 * p], cache.bell(p), cache.drow(p), cache.sigma(p))
+            verify_theorem1(ctx, [1, 10**30 * p], cache.sm(p), cache.drow(p), cache.sigma(p))
         with pytest.raises(BadModulusError):
             theorem1_rhs(ctx, [2 * p, 1], cache.drow(p), cache.sigma(p))
         with pytest.raises(ValueError):
-            s_m_many(ctx, [1, -(10**30)], cache.bell(p))
+            s_m_many(ctx, [1, -(10**30)], cache.sm(p))
 
 
 def test_intro_constant_examples(cache):
@@ -225,15 +214,15 @@ def test_corollary_kernel_reports_carry_both_indices(cache):
 
 
 def test_eq4_chain(cache):
-    reports = rows(verify_eq4(cache.ctx(7), cache.bell(7)))
+    reports = rows(verify_eq4(cache.ctx(7), cache.sm(7)))
     assert reports[0].identity is Identity.EQ4_BASE
     assert reports[0].lhs == 1
     assert len(reports) == 1 + 5
     assert all(r.passed for r in reports)
     for p in primes_in_range(3, 101):
-        assert all(r.passed for r in rows(verify_eq4(cache.ctx(p), cache.bell(p)))), p
+        assert all(r.passed for r in rows(verify_eq4(cache.ctx(p), cache.sm(p)))), p
     with pytest.raises(BadModulusError):
-        verify_eq4(cache.ctx(2), cache.bell(2))
+        verify_eq4(cache.ctx(2), cache.sm(2))
 
 
 def test_bell_p(cache):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellmod import oracle
-from bellmod.congruences import s_m
+from bellmod.congruences import s_m, s_m_all_units
 from bellmod.modarith import (
     IndexTooLargeError,
     PrimeContext,
@@ -59,6 +59,7 @@ def test_bell_rows_cross_path():
         signed_series_row,
         touchard_coeff_matrix,
         lambda ctx: touchard_value_table(ctx, touchard_coeff_matrix(ctx)),
+        lambda ctx: s_m_all_units(ctx, bell_row(ctx)),
     ],
     ids=[
         "bell_row",
@@ -67,6 +68,7 @@ def test_bell_rows_cross_path():
         "signed_series_row",
         "touchard_coeff_matrix",
         "touchard_value_table",
+        "s_m_all_units",
     ],
 )
 def test_tables_are_read_only_int64(cache, build):

@@ -249,12 +249,6 @@ MUTANTS = {
         "if bound > CONV_EXACT_LIMIT:",
         "a convolution exactly at the bound runs, not raises",
     ),
-    "fallback_weight": (
-        CONGRUENCES,
-        "return [s_m(ctx, m, row) for m in ms]",
-        "return [s_m(ctx, 1, row) for m in ms]",
-        "the fallback past the bound computes weight 1 only",
-    ),
     "twiddles": (
         MODARITH,
         "diff = (u - v + qb) * w[:, None, :: n // (2 * h)] % qb",
@@ -567,8 +561,8 @@ MUTANTS = {
     ),
     "bench_tables_swapped": (
         CLI,
-        "cg.verify_theorem1(ctx, ms, row, drow, sigma)",
-        "cg.verify_theorem1(ctx, ms, row, sigma, drow)",
+        "cg.verify_theorem1(ctx, ms, table, drow, sigma)",
+        "cg.verify_theorem1(ctx, ms, table, sigma, drow)",
         "bench passes the signed series as the derangement row",
     ),
     # every per-prime table a bare read-only int64 array
@@ -610,9 +604,28 @@ MUTANTS = {
     ),
     "theorem1_row_drow_swapped": (
         CLI,
-        "cg.verify_theorem1(t.ctx, t.ms, t.row, t.drow, t.sigma)",
-        "cg.verify_theorem1(t.ctx, t.ms, t.drow, t.row, t.sigma)",
-        "theorem1 reads the derangement row as the Bell row and the Bell row as the derangement row",
+        "cg.verify_theorem1(t.ctx, t.ms, t.sm, t.drow, t.sigma)",
+        "cg.verify_theorem1(t.ctx, t.ms, t.drow, t.sm, t.sigma)",
+        "theorem1 reads the derangement row as the S_m table and the S_m table as the derangement row",
+    ),
+    # one S_m table per prime, shared by theorem1, eq4 and bench
+    "eq4_builds_own_s_m_table": (
+        CLI,
+        "cg.verify_eq4(t.ctx, t.sm)",
+        "cg.verify_eq4(t.ctx, cg.s_m_all_units(t.ctx, t.row))",
+        "eq4 builds a second S_m table at each prime",
+    ),
+    "s_m_table_writable": (
+        CONGRUENCES,
+        "    table.setflags(write=False)\n",
+        "",
+        "s_m_all_units returns a writeable array",
+    ),
+    "eq4_table_slot_off": (
+        CONGRUENCES,
+        "s = sm[1:p]",
+        "s = sm[: p - 1]",
+        "verify_eq4 reads S_m from slot m - 1 of the table",
     ),
     # scalar routes return ints and Touchard routes int tuples
     "bell_mod_int_dropped": (
