@@ -33,6 +33,14 @@ __all__ = [
 # residue to it cannot reach 2**63.
 _DOT_LIMIT = 2**62
 
+# A float64 dot of inner residue products is exact when
+# inner * (p - 1)**2 < _FLOAT_DOT_LIMIT: every product and every partial
+# sum is then an integer below 2**53, which float64 holds exactly, so no
+# step rounds, in any summation order, with or without FMA.  bell_row's
+# longest dot has p - 1 terms, so its whole row runs in float64 for every
+# prime up to 208,057.
+_FLOAT_DOT_LIMIT = 2**53
+
 
 def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b for residue entries, reduced mod p.
@@ -57,16 +65,23 @@ def bell_row(ctx: PrimeContext) -> np.ndarray:
     B_{n+1} = sum_k C(n, k) B_k = n! sum_k (B_k / k!) (1 / (n-k)!), so the
     row is built as b_k = B_k / k!: each step is one dot of b_0 .. b_n with
     the inverse factorials 1/n! .. 1/0!, and B_k = k! b_k at the end.
+    The dots are BLAS float64 dots under _FLOAT_DOT_LIMIT, and chunked
+    int64 dots of _mod_matmul above it.
     """
     p = ctx.p
     step = (ctx.fact[:-1] * ctx.inv_fact[1:] % p).tolist()  # step[n] = n!/(n+1)!
     rev = ctx.inv_fact[::-1].copy()  # rev[p-1-j] = 1/j!
     b = np.zeros(p, dtype=np.int64)
     b[0] = 1 % p
-    for n in range(p - 1):
-        dot = int(_mod_matmul(b[: n + 1], rev[p - 1 - n :], p))
-        b[n + 1] = dot * step[n] % p
-    values = b * ctx.fact % p
+    if (p - 1) * (p - 1) ** 2 < _FLOAT_DOT_LIMIT:
+        b, rev = b.astype(np.float64), rev.astype(np.float64)
+        for n in range(p - 1):
+            b[n + 1] = int(np.dot(b[: n + 1], rev[p - 1 - n :])) % p * step[n] % p
+    else:
+        for n in range(p - 1):
+            dot = int(_mod_matmul(b[: n + 1], rev[p - 1 - n :], p))
+            b[n + 1] = dot * step[n] % p
+    values = b.astype(np.int64) * ctx.fact % p
     assert values[1] == 1 % p  # B_1 = 1, a cheap self-check of the recurrence
     values.setflags(write=False)
     return values

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellmod import oracle
+from bellmod import oracle, sequences
 from bellmod.congruences import s_m, s_m_all_units
 from bellmod.modarith import (
     IndexTooLargeError,
@@ -15,6 +15,7 @@ from bellmod.modarith import (
 )
 from bellmod.sequences import (
     _DOT_LIMIT,
+    _FLOAT_DOT_LIMIT,
     _mod_matmul,
     bell_mod,
     bell_row,
@@ -294,6 +295,47 @@ def test_mod_matmul_chunked_branches_are_exact(inner):
             got = _mod_matmul(a, b, p)
             assert np.shape(got) == np.shape(exact)
             assert np.array_equal(np.asarray(got, dtype=object), exact), (p, a.shape, b.shape)
+
+
+def test_float_dot_bound_is_tight():
+    # the largest inner the bound admits at p = 208057 sums maximal residues
+    # exactly; that prime is the last whose full Bell row runs in float64
+    p = 208057
+    inner = (_FLOAT_DOT_LIMIT - 1) // (p - 1) ** 2
+    assert inner >= p - 1 and (208067 - 1) ** 3 >= _FLOAT_DOT_LIMIT
+    top = np.full(inner, p - 1, dtype=np.int64)
+    exact = top.astype(object) @ top.astype(object)
+    assert int(np.dot(top.astype(np.float64), top.astype(np.float64))) == exact
+    # an odd count of odd products sums to an odd integer in [2**53, 2**54),
+    # which float64 cannot hold, so the bound must refuse this input
+    odd = (2**53 // (p - 2) ** 2 + 1) | 1
+    assert 2**53 <= odd * (p - 2) ** 2 and odd * (p - 1) ** 2 < 2**54
+    vec = np.full(odd, p - 2, dtype=np.int64)
+    exact = vec.astype(object) @ vec.astype(object)
+    assert int(np.dot(vec.astype(np.float64), vec.astype(np.float64))) != exact
+    assert odd * (p - 1) ** 2 >= _FLOAT_DOT_LIMIT
+
+
+def test_bell_row_routes_by_the_float_bound(monkeypatch):
+    # under the bound every dot is a float64 np.dot; at the bound every dot
+    # goes through _mod_matmul, and both routes give the triangle's row
+    ctx = make_context(1009)
+    calls = []
+    real = sequences._mod_matmul
+
+    def spy(a, b, p):
+        calls.append(a.dtype)
+        return real(a, b, p)
+
+    monkeypatch.setattr(sequences, "_mod_matmul", spy)
+    by_float = bell_row(ctx)
+    assert calls == []
+    monkeypatch.setattr(sequences, "_FLOAT_DOT_LIMIT", (ctx.p - 1) ** 3)
+    by_int64 = bell_row(ctx)
+    assert calls == [np.int64] * (ctx.p - 1)
+    assert by_int64.dtype == np.int64 and not by_int64.flags.writeable
+    assert np.array_equal(by_float, by_int64)
+    assert np.array_equal(by_int64, bell_triangle_row(ctx))
 
 
 def test_rows_match_sympy_mod_p():

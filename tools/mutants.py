@@ -251,9 +251,15 @@ MUTANTS = {
     ),
     "twiddles": (
         MODARITH,
-        "diff = (u - v + qb) * w[:, None, :: n // (2 * h)] % qb",
-        "diff = (u - v + qb) * w[:, None, :h] % qb",
+        "tw = np.ascontiguousarray(w[:, None, :: n // (2 * h)])\n        np.subtract(u, v, out=t)",
+        "tw = np.ascontiguousarray(w[:, None, :h])\n        np.subtract(u, v, out=t)",
         "the forward transform takes the wrong roots",
+    ),
+    "ntt_outputs_swapped": (
+        MODARITH,
+        "np.remainder(u, qb, out=u)\n        np.multiply(t, tw, out=t)\n        np.remainder(t, qb, out=v)",
+        "np.remainder(u, qb, out=v)\n        np.multiply(t, tw, out=t)\n        np.remainder(t, qb, out=u)",
+        "the forward butterfly writes its sum into the difference's half and back",
     ),
     "context_guard": (
         MODARITH,
@@ -356,9 +362,27 @@ MUTANTS = {
     # the Bell row as one dot per step, and only as many NTT primes as needed
     "bell_reversed_offset": (
         SEQUENCES,
-        "rev[p - 1 - n :]",
-        "rev[p - 2 - n : p - 1]",
-        "each Bell step reads the inverse factorials one place off",
+        "np.dot(b[: n + 1], rev[p - 1 - n :])",
+        "np.dot(b[: n + 1], rev[p - 2 - n : p - 1])",
+        "each float64 Bell step reads the inverse factorials one place off",
+    ),
+    "bell_int64_reversed_offset": (
+        SEQUENCES,
+        "_mod_matmul(b[: n + 1], rev[p - 1 - n :], p)",
+        "_mod_matmul(b[: n + 1], rev[p - 2 - n : p - 1], p)",
+        "each int64 Bell step reads the inverse factorials one place off",
+    ),
+    "float_dot_limit_2x": (
+        SEQUENCES,
+        "_FLOAT_DOT_LIMIT = 2**53",
+        "_FLOAT_DOT_LIMIT = 2**54",
+        "a float64 dot may sum to 2**54, past exact integers",
+    ),
+    "bell_float_route_never_taken": (
+        SEQUENCES,
+        "if (p - 1) * (p - 1) ** 2 < _FLOAT_DOT_LIMIT:",
+        "if False:",
+        "bell_row takes its int64 dots under the float64 bound too",
     ),
     "bell_scaled_by_n_factorial": (
         SEQUENCES,
@@ -368,8 +392,8 @@ MUTANTS = {
     ),
     "bell_fact_scaling_dropped": (
         SEQUENCES,
-        "values = b * ctx.fact % p",
-        "values = b % p",
+        "values = b.astype(np.int64) * ctx.fact % p",
+        "values = b.astype(np.int64) % p",
         "the row returns B_k / k! in place of B_k",
     ),
     "prime_count_bound_2x": (
