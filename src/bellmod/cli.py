@@ -25,8 +25,7 @@ import tempfile
 from collections import defaultdict, deque
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cache, cached_property
 from time import perf_counter
 from typing import Callable, Iterable, Iterator
 
@@ -270,6 +269,8 @@ def _sweep(cfg: SweepConfig, take: Callable[[ReportBlock], object]) -> SweepSumm
         cap = primes[0] * primes[0] - primes[0] - 1  # the lowest prime's cap is the lowest
         if cfg.n_max > cap:
             raise IndexTooLargeError(f"--n-max {cfg.n_max} is above p*p - p - 1 = {cap} at p = {primes[0]}")
+    if {"theorem1", "eq4"} & set(cfg.identities) and primes:
+        cg.require_s_m_table(primes[-1])  # the largest prime's table needs the longest transform
     total = failed = 0
     first = None  # (identity rank, report) of the first failure so far
     for b in _prime_blocks(cfg, primes):
@@ -290,63 +291,112 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[ReportBlock]]:
     return summary, sorted(blocks, key=lambda b: cg._IDENTITY_RANK[b.identity])
 
 
-def _side_json(side: tuple[int, ...]) -> str:
-    return "[" + ", ".join([f'"{v}"' for v in side]) + "]"
-
-
-def _side_flat(side: tuple[int, ...]) -> str:
-    return "[" + ";".join(map(str, side)) + "]"
-
-
 # the common triage columns come first; rarer params are appended at the
 # end so column positions stay stable for consumers of the short schema
 _CSV_HEAD_PARAMS = ("m", "n", "x")
 _CSV_TAIL_PARAMS = tuple(k for k in cg.PARAM_ORDER if k not in _CSV_HEAD_PARAMS)
 _CSV_COLUMNS = (*_CSV_HEAD_PARAMS, "pass", "lhs", "rhs", *_CSV_TAIL_PARAMS)
 _CSV_HEADER = ",".join(["identity", "p", *_CSV_COLUMNS]) + "\n"
-_PASS_WORDS = {"text": ("FAIL", "PASS"), "jsonl": ("false", "true"), "csv": ("false", "true")}
+_PASS_WORDS = {
+    fmt: np.array(words, dtype=object)
+    for fmt, words in {"text": ("FAIL", "PASS"), "jsonl": ("false", "true"), "csv": ("false", "true")}.items()
+}
+# marks a value's place in a block's line template; no name, p or mark holds it
+_SLOT = "\0"
+
+
+@cache
+def _decimal_table() -> np.ndarray:
+    """str(v) at entry v for 0 <= v < SPOOL_CELLS, as an object array.  It is
+    built on first use, not at import, and its size is fixed: a render call
+    holds at most SPOOL_CELLS cells, and a table that grew with the primes
+    or the grids would grow the sweep's peak memory with them."""
+    return np.array([str(v) for v in range(SPOOL_CELLS)], dtype=object)
+
+
+def _spell(values: list[int]) -> list[str]:
+    """str(v) of each value, for the cells the decimal table does not hold."""
+    return [str(v) for v in values]
+
+
+def _decimals(cells: np.ndarray) -> np.ndarray:
+    """str(v) of every cell of an integer array, as an object array of its
+    shape.  Cells the decimal table holds are gathered from it; only the
+    rest are spelled: negative cells, cells at or past the table's end, and
+    an object array's Python ints, which may lie past int64."""
+    if cells.dtype == object:
+        return np.array(_spell(cells.ravel().tolist()), dtype=object).reshape(cells.shape)
+    table = _decimal_table()
+    # read as uint64 a negative cell lies past 2**63, so one bound checks both ends
+    unsigned = cells.view(np.uint64)
+    if unsigned.max(initial=0) < len(table):
+        return table[cells]
+    held = unsigned < len(table)
+    out = table[np.where(held, cells, 0)]
+    out[~held] = _spell(cells[~held].tolist())
+    return out
+
+
+def _side_strings(rows: np.ndarray, fmt: str) -> np.ndarray:
+    """Each row of coefficients as fmt's side, as an object array of strings:
+    the coefficients up to the last nonzero one, ["1", "2"] in jsonl and
+    [1;2] in text and csv, and [] for a zero row."""
+    lens = cg._row_lengths(rows).tolist()
+    cells = _decimals(rows[:, : max(lens, default=0)]).tolist()
+    opener, sep, closer = ('["', '", "', '"]') if fmt == "jsonl" else ("[", ";", "]")
+    sides = np.empty(len(rows), dtype=object)
+    sides[:] = [opener + sep.join(c[:n]) + closer if n else "[]" for c, n in zip(cells, lens)]
+    return sides
 
 
 def _render_block(b: ReportBlock, fmt: str) -> str:
-    """Every line of one block through one %-template: the identity and p
-    are written into it, params and scalar sides fill %d slots, and
-    polynomial sides and pass words fill %s slots."""
+    """Every line of one block by one join.  The block's line template splits
+    at its slots into the literal fragments (the identity, p, keys, quotes
+    and separators), which fill the even columns of a (rows, 2 * slots + 1)
+    object grid; the value strings (params, sides and pass words) fill the
+    odd ones, every integer column of them spelled by one gather."""
     keys = [k for k in cg.PARAM_ORDER if k in b.params]
-    params = [b.params[k].tolist() for k in keys]
+    numbers = {k: b.params[k] for k in keys}  # int columns, spelled below
+    strings = {"pass": _PASS_WORDS[fmt][b.passed.view(np.uint8)]}
     if b.lhs.ndim == 2:
-        show = _side_json if fmt == "jsonl" else _side_flat
-        side, lhs = "%s", list(map(show, cg._coeff_tuples(b.lhs)))
+        side, lhs = _SLOT, _side_strings(b.lhs, fmt)
         # a row whose sides are equal renders its side once
         rhs, differ = lhs.copy(), np.flatnonzero((b.lhs != b.rhs).any(axis=1))
-        for i, y in zip(differ.tolist(), cg._coeff_tuples(b.rhs[differ])):
-            rhs[i] = show(y)
+        rhs[differ] = _side_strings(b.rhs[differ], fmt)
+        strings.update(lhs=lhs, rhs=rhs)
     else:
-        side, lhs, rhs = '"%d"' if fmt == "jsonl" else "%d", b.lhs.tolist(), b.rhs.tolist()
-    words = _PASS_WORDS[fmt]
-    ok = [words[v] for v in b.passed.tolist()]
+        side = f'"{_SLOT}"' if fmt == "jsonl" else _SLOT
+        numbers.update(lhs=b.lhs, rhs=b.rhs)
+    for k in keys:
+        if numbers[k].dtype == object:  # Python ints, which do not stack into int64
+            strings[k] = _decimals(numbers.pop(k))
     name = b.identity.value
     if fmt == "jsonl":
         # the json.dumps layout: identity names are \w+, params are ints
         # and residues are quoted decimal strings, so nothing needs escaping
-        ps = ", ".join(f'"{k}": %d' for k in keys)
+        ps = ", ".join(f'"{k}": {_SLOT}' for k in keys)
         tpl = (
             f'{{"identity": "{name}", "p": {b.p}, "params": {{{ps}}}, '
-            f'"lhs": {side}, "rhs": {side}, "pass": %s}}\n'
+            f'"lhs": {side}, "rhs": {side}, "pass": {_SLOT}}}\n'
         )
-        cols = [*params, lhs, rhs, ok]
+        order = [*keys, "lhs", "rhs", "pass"]
     elif fmt == "csv":
         # csv.writer's minimal quoting: no field holds a comma or a quote;
         # the template and the columns follow the header's one order
-        slots = {**dict.fromkeys(keys, "%d"), "pass": "%s", "lhs": side, "rhs": side}
-        named = {**dict(zip(keys, params)), "pass": ok, "lhs": lhs, "rhs": rhs}
-        tpl = ",".join([name, str(b.p), *[slots.get(c, "") for c in _CSV_COLUMNS]]) + "\n"
-        cols = [named[c] for c in _CSV_COLUMNS if c in named]
+        order = [c for c in _CSV_COLUMNS if c in numbers or c in strings]
+        tpl = ",".join([name, str(b.p), *[_SLOT if c in order else "" for c in _CSV_COLUMNS]]) + "\n"
     else:
-        ps = "".join(f" {k}=%d" for k in keys)
-        tpl = f"{name} p={b.p}{ps} lhs={side} rhs={side} %s\n"
-        cols = [*params, lhs, rhs, ok]
-    # one format call fills the template repeated once per row
-    return (tpl * len(b)) % tuple(chain.from_iterable(zip(*cols)))
+        ps = "".join(f" {k}={_SLOT}" for k in keys)
+        tpl = f"{name} p={b.p}{ps} lhs={side} rhs={side} {_SLOT}\n"
+        order = [*keys, "lhs", "rhs", "pass"]
+    at = {c: 2 * i + 1 for i, c in enumerate(order)}
+    grid = np.empty((len(b), 2 * len(order) + 1), dtype=object)
+    grid[:, 0::2] = np.array(tpl.split(_SLOT), dtype=object)
+    if numbers:
+        grid[:, [at[c] for c in numbers]] = _decimals(np.array(list(numbers.values()), dtype=np.int64)).T
+    for c, column in strings.items():
+        grid[:, at[c]] = column
+    return "".join(grid.ravel().tolist())
 
 
 def render_reports(blocks: list[ReportBlock], fmt: str, header: bool = True) -> str:
@@ -488,11 +538,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     t = PrimeTables(args.p, SweepConfig(args.p, args.p, ("theorem1",)))
     ctx, p, ms = t.ctx, t.ctx.p, t.ms
+    cg.require_s_m_table(p)  # refused before the O(p**2) Bell row is built
     t0 = perf_counter()
     row = t.row
     t_row = perf_counter() - t0
     t0 = perf_counter()
-    table = t.sm  # built before anything is printed, so a refusal prints nothing
+    table = t.sm  # built before anything is printed
     t_table = perf_counter() - t0
     rate = p * (p - 1) / 2 / t_row / 1e6 if t_row > 0 else float("inf")
     print(f"bell_row({p}): {t_row:.3f}s ({rate:.1f}M term-ops/s)")

@@ -20,6 +20,7 @@ from .modarith import (
     IndexTooLargeError,
     PrimeContext,
     mod_convolve,
+    ntt_plan,
     powers_mod,
     primitive_root,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "report_sort_key",
     "s_m",
     "s_m_all_units",
+    "require_s_m_table",
     "s_m_many",
     "s_m_chain",
     "theorem1_rhs",
@@ -239,6 +241,13 @@ def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> np.ndarray:
     return table
 
 
+def require_s_m_table(p: int) -> None:
+    """Raise OverflowError where s_m_all_units at p needs a convolution that
+    mod_convolve cannot take exactly, with the line mod_convolve would raise.
+    It reads p alone, so a caller refuses p before any table is built."""
+    ntt_plan(p - 1, 2 * p - 3, p)  # the lengths of x and chirp there
+
+
 def s_m_many(ctx: PrimeContext, ms: Sequence[int], sm: np.ndarray) -> np.ndarray:
     """s_m for many weights at once, as int64 aligned with ms: each
     weight's entry of the s_m_all_units table sm, read at its residue."""
@@ -405,13 +414,17 @@ def _zeros(rows: int, cols: int) -> np.ndarray:
         raise MemoryError(f"no int64 array holds {rows} x {cols} entries") from None
 
 
+def _row_lengths(rows: np.ndarray) -> np.ndarray:
+    """Each row of coefficients' length with its trailing zeros stripped:
+    the largest 1-based column of a nonzero entry, or 0 for a zero row."""
+    return (np.arange(1, rows.shape[1] + 1) * (rows != 0)).max(axis=1, initial=0)
+
+
 def _coeff_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
     """Each row of coefficients as a tuple of ints with its trailing zeros
     stripped, so a zero row gives ().  Rows are converted one at a time, so
     no list of the whole array is held next to the tuples."""
-    # a row's length is the largest 1-based column of a nonzero entry
-    lens = (np.arange(1, rows.shape[1] + 1) * (rows != 0)).max(axis=1, initial=0)
-    return [tuple(row[:n].tolist()) for row, n in zip(rows, lens.tolist())]
+    return [tuple(row[:n].tolist()) for row, n in zip(rows, _row_lengths(rows).tolist())]
 
 
 def _inv_pow(ctx: PrimeContext, bases: Sequence[int], exps: Sequence[int]) -> np.ndarray:

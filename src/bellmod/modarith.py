@@ -23,6 +23,7 @@ __all__ = [
     "primitive_root",
     "powers_mod",
     "mod_convolve",
+    "ntt_plan",
     "CONV_EXACT_LIMIT",
 ]
 
@@ -261,6 +262,26 @@ def _ntt_inverse(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
         h *= 2
 
 
+def ntt_plan(la: int, lb: int, p: int) -> tuple[int, int]:
+    """The transform length and the number of NTT primes with which
+    mod_convolve takes nonempty vectors of lengths la and lb mod p.  It
+    reads the sizes alone, so a caller can refuse a convolution before it
+    builds the inputs.  OverflowError where p is not below 2**31, where
+    min(la, lb) * (p - 1)**2 reaches CONV_EXACT_LIMIT, or where the
+    transform would be longer than _NTT_MAX_LENGTH."""
+    if p >= MAX_PRIME:
+        raise OverflowError(f"modulus {p} is not below 2**31")
+    bound = min(la, lb) * (p - 1) ** 2
+    if bound >= CONV_EXACT_LIMIT:
+        raise OverflowError(
+            f"a length-{min(la, lb)} convolution mod {p} can exceed CONV_EXACT_LIMIT"
+        )
+    n = 1 << (la + lb - 2).bit_length()
+    if n > _NTT_MAX_LENGTH:
+        raise OverflowError(f"transform length {n} exceeds {_NTT_MAX_LENGTH}")
+    return n, bisect.bisect_right(_NTT_PRODUCTS, bound) + 1
+
+
 def mod_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """The linear convolution of two residue vectors, reduced mod p.
 
@@ -269,30 +290,21 @@ def mod_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     primes whose product exceeds min(len(a), len(b)) * (p - 1)**2, and
     recombined by the CRT, with integer arithmetic only, so the result is
     exact whenever min(len(a), len(b)) * (p - 1)**2 < CONV_EXACT_LIMIT;
-    OverflowError is raised when that bound or the transform length cap
-    fails.
+    ntt_plan raises OverflowError when that bound or the transform length
+    cap fails.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     la, lb = a.shape[0], b.shape[0]
     if la == 0 or lb == 0:
         return np.zeros(0, dtype=np.int64)
-    if p >= MAX_PRIME:
-        raise OverflowError(f"modulus {p} is not below 2**31")
+    n, primes = ntt_plan(la, lb, p)
     for v in (a, b):
         if v.min() < 0 or v.max() >= p:
             raise ValueError(f"entries must be residues in [0, {p})")
-    bound = min(la, lb) * (p - 1) ** 2
-    if bound >= CONV_EXACT_LIMIT:
-        raise OverflowError(
-            f"a length-{min(la, lb)} convolution mod {p} can exceed CONV_EXACT_LIMIT"
-        )
     size = la + lb - 1
-    n = 1 << (size - 1).bit_length()
-    if n > _NTT_MAX_LENGTH:
-        raise OverflowError(f"transform length {n} exceeds {_NTT_MAX_LENGTH}")
 
-    qs = _NTT_PRIMES[: bisect.bisect_right(_NTT_PRODUCTS, bound) + 1]
+    qs = _NTT_PRIMES[:primes]
     q = np.array(qs, dtype=np.int64)[:, None]
     roots = [pow(_NTT_ROOT, (qi - 1) // n, qi) for qi in qs]
     inv_roots = [pow(r, -1, qi) for r, qi in zip(roots, qs)]
@@ -303,21 +315,30 @@ def mod_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     spec[0, :, :la] = a % q
     spec[1, :, :lb] = b % q
     _ntt_forward(spec, w, q)
-    prod = spec[0] * spec[1] % q
+    # the pointwise product and the 1/n scaling overwrite spec[0], so the
+    # transform's peak memory is spec and the butterflies' scratch
+    prod = spec[0]
+    np.multiply(prod, spec[1], out=prod)
+    np.remainder(prod, q, out=prod)
     _ntt_inverse(prod, w_inv, q)
     n_inv = np.array([[pow(n, -1, qi)] for qi in qs], dtype=np.int64)
-    r = prod[:, :size] * n_inv % q
+    r = prod[:, :size]
+    np.multiply(r, n_inv, out=r)
+    np.remainder(r, q, out=r)
 
     # Garner: c = x_0 + x_1 Q_1 + x_2 Q_2 + ... with Q_i = q_0 ... q_{i-1}
     # and digits x_i in [0, q_i).  Once digit x_i is known, row j > i of r
     # becomes (r_j - x_i) / q_i mod q_j, so row i + 1 is the next digit.
-    # Every product stays under 2**61.
+    # The difference is offset by the least multiple of q_j that is at least
+    # q_0 > x_i, which keeps the dividend of % nonnegative, as the butterflies
+    # keep theirs, and its residue unchanged.  Every product stays under 2**61.
     out = np.zeros(size, dtype=np.int64)
     big = 1  # Q_i
     for i, qi in enumerate(qs):
         x = r[i]
         for j in range(i + 1, len(qs)):
-            r[j] = (r[j] - x) % qs[j] * pow(qi, -1, qs[j]) % qs[j]
+            offset = qs[j] * -(-qs[0] // qs[j])
+            r[j] = (r[j] - x + offset) % qs[j] * pow(qi, -1, qs[j]) % qs[j]
         out = (out + x * (big % p)) % p
         big *= qi
     return out

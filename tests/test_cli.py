@@ -883,6 +883,42 @@ def test_past_the_convolution_bound_exits_two(capsys, monkeypatch, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--identities", "theorem1", "--primes", "2..101"),
+        ("verify", "--identities", "bellp,eq4", "--primes", "2..101"),
+        ("bench", "101"),
+    ],
+    ids=["theorem1", "eq4", "bench"],
+)
+def test_past_the_transform_length_cap_exits_two_before_any_table(capsys, monkeypatch, argv):
+    """The S_m table at p = 101 needs a length-512 transform and at p = 83
+    one of 256; with the cap at 256 the largest prime is refused before
+    any Bell row is built, with the line mod_convolve would raise."""
+    def unbuilt(ctx):
+        raise AssertionError(f"bell_row({ctx.p}) was built")
+
+    monkeypatch.setattr(modarith, "_NTT_MAX_LENGTH", 256)
+    monkeypatch.setattr(cli, "bell_row", unbuilt)
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out, err) == (2, "", "transform length 512 exceeds 256\n")
+
+
+def test_s_m_table_refusal_matches_its_convolution(monkeypatch):
+    """require_s_m_table refuses exactly the primes whose S_m table
+    mod_convolve refuses: at p = 101 the table's transform is 512 long."""
+    ctx = make_context(101)
+    row = sequences.bell_row(ctx)
+    monkeypatch.setattr(modarith, "_NTT_MAX_LENGTH", 512)
+    cg.require_s_m_table(101)
+    assert len(cg.s_m_all_units(ctx, row)) == 101
+    monkeypatch.setattr(modarith, "_NTT_MAX_LENGTH", 256)
+    for build in (lambda: cg.require_s_m_table(101), lambda: cg.s_m_all_units(ctx, row)):
+        with pytest.raises(OverflowError, match="^transform length 512 exceeds 256$"):
+            build()
+
+
 def test_parse_range():
     assert _parse_range("7", "x") == (7, 7)
     assert _parse_range("3..9", "x") == (3, 9)

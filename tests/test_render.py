@@ -8,8 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from bellmod import congruences as cg
-from bellmod.cli import IDENTITIES, SweepConfig, render_reports, run_sweep
+from bellmod import cli
+from bellmod.cli import IDENTITIES, SPOOL_CELLS, SweepConfig, render_reports, run_sweep
 from bellmod.congruences import PARAM_ORDER, Identity, ReportBlock
 
 
@@ -106,6 +106,13 @@ def hand_built_blocks():
         ReportBlock(Identity.GEOMETRIC_SUM, 7, every_key, col(0, 1), col(6, 1), mask(False, True)),
         ReportBlock(Identity.COROLLARY, big, {"n": col(5), "k": col(9)}, col(big - 1), col(big - 1), mask(True)),
         ReportBlock(Identity.EQ4_STEP, 7, {"m": col()}, col(), col(), mask()),  # no rows
+        # a weight past int64, which the params hold as a Python int
+        ReportBlock(Identity.THEOREM1, 7, {"m": np.array([10**23 + 1, 5], dtype=object)}, col(5, 0), col(5, 1), mask(True, False)),
+        # a param column of another integer dtype, the block's only int column
+        ReportBlock(Identity.THEOREM2_POLY, 7, {"m": np.array([SPOOL_CELLS + 1, 3], dtype=np.int32)}, coeffs((1, 2), (3, 0)), coeffs((1, 2), (3, 0)), mask(True, True)),
+        # cells at the decimal table's last entry and just past it
+        ReportBlock(Identity.COROLLARY, 7, {"n": col(0, SPOOL_CELLS - 1), "k": col(SPOOL_CELLS, 1)}, col(SPOOL_CELLS - 1, 0), col(SPOOL_CELLS, 0), mask(False, True)),
+        ReportBlock(Identity.THEOREM2_POLY, 7, {"m": col(1, 2)}, coeffs((SPOOL_CELLS - 1, SPOOL_CELLS), (1, 0)), coeffs((SPOOL_CELLS, 0), (1, 0)), mask(False, True)),
     ]
 
 
@@ -122,12 +129,12 @@ def test_renderers_match_reference_on_hand_built_reports(fmt, reference):
 def test_renderer_converts_only_the_rhs_rows_that_differ(monkeypatch, fmt):
     converted = []
 
-    def counted(rows):
+    def counted(rows, fmt):
         converted.append(len(rows))
-        return real(rows)
+        return real(rows, fmt)
 
-    real = cg._coeff_tuples
-    monkeypatch.setattr(cg, "_coeff_tuples", counted)
+    real = cli._side_strings
+    monkeypatch.setattr(cli, "_side_strings", counted)
     lhs = coeffs((1, 2, 0), (0, 0, 0), (3, 0, 4), (5, 6, 0), (0, 7, 0))
     for rhs, k in [(lhs.copy(), 0), (coeffs((1, 2, 0), (0, 0, 1), (3, 0, 4), (5, 0, 0), (0, 7, 0)), 2)]:
         converted.clear()
@@ -186,3 +193,66 @@ def test_renderers_match_reference_on_random_reports():
             assert render_reports(batch, fmt) == reference(rows(batch))
 
     check()
+
+
+def test_renderers_match_reference_on_dense_blocks():
+    """Blocks of up to a few hundred rows whose cells straddle the end of the
+    decimal table, so one render call mixes gathered and spelled cells."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    dense = st.integers(min_value=0, max_value=SPOOL_CELLS + 63)
+
+    @st.composite
+    def blocks(draw):
+        n = draw(st.integers(min_value=1, max_value=300))
+        width = draw(st.none() | st.integers(min_value=1, max_value=4))
+        shape = (n,) if width is None else (n, width)
+        lhs, rhs = (draw(hnp.arrays(np.int64, shape, elements=dense)) for _ in range(2))
+        same = draw(hnp.arrays(bool, n))  # rows whose sides are equal
+        rhs[same] = lhs[same]
+        keys = draw(st.lists(st.sampled_from(PARAM_ORDER), unique=True))
+        params = {k: draw(hnp.arrays(np.int64, n, elements=dense)) for k in keys}
+        return ReportBlock(draw(st.sampled_from(Identity)), 7, params, lhs, rhs, draw(hnp.arrays(bool, n)))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(blocks())
+    def check(block):
+        for fmt, reference in REFERENCES:
+            assert render_reports([block], fmt) == reference(list(block))
+
+    check()
+
+
+def test_renderer_spells_only_the_cells_the_decimal_table_lacks(monkeypatch):
+    """Every cell the decimal table holds is gathered from it; str() converts
+    only the rest: cells past its end, negative cells and a column of
+    Python ints."""
+    spelled = []
+
+    def counted(values):
+        spelled.extend(values)
+        return real(values)
+
+    real = cli._spell
+    monkeypatch.setattr(cli, "_spell", counted)
+    top = SPOOL_CELLS + 64
+    cells = np.arange(top, dtype=np.int64)
+    past = list(range(SPOOL_CELLS, top))
+    held = cells[:SPOOL_CELLS]
+    wide = np.array([10**23 + 1, 5], dtype=object)
+    cases = [
+        # a dense scalar block: two params and both sides straddle the end
+        (ReportBlock(Identity.COROLLARY, 7, {"n": cells, "k": cells[::-1]}, cells, cells, cells % 2 == 0), past * 4),
+        # every cell held, polynomial sides included: nothing is spelled
+        (ReportBlock(Identity.COROLLARY, 7, {"n": held}, held, held, held > 0), []),
+        (ReportBlock(Identity.THEOREM2_POLY, 7, {"m": col(1, 2)}, coeffs((3, SPOOL_CELLS - 1), (0, 0)), coeffs((3, 5), (0, 0)), mask(False, True)), []),
+        # polynomial rows past the end, on the rhs only where the sides differ
+        (ReportBlock(Identity.PROOF_INTERMEDIATE, 7, {"m": col(1, 2)}, coeffs((SPOOL_CELLS, 2), (SPOOL_CELLS + 1, 0)), coeffs((SPOOL_CELLS, 2), (7, SPOOL_CELLS + 2)), mask(True, False)), [SPOOL_CELLS, SPOOL_CELLS + 1, SPOOL_CELLS + 2]),
+        (ReportBlock(Identity.THEOREM1, 7, {"m": wide}, col(-1, 4), col(4, 4), mask(False, True)), [*wide, -1]),
+    ]
+    for block, expected in cases:
+        for fmt, reference in REFERENCES:
+            spelled.clear()
+            assert render_reports([block], fmt) == reference(list(block))
+            assert sorted(spelled) == sorted(expected), fmt

@@ -53,8 +53,8 @@ MUTANTS = {
     ),
     "template_params_swapped": (
         CLI,
-        """ps = "".join(f" {k}=%d" for k in keys)""",
-        """ps = "".join(f" {k}=%d" for k in keys[::-1])""",
+        """ps = "".join(f" {k}={_SLOT}" for k in keys)""",
+        """ps = "".join(f" {k}={_SLOT}" for k in keys[::-1])""",
         "the text template names the params in reverse order",
     ),
     "mask_from_lhs_alone": (
@@ -83,11 +83,9 @@ MUTANTS = {
     ),
     "empty_tuple_dropped": (
         CLI,
-        """    return "[" + ";".join(map(str, side)) + "]"
-""",
-        """    return "[" + ";".join(map(str, side)) + "]" if side else ""
-""",
-        "the text and csv polynomial side of the zero polynomial is empty",
+        """closer if n else "[]" for c, n""",
+        """closer if n else "" for c, n""",
+        "the polynomial side of the zero polynomial is empty",
     ),
     # the stream spooled per identity and copied out in rank order
     "csv_header_per_spool": (
@@ -158,7 +156,7 @@ MUTANTS = {
     "sweep_keeps_prime_blocks": (
         CLI,
         "    for b in _prime_blocks(cfg, primes):",
-        "    for b in chain.from_iterable(list(_prime_blocks(cfg, [q])) for q in primes):",
+        "    for b in (b for q in primes for b in list(_prime_blocks(cfg, [q]))):",
         "_sweep holds each prime's blocks in a list while it takes them",
     ),
     "look_ahead_never_popped": (
@@ -233,9 +231,27 @@ MUTANTS = {
     # the chirp-z table of the weighted Bell sums and its exact convolution
     "crt_digit": (
         MODARITH,
-        "r[j] = (r[j] - x) % qs[j]",
-        "r[j] = (r[j] + x) % qs[j]",
+        "r[j] = (r[j] - x + offset) % qs[j]",
+        "r[j] = (r[j] + x + offset) % qs[j]",
         "Garner adds each digit to the later residues in place of subtracting it",
+    ),
+    "ntt_product_squares_one_side": (
+        MODARITH,
+        "np.multiply(prod, spec[1], out=prod)",
+        "np.multiply(prod, prod, out=prod)",
+        "the in-place pointwise product squares the first transform",
+    ),
+    "ntt_scaling_unreduced": (
+        MODARITH,
+        "    np.remainder(r, q, out=r)\n",
+        "",
+        "the 1/n scaling leaves the CRT residues unreduced",
+    ),
+    "garner_offset_not_a_multiple": (
+        MODARITH,
+        "offset = qs[j] * -(-qs[0] // qs[j])",
+        "offset = qs[0]",
+        "Garner offsets each difference by q_0, which shifts its residue mod q_j",
     ),
     "dlog_offset": (
         CONGRUENCES,
@@ -527,9 +543,65 @@ MUTANTS = {
     ),
     "renderer_skips_differing_rhs": (
         CLI,
-        "            rhs[i] = show(y)\n",
-        "            pass\n",
+        "        rhs[differ] = _side_strings(b.rhs[differ], fmt)\n",
+        "",
         "a row whose sides differ shows its lhs as rhs",
+    ),
+    # the decimal table the renderer gathers its value strings from
+    "decimal_table_off_by_one": (
+        CLI,
+        "if unsigned.max(initial=0) < len(table):",
+        "if unsigned.max(initial=0) <= len(table):",
+        "a block whose largest cell is SPOOL_CELLS reads one entry past the table",
+    ),
+    "decimal_table_never_used": (
+        CLI,
+        "    if cells.dtype == object:\n",
+        "    if True:\n",
+        "every cell is spelled by str(), none gathered from the table",
+    ),
+    "int_columns_stacked_in_their_dtype": (
+        CLI,
+        "np.array(list(numbers.values()), dtype=np.int64)",
+        "np.array(list(numbers.values()))",
+        "an int32 param column is read as uint64 pairs",
+    ),
+    "cells_past_table_not_converted": (
+        CLI,
+        "    out[~held] = _spell(cells[~held].tolist())\n",
+        "",
+        "a cell the table does not hold renders as entry 0, \"0\"",
+    ),
+    # the S_m table's transform length, refused before any table is built
+    "sweep_skips_the_s_m_table_check": (
+        CLI,
+        "        cg.require_s_m_table(primes[-1])",
+        "        pass",
+        "verify builds Bell rows before mod_convolve refuses the largest prime",
+    ),
+    "sweep_checks_the_s_m_table_for_theorem1_only": (
+        CLI,
+        """if {"theorem1", "eq4"} & set(cfg.identities) and primes:""",
+        """if {"theorem1"} & set(cfg.identities) and primes:""",
+        "verify --identities eq4 builds Bell rows before mod_convolve refuses",
+    ),
+    "sweep_checks_the_s_m_table_at_the_smallest_prime": (
+        CLI,
+        "cg.require_s_m_table(primes[-1])",
+        "cg.require_s_m_table(primes[0])",
+        "verify checks the smallest prime's transform, which is the shortest",
+    ),
+    "bench_skips_the_s_m_table_check": (
+        CLI,
+        "    cg.require_s_m_table(p)  # refused",
+        "    pass  # refused",
+        "bench builds the Bell row before mod_convolve refuses p",
+    ),
+    "s_m_table_check_reads_other_lengths": (
+        CONGRUENCES,
+        "ntt_plan(p - 1, 2 * p - 3, p)",
+        "ntt_plan(p - 1, p - 1, p)",
+        "the S_m check plans a shorter transform than the table takes",
     ),
     "corollary_builds_own_drow": (
         CLI,
