@@ -17,6 +17,7 @@ from bellmod.congruences import (
     proof_intermediate,
     theorem2_lhs,
     theorem2_rhs,
+    unit_power_table,
     verify_special_cases,
     weighted_touchard_sum,
 )
@@ -52,7 +53,7 @@ print(f"direct weighted sum:                {coeffs(direct)}")
 # underneath sits a geometric sum that vanishes except at one index
 print()
 print(f"geometric sums at m = {m}: nonzero only where p divides m + j")
-[geometric] = geometric_sum_lemma_check(ctx, [m])  # one block of reports, one per j
+[geometric] = geometric_sum_lemma_check(ctx, [m], unit_power_table(ctx))  # one block of reports, one per j
 for rep in geometric:
     if rep.lhs != 0:
         print(f"  j = {rep.params['j']}: sum = {rep.lhs}")

@@ -156,6 +156,10 @@ class PrimeTables:
         return touchard_value_table(self.ctx, self.matrix)
 
     @cached_property
+    def jpow(self):
+        return cg.unit_power_table(self.ctx)
+
+    @cached_property
     def sums(self):
         return cg.weighted_touchard_sum(self.ctx, self.ms, self.matrix)
 
@@ -213,7 +217,7 @@ IDENTITIES: dict[str, Callable[[PrimeTables], Iterable[ReportBlock]]] = {
         lambda t, ms, rows: cg.verify_proof_intermediate(t.ctx, ms, t.sums[rows])
     ),
     "factorial": _by_weight_slice(lambda t, ms, rows: cg.verify_factorial_lemma(t.ctx, ms)),
-    "geometric": _by_weight_slice(lambda t, ms, rows: cg.geometric_sum_lemma_check(t.ctx, ms)),
+    "geometric": _by_weight_slice(lambda t, ms, rows: cg.geometric_sum_lemma_check(t.ctx, ms, t.jpow)),
 }
 
 

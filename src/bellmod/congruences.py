@@ -55,6 +55,7 @@ __all__ = [
     "proof_intermediate",
     "verify_proof_intermediate",
     "verify_factorial_lemma",
+    "unit_power_table",
     "geometric_sum_lemma_check",
 ]
 
@@ -608,20 +609,28 @@ def verify_factorial_lemma(ctx: PrimeContext, ms: Sequence[int]) -> list[ReportB
     return [_block(Identity.FACTORIAL_LEMMA, ctx, {"m": m, "l": l, "r": r}, lhs, rhs)]
 
 
+def unit_power_table(ctx: PrimeContext) -> np.ndarray:
+    """J with J[n, j-1] = j^n mod p for 0 <= n < p and 0 < j < p, as a
+    read-only int64 array."""
+    p = ctx.p
+    jpow = powers_mod(np.arange(1, p, dtype=np.int64), p, p).T
+    jpow.setflags(write=False)
+    return jpow
+
+
 def geometric_sum_lemma_check(
-    ctx: PrimeContext, ms: Sequence[int]
+    ctx: PrimeContext, ms: Sequence[int], jpow: np.ndarray
 ) -> list[ReportBlock]:
     """Check sum_{n=1}^{p-1} (j / (-m))^n = -[p divides m + j] (mod p)
     for every weight m of ms and every j in 1..p-1, in m-major order.
 
-    The left side is the weighted-power kernel over the table
-    J[n, j-1] = j^n, the kernel the Touchard-sum verifiers share; the right
-    side is the closed-form indicator.
+    The left side is the weighted-power kernel over jpow, the
+    unit_power_table J[n, j-1] = j^n, the kernel the Touchard-sum verifiers
+    share; the right side is the closed-form indicator.
     """
     p = ctx.p
     fold = _require_units(ctx, ms)
-    table = powers_mod(np.arange(1, p, dtype=np.int64), p, p).T
-    lhs = _weighted_power_rows(ctx, -fold % p, table).ravel()
+    lhs = _weighted_power_rows(ctx, -fold % p, jpow).ravel()
     j = np.tile(np.arange(1, p), len(ms))
     rhs = np.where((np.repeat(fold, p - 1) + j) % p == 0, p - 1, 0)
     return [_block(Identity.GEOMETRIC_SUM, ctx, {"m": np.repeat(ms, p - 1), "j": j}, lhs, rhs)]

@@ -28,33 +28,53 @@ __all__ = [
     "touchard_value_table",
 ]
 
-# int64 products of two residues stay below p**2, so a chunk of
-# _DOT_LIMIT // p**2 of them sums below 2**62, and adding the running
-# residue to it cannot reach 2**63.
-_DOT_LIMIT = 2**62
-
-# A float64 dot of inner residue products is exact when
-# inner * (p - 1)**2 < _FLOAT_DOT_LIMIT: every product and every partial
-# sum is then an integer below 2**53, which float64 holds exactly, so no
-# step rounds, in any summation order, with or without FMA.  bell_row's
-# longest dot has p - 1 terms, so its whole row runs in float64 for every
+# A float64 dot of residue products is exact when inner * (p - 1)**2 is at
+# most _FLOAT_DOT_LIMIT: every product and every partial sum is then an
+# integer no larger than 2**53, which float64 holds exactly, so no step
+# rounds, in any summation order, with or without FMA.  Every prime with
+# (p - 1)**2 <= 2**53, that is up to 94,906,266, takes at least one product
+# per chunk; bell_row's longest dot, p - 1 terms, fits one chunk for every
 # prime up to 208,057.
 _FLOAT_DOT_LIMIT = 2**53
 
+# Past 94,906,266 no float64 product of two residues is exact.  int64
+# products stay below p**2 there, so a chunk of _DOT_LIMIT // p**2 of them
+# sums below 2**62, and adding the running residue to it cannot reach 2**63.
+_DOT_LIMIT = 2**62
+
+
+def _float_chunk(p: int) -> int:
+    """The most residue products one float64 dot sums exactly mod p; 0
+    when not even one product of two residues is exact."""
+    return _FLOAT_DOT_LIMIT // (p - 1) ** 2
+
 
 def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b for residue entries, reduced mod p.
+    """Exact a @ b for 1-D or 2-D residue operands, reduced mod p, as int64.
 
     As with np.matmul, a 1-D operand is a vector, so this is also the dot
-    product and the vector-matrix product.
+    product and the vector-matrix product.  The inner axis is taken one
+    chunk of _float_chunk(p) terms at a time: each chunk is converted to
+    float64, multiplied by np.einsum, whose loops run on one thread where
+    a float64 matmul would start BLAS threads, and its exact integer sums
+    are reduced in int64.  Where the chunk is 0 the chunks stay int64 and
+    hold _DOT_LIMIT // p**2 terms.
     """
-    inner = a.shape[-1]
-    chunk = max(1, _DOT_LIMIT // (p * p))
-    if inner <= chunk:
-        return (a @ b) % p
+    chunk, dtype = _float_chunk(p), np.float64
+    if not chunk:
+        chunk, dtype = max(1, _DOT_LIMIT // (p * p)), np.int64
+    # 'ki,ij->kj', without k for a 1-D a and without j for a 1-D b
+    spec = f"{'ki'[2 - a.ndim :]},{'ij'[: b.ndim]}->{'k'[: a.ndim - 1]}{'j'[: b.ndim - 1]}"
     acc = 0
-    for i in range(0, inner, chunk):
-        acc = (acc + a[..., i : i + chunk] @ b[i : i + chunk]) % p
+    for i in range(0, a.shape[-1], chunk):
+        # the converted chunks are freed as einsum returns and the sum is
+        # reduced in place, which keeps the peak to the chunks and the product
+        part = np.einsum(
+            spec, a[..., i : i + chunk].astype(dtype, copy=False), b[i : i + chunk].astype(dtype, copy=False)
+        ).astype(np.int64, copy=False)
+        part += acc
+        part %= p
+        acc = part
     return acc
 
 
@@ -64,23 +84,20 @@ def bell_row(ctx: PrimeContext) -> np.ndarray:
 
     B_{n+1} = sum_k C(n, k) B_k = n! sum_k (B_k / k!) (1 / (n-k)!), so the
     row is built as b_k = B_k / k!: each step is one dot of b_0 .. b_n with
-    the inverse factorials 1/n! .. 1/0!, and B_k = k! b_k at the end.
-    The dots are BLAS float64 dots under _FLOAT_DOT_LIMIT, and chunked
-    int64 dots of _mod_matmul above it.
+    the inverse factorials 1/n! .. 1/0!, and B_k = k! b_k at the end.  The
+    row is kept in float64.  A dot that fits one float64 chunk, which every
+    dot does up to p = 208,057, is one BLAS np.dot; a longer one is one
+    _mod_matmul call.
     """
     p = ctx.p
     step = (ctx.fact[:-1] * ctx.inv_fact[1:] % p).tolist()  # step[n] = n!/(n+1)!
-    rev = ctx.inv_fact[::-1].copy()  # rev[p-1-j] = 1/j!
-    b = np.zeros(p, dtype=np.int64)
+    rev = ctx.inv_fact[::-1].astype(np.float64)  # rev[p-1-j] = 1/j!
+    b = np.zeros(p)
     b[0] = 1 % p
-    if (p - 1) * (p - 1) ** 2 < _FLOAT_DOT_LIMIT:
-        b, rev = b.astype(np.float64), rev.astype(np.float64)
-        for n in range(p - 1):
-            b[n + 1] = int(np.dot(b[: n + 1], rev[p - 1 - n :])) % p * step[n] % p
-    else:
-        for n in range(p - 1):
-            dot = int(_mod_matmul(b[: n + 1], rev[p - 1 - n :], p))
-            b[n + 1] = dot * step[n] % p
+    chunk = _float_chunk(p)
+    for n in range(p - 1):
+        x, y = b[: n + 1], rev[p - 1 - n :]
+        b[n + 1] = int(np.dot(x, y) if n < chunk else _mod_matmul(x, y, p)) % p * step[n] % p
     values = b.astype(np.int64) * ctx.fact % p
     assert values[1] == 1 % p  # B_1 = 1, a cheap self-check of the recurrence
     values.setflags(write=False)
@@ -299,7 +316,9 @@ def touchard_polys_from_matrix(ctx: PrimeContext, matrix: np.ndarray) -> list[tu
 def touchard_value_table(ctx: PrimeContext, matrix: np.ndarray) -> np.ndarray:
     """Table E with E[n, x] = T_n(x) mod p for all n, x < p."""
     p = ctx.p
-    powers = powers_mod(np.arange(p), p, p).T  # powers[k, x] = x^k
+    # powers[k, x] = x^k, kept in float64, which holds residues exactly, so
+    # that the product converts only the matrix
+    powers = powers_mod(np.arange(p), p, p).T.astype(np.float64)
     table = _mod_matmul(matrix, powers, p)
     table.setflags(write=False)
     return table

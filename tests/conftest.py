@@ -1,7 +1,7 @@
 import pytest
 
 from bellmod import make_context
-from bellmod.congruences import s_m_all_units
+from bellmod.congruences import s_m_all_units, unit_power_table
 from bellmod.sequences import (
     bell_row,
     derangement_row,
@@ -27,6 +27,7 @@ class RowCache:
         self._sm = {}
         self._matrix = {}
         self._values = {}
+        self._jpow = {}
 
     def ctx(self, p):
         if p not in self._ctx:
@@ -62,6 +63,11 @@ class RowCache:
         if p not in self._values:
             self._values[p] = touchard_value_table(self.ctx(p), self.matrix(p))
         return self._values[p]
+
+    def jpow(self, p):
+        if p not in self._jpow:
+            self._jpow[p] = unit_power_table(self.ctx(p))
+        return self._jpow[p]
 
 
 def poly_eval(coeffs, x, p):

@@ -125,7 +125,7 @@ def test_criterion_07_theorem2_polynomials():
         if p <= 31:
             reports += _rows(cg.verify_proof_intermediate(ctx, ms, sums))
             reports += _rows(cg.verify_factorial_lemma(ctx, ms))
-            reports += _rows(cg.geometric_sum_lemma_check(ctx, ms))
+            reports += _rows(cg.geometric_sum_lemma_check(ctx, ms, cg.unit_power_table(ctx)))
             want += len(ms) + sum(ms) + len(ms) * (p - 1)
         ok = ok and len(reports) == want and all(r.passed for r in reports)
     _verdict(7, "polynomial identity p <= 61 plus proof lemmas p <= 31", ok)

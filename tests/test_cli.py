@@ -301,6 +301,7 @@ def test_each_token_builds_only_its_tables(capsys, monkeypatch, builders, tokens
             (cli, "touchard_coeff_matrix"),
             (cli, "touchard_value_table"),
             (cg, "s_m_all_units"),
+            (cg, "unit_power_table"),
         ]
     ],
 )
@@ -308,7 +309,9 @@ def test_sweep_builds_each_table_once_per_prime(monkeypatch, module, builder):
     """Every identity reads its tables from PrimeTables, which builds each
     one through the module name it calls, so every identity at once builds
     each table once per prime: theorem1 and corollary share one derangement
-    row, and theorem1 and eq4 one S_m table."""
+    row, and theorem1 and eq4 one S_m table.  At seven weights to a slice,
+    every grid from p = 5 on spans several calls of each sliced verifier,
+    and geometric's calls share one power table."""
     built, real = [], getattr(module, builder)
 
     def counted(ctx, *tables):
@@ -316,6 +319,7 @@ def test_sweep_builds_each_table_once_per_prime(monkeypatch, module, builder):
         return real(ctx, *tables)
 
     monkeypatch.setattr(module, builder, counted)
+    monkeypatch.setattr(cg, "WEIGHT_BLOCK", 7)
     summary, _ = run_sweep(SweepConfig(prime_lo=2, prime_hi=13, identities=tuple(IDENTITIES)))
     assert summary.reports_failed == 0
     assert built == primes_in_range(2, 13)

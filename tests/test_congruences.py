@@ -506,10 +506,10 @@ def test_batched_verifiers_on_empty_grids(cache):
     assert none.shape == (0, 7)
     assert rows(verify_theorem2(ctx, [], none)) == []
     assert rows(verify_proof_intermediate(ctx, [], none)) == []
-    assert rows(geometric_sum_lemma_check(ctx, [])) == []
+    assert rows(geometric_sum_lemma_check(ctx, [], cache.jpow(7))) == []
     assert rows(verify_factorial_lemma(ctx, [])) == []
     with pytest.raises(BadModulusError):
-        geometric_sum_lemma_check(ctx, [1, 14])
+        geometric_sum_lemma_check(ctx, [1, 14], cache.jpow(7))
     with pytest.raises(BadPointError):
         verify_theorem2_eval(ctx, [1], [3, 14], values)
     with pytest.raises(BadModulusError):
@@ -563,11 +563,23 @@ def test_factorial_lemma_sweep(cache):
         assert [(r.params, r.lhs, r.rhs) for r in one_weight] == [(r.params, r.lhs, r.rhs) for r in reports]
 
 
+def test_unit_power_table(cache):
+    """J[n, j-1] = j^n mod p, as a read-only int64 array of p rows, one
+    column per unit j, that the geometric lemma's calls share."""
+    for p in (2, 3, 13):
+        table = cg.unit_power_table(cache.ctx(p))
+        assert type(table) is np.ndarray and table.dtype == np.int64
+        assert table.tolist() == [[pow(j, n, p) for j in range(1, p)] for n in range(p)]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+
+
 def test_geometric_sum(cache):
-    reports = rows(geometric_sum_lemma_check(cache.ctx(5), [2]))
+    reports = rows(geometric_sum_lemma_check(cache.ctx(5), [2], cache.jpow(5)))
     hits = {r.params["j"]: r.lhs for r in reports}
     assert hits == {1: 0, 2: 0, 3: 4, 4: 0}
-    reports = rows(geometric_sum_lemma_check(cache.ctx(7), [6]))
+    reports = rows(geometric_sum_lemma_check(cache.ctx(7), [6], cache.jpow(7)))
     assert [r.lhs for r in reports if r.params["j"] == 1] == [6]
 
 
@@ -577,7 +589,7 @@ def test_geometric_sum_has_one_hit_per_weight(cache):
         for m in range(1, 2 * p + 1):
             if m % p == 0:
                 continue
-            reports = rows(geometric_sum_lemma_check(ctx, [m]))
+            reports = rows(geometric_sum_lemma_check(ctx, [m], cache.jpow(p)))
             assert all(r.passed for r in reports)
             hits = [r.params["j"] for r in reports if r.rhs != 0]
             assert hits == [(-m) % p], (p, m)
@@ -589,7 +601,7 @@ def test_geometric_batch_matches_direct_powers(cache, monkeypatch):
     for p in primes_in_range(2, 23):
         ctx = cache.ctx(p)
         ms = _weights(p) + [7 * p + 1]
-        reports = rows(geometric_sum_lemma_check(ctx, ms))
+        reports = rows(geometric_sum_lemma_check(ctx, ms, cache.jpow(p)))
         assert [(r.params["m"], r.params["j"]) for r in reports] == [
             (m, j) for m in ms for j in range(1, p)
         ]
@@ -598,10 +610,10 @@ def test_geometric_batch_matches_direct_powers(cache, monkeypatch):
             u = pow(-m % p, p - 2, p)
             assert r.lhs == sum(pow(j * u, n, p) for n in range(1, p)) % p, (p, m, j)
             assert type(r.lhs) is int and r.passed
-        scalar = [r for m in ms for r in rows(geometric_sum_lemma_check(ctx, [m]))]
+        scalar = [r for m in ms for r in rows(geometric_sum_lemma_check(ctx, [m], cache.jpow(p)))]
         assert [(r.params, r.lhs, r.rhs) for r in scalar] == [(r.params, r.lhs, r.rhs) for r in reports]
     monkeypatch.setattr(cg, "WEIGHT_BLOCK", 3)
-    blocked = rows(geometric_sum_lemma_check(cache.ctx(23), ms))
+    blocked = rows(geometric_sum_lemma_check(cache.ctx(23), ms, cache.jpow(23)))
     assert [(r.params, r.lhs) for r in blocked] == [(r.params, r.lhs) for r in reports]
 
 

@@ -280,10 +280,13 @@ def _first_chunked_prime(inner):
 def test_mod_matmul_chunked_branches_are_exact(inner):
     # at p = 2**31 - 1 the chunk is one term, and just past the threshold it
     # is just below inner, so both reach the chunked loop; from three terms of
-    # (p - 1)**2 on, an unchunked int64 sum at p = 2**31 - 1 would wrap
+    # (p - 1)**2 on, an unchunked int64 sum at p = 2**31 - 1 would wrap.  No
+    # float64 product of two residues is exact at either prime, so both take
+    # the int64 branch
     rng = np.random.default_rng(inner)
     for p in (2**31 - 1, _first_chunked_prime(inner)):
         assert _DOT_LIMIT // (p * p) < inner
+        assert (p - 1) ** 2 >= _FLOAT_DOT_LIMIT
         top = np.full(inner, p - 1, dtype=np.int64)
         vec = rng.integers(0, p, inner, dtype=np.int64)
         mat = rng.integers(0, p, (inner, 5), dtype=np.int64)
@@ -297,9 +300,55 @@ def test_mod_matmul_chunked_branches_are_exact(inner):
             assert np.array_equal(np.asarray(got, dtype=object), exact), (p, a.shape, b.shape)
 
 
+def _assert_exact_products(p, inner):
+    """_mod_matmul against object-dtype products over inner terms, for 1-D.1-D,
+    1-D.2-D and 2-D.2-D operands: maximal residues p - 1 on their own, and
+    as the first row or column beside residues drawn from the top 1000 below
+    p, whose products are large and often odd."""
+    rng = np.random.default_rng(p + inner)
+    top = np.full(inner, p - 1, dtype=np.int64)
+    left = rng.integers(p - 1000, p, (3, inner), dtype=np.int64)
+    left[0] = p - 1
+    mat = rng.integers(p - 1000, p, (inner, 4), dtype=np.int64)
+    mat[:, 0] = p - 1
+    for a, b in ((top, top), (left[1], left[2]), (top, mat), (left[1], mat), (left, mat)):
+        exact = a.astype(object) @ b.astype(object) % p
+        got = _mod_matmul(a, b, p)
+        assert got.dtype == np.int64 and np.shape(got) == np.shape(exact)
+        assert np.array_equal(np.asarray(got, dtype=object), exact), (p, inner, a.shape, b.shape)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_float_chunk_edges_are_exact(extra):
+    # one chunk of maximal residues sums to at most 2**53; one term more
+    # starts a second chunk
+    p = 3000017
+    chunk = sequences._float_chunk(p)
+    assert chunk == 1000
+    assert chunk * (p - 1) ** 2 <= _FLOAT_DOT_LIMIT < (chunk + 1) * (p - 1) ** 2
+    _assert_exact_products(p, chunk + extra)
+
+
+def test_float_branch_ends_where_one_product_is_inexact(monkeypatch):
+    # 94,906,249 is the largest prime whose chunk is one product, and the
+    # next prime, 94,906,297, the first whose chunk is 0.  Over 2048 terms
+    # the chunks' residues are summed in int64 one at a time: summed
+    # unreduced, their products would pass 2**63.  Only the int64 branch
+    # reads _DOT_LIMIT, so with it unset the float64 branch still runs
+    last, first = 94906249, 94906297
+    assert is_prime(last) and is_prime(first)
+    assert not any(is_prime(q) for q in range(last + 1, first))
+    assert sequences._float_chunk(last) == 1 and sequences._float_chunk(first) == 0
+    _assert_exact_products(first, 2048)
+    monkeypatch.setattr(sequences, "_DOT_LIMIT", None)
+    _assert_exact_products(last, 2048)
+    with pytest.raises(TypeError):
+        _mod_matmul(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64), first)
+
+
 def test_float_dot_bound_is_tight():
     # the largest inner the bound admits at p = 208057 sums maximal residues
-    # exactly; that prime is the last whose full Bell row runs in float64
+    # exactly; that prime is the last whose every Bell step fits one chunk
     p = 208057
     inner = (_FLOAT_DOT_LIMIT - 1) // (p - 1) ** 2
     assert inner >= p - 1 and (208067 - 1) ** 3 >= _FLOAT_DOT_LIMIT
@@ -317,25 +366,29 @@ def test_float_dot_bound_is_tight():
 
 
 def test_bell_row_routes_by_the_float_bound(monkeypatch):
-    # under the bound every dot is a float64 np.dot; at the bound every dot
-    # goes through _mod_matmul, and both routes give the triangle's row
+    # a step whose n + 1 terms fit one float64 chunk is one np.dot, and a
+    # longer step one _mod_matmul call.  At 1009 every step fits; with the
+    # bound cut to chunks of c = 100 terms, exactly the p - 1 - c steps
+    # n >= c call _mod_matmul, which sums them a chunk at a time
     ctx = make_context(1009)
+    p, c = ctx.p, 100
     calls = []
     real = sequences._mod_matmul
 
     def spy(a, b, p):
-        calls.append(a.dtype)
+        calls.append(len(a))
         return real(a, b, p)
 
     monkeypatch.setattr(sequences, "_mod_matmul", spy)
-    by_float = bell_row(ctx)
+    whole = bell_row(ctx)
     assert calls == []
-    monkeypatch.setattr(sequences, "_FLOAT_DOT_LIMIT", (ctx.p - 1) ** 3)
-    by_int64 = bell_row(ctx)
-    assert calls == [np.int64] * (ctx.p - 1)
-    assert by_int64.dtype == np.int64 and not by_int64.flags.writeable
-    assert np.array_equal(by_float, by_int64)
-    assert np.array_equal(by_int64, bell_triangle_row(ctx))
+    monkeypatch.setattr(sequences, "_FLOAT_DOT_LIMIT", c * (p - 1) ** 2)
+    assert sequences._float_chunk(p) == c
+    chunked = bell_row(ctx)
+    assert calls == list(range(c + 1, p))  # n + 1 terms for n = c .. p - 2
+    assert chunked.dtype == np.int64 and not chunked.flags.writeable
+    assert np.array_equal(whole, chunked)
+    assert np.array_equal(chunked, bell_triangle_row(ctx))
 
 
 def test_rows_match_sympy_mod_p():

@@ -347,21 +347,33 @@ MUTANTS = {
     ),
     "chunk_not_reduced": (
         SEQUENCES,
-        "acc = (acc + a[..., i : i + chunk] @ b[i : i + chunk]) % p",
-        "acc = acc + a[..., i : i + chunk] @ b[i : i + chunk]",
+        "        part %= p\n",
+        "",
         "the chunked product never reduces its running sum",
     ),
     "chunk_size_4x": (
         SEQUENCES,
-        "chunk = max(1, _DOT_LIMIT // (p * p))",
-        "chunk = max(1, 4 * _DOT_LIMIT // (p * p))",
-        "a chunk sums four times too many products",
+        "max(1, _DOT_LIMIT // (p * p))",
+        "max(1, 4 * _DOT_LIMIT // (p * p))",
+        "an int64 chunk sums four times too many products",
     ),
-    "chunk_threshold_4x": (
+    "float_chunk_2x": (
         SEQUENCES,
-        "if inner <= chunk:",
-        "if inner <= 4 * chunk:",
-        "an unchunked product sums four times too many products",
+        "return _FLOAT_DOT_LIMIT // (p - 1) ** 2",
+        "return 2 * _FLOAT_DOT_LIMIT // (p - 1) ** 2",
+        "a float64 chunk sums twice too many products",
+    ),
+    "int64_branch_under_the_bound": (
+        SEQUENCES,
+        "    if not chunk:\n",
+        "    if chunk <= 1:\n",
+        "a prime whose float64 chunk is one product takes the int64 branch",
+    ),
+    "float_chunks_summed_in_float64": (
+        SEQUENCES,
+        ").astype(np.int64, copy=False)\n        part += acc",
+        ")\n        part += acc",
+        "each float64 chunk joins the running sum in float64, which rounds past 2**53",
     ),
     "x_sample_seed": (
         CLI,
@@ -378,15 +390,15 @@ MUTANTS = {
     # the Bell row as one dot per step, and only as many NTT primes as needed
     "bell_reversed_offset": (
         SEQUENCES,
-        "np.dot(b[: n + 1], rev[p - 1 - n :])",
-        "np.dot(b[: n + 1], rev[p - 2 - n : p - 1])",
-        "each float64 Bell step reads the inverse factorials one place off",
+        "x, y = b[: n + 1], rev[p - 1 - n :]",
+        "x, y = b[: n + 1], rev[p - 2 - n : p - 1]",
+        "each Bell step reads the inverse factorials one place off",
     ),
-    "bell_int64_reversed_offset": (
+    "long_bell_step_reversed_offset": (
         SEQUENCES,
-        "_mod_matmul(b[: n + 1], rev[p - 1 - n :], p)",
-        "_mod_matmul(b[: n + 1], rev[p - 2 - n : p - 1], p)",
-        "each int64 Bell step reads the inverse factorials one place off",
+        "else _mod_matmul(x, y, p))",
+        "else _mod_matmul(x, rev[p - 2 - n : p - 1], p))",
+        "each Bell step longer than a chunk reads the inverse factorials one place off",
     ),
     "float_dot_limit_2x": (
         SEQUENCES,
@@ -394,11 +406,17 @@ MUTANTS = {
         "_FLOAT_DOT_LIMIT = 2**54",
         "a float64 dot may sum to 2**54, past exact integers",
     ),
-    "bell_float_route_never_taken": (
+    "bell_steps_all_through_mod_matmul": (
         SEQUENCES,
-        "if (p - 1) * (p - 1) ** 2 < _FLOAT_DOT_LIMIT:",
-        "if False:",
-        "bell_row takes its int64 dots under the float64 bound too",
+        "if n < chunk else",
+        "if n < 0 else",
+        "every Bell step goes through _mod_matmul, even one that fits one chunk",
+    ),
+    "long_bell_steps_never_routed": (
+        SEQUENCES,
+        "if n < chunk else",
+        "if n < p else",
+        "every Bell step is one np.dot, even one longer than a chunk",
     ),
     "bell_scaled_by_n_factorial": (
         SEQUENCES,
@@ -716,6 +734,18 @@ MUTANTS = {
         "    table.setflags(write=False)\n",
         "",
         "s_m_all_units returns a writeable array",
+    ),
+    "geometric_builds_own_power_table": (
+        CLI,
+        "cg.geometric_sum_lemma_check(t.ctx, ms, t.jpow)",
+        "cg.geometric_sum_lemma_check(t.ctx, ms, cg.unit_power_table(t.ctx))",
+        "geometric builds its power table once per slice of weights",
+    ),
+    "power_table_writable": (
+        CONGRUENCES,
+        "    jpow.setflags(write=False)\n",
+        "",
+        "unit_power_table returns a writeable array",
     ),
     "eq4_table_slot_off": (
         CONGRUENCES,
