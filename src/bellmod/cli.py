@@ -25,7 +25,7 @@ import tempfile
 from collections import defaultdict, deque
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from time import perf_counter
 from typing import Callable, Iterable, Iterator
 
@@ -422,6 +422,22 @@ def _describe_failure(b: ReportBlock) -> str:
     return line
 
 
+# seq's term n of each family, given --k: exact, or mod p read off the
+# prime's PrimeTables
+_EXACT_TERMS = {
+    "bell": lambda n, k: oracle.bell_exact(n),
+    "derangement": lambda n, k: oracle.derangement_exact(n),
+    "stirling": lambda n, k: oracle.stirling2_exact(n, k),
+    "touchard": lambda n, k: [oracle.stirling2_exact(n, j) for j in range(n + 1)],
+}
+_MOD_TERMS = {
+    "bell": lambda t, n, k: bell_mod(n, t.ctx, t.row),
+    "derangement": lambda t, n, k: derangement_mod(n, t.ctx, t.sigma),
+    "stirling": lambda t, n, k: stirling2_mod(n, k, t.ctx),
+    "touchard": lambda t, n, k: touchard_poly(n, t.ctx),
+}
+
+
 def cmd_seq(args: argparse.Namespace) -> int:
     try:
         lo, hi = _parse_range(args.index, "index")
@@ -431,46 +447,23 @@ def cmd_seq(args: argparse.Namespace) -> int:
     if lo < 0:
         print("indices must be nonnegative", file=sys.stderr)
         return 2
-    family = args.family
-    ctx = make_context(args.mod) if args.mod is not None else None
+    t = PrimeTables(args.mod, SweepConfig(args.mod, args.mod, ())) if args.mod is not None else None
+    if args.family == "stirling" and args.k is None:
+        print("seq stirling requires --k", file=sys.stderr)
+        return 2
+    term = _EXACT_TERMS[args.family] if t is None else partial(_MOD_TERMS[args.family], t)
     try:
-        if family == "stirling":
-            if args.k is None:
-                print("seq stirling requires --k", file=sys.stderr)
-                return 2
-            if ctx is None:
-                vals = [oracle.stirling2_exact(n, args.k) for n in range(lo, hi + 1)]
-            else:
-                vals = [stirling2_mod(n, args.k, ctx) for n in range(lo, hi + 1)]
-            print(" ".join(str(v) for v in vals))
-            return 0
-        if family == "touchard":
-            # every row is built before the first is printed, so an index out
-            # of range leaves stdout empty
-            ns = range(lo, hi + 1)
-            if ctx is None:
-                polys = [[oracle.stirling2_exact(n, k) for k in range(n + 1)] for n in ns]
-            else:
-                polys = [touchard_poly(n, ctx) for n in ns]
-            print("\n".join("[" + ",".join(map(str, c)) + "]" for c in polys))
-            return 0
-        if family == "bell":
-            if ctx is None:
-                vals = [oracle.bell_exact(n) for n in range(lo, hi + 1)]
-            else:
-                row = bell_row(ctx)
-                vals = [bell_mod(n, ctx, row) for n in range(lo, hi + 1)]
-        else:
-            if ctx is None:
-                vals = [oracle.derangement_exact(n) for n in range(lo, hi + 1)]
-            else:
-                sigma = signed_series_row(ctx)
-                vals = [derangement_mod(n, ctx, sigma) for n in range(lo, hi + 1)]
-        print(" ".join(str(v) for v in vals))
-        return 0
+        # every term is built before the first is printed, so an index out
+        # of range leaves stdout empty
+        terms = [term(n, args.k) for n in range(lo, hi + 1)]
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if args.family == "touchard":
+        print("\n".join("[" + ",".join(map(str, c)) + "]" for c in terms))
+    else:
+        print(" ".join(map(str, terms)))
+    return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -540,9 +533,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    cg.require_s_m_table(args.p)  # refused before any table is built
     t = PrimeTables(args.p, SweepConfig(args.p, args.p, ("theorem1",)))
     ctx, p, ms = t.ctx, t.ctx.p, t.ms
-    cg.require_s_m_table(p)  # refused before the O(p**2) Bell row is built
     t0 = perf_counter()
     row = t.row
     t_row = perf_counter() - t0

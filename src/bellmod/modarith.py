@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import accumulate
 import numpy as np
 
 __all__ = [
@@ -104,18 +105,14 @@ class PrimeContext:
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         self.p = p
-        table = [1] * p
-        for i in range(1, p):
-            table[i] = table[i - 1] * i % p
+        self.fact = np.fromiter(accumulate(range(1, p), lambda f, i: f * i % p, initial=1), np.int64, p)
         # Wilson's theorem: (p-1)! = -1 mod p.  A cheap self-check that the
         # table construction and the primality test agree.
-        assert table[p - 1] == p - 1 or p == 2
-        self.fact = np.array(table, dtype=np.int64)
-        # the same list again, overwritten from the top: 1/(i-1)! = i/i!
-        table[p - 1] = pow(table[p - 1], p - 2, p)
-        for i in range(p - 1, 0, -1):
-            table[i - 1] = table[i] * i % p
-        self.inv_fact = np.array(table, dtype=np.int64)
+        assert self.fact[p - 1] == p - 1 or p == 2
+        # Wilson again: i! (p-1-i)! = (-1)^(i+1), so 1/i! is (p-1-i)!,
+        # negated at even i; every entry is a unit, so p - x needs no %
+        self.inv_fact = self.fact[::-1].copy()
+        np.subtract(p, self.inv_fact[0::2], out=self.inv_fact[0::2])
         self.fact.setflags(write=False)
         self.inv_fact.setflags(write=False)
 

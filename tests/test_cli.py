@@ -899,12 +899,16 @@ def test_past_the_convolution_bound_exits_two(capsys, monkeypatch, argv):
 def test_past_the_transform_length_cap_exits_two_before_any_table(capsys, monkeypatch, argv):
     """The S_m table at p = 101 needs a length-512 transform and at p = 83
     one of 256; with the cap at 256 the largest prime is refused before
-    any Bell row is built, with the line mod_convolve would raise."""
-    def unbuilt(ctx):
-        raise AssertionError(f"bell_row({ctx.p}) was built")
+    any table, even its context, is built, with the line mod_convolve
+    would raise."""
+    def unbuilt(name):
+        def build(arg):
+            raise AssertionError(f"{name}({arg}) was built")
+        return build
 
     monkeypatch.setattr(modarith, "_NTT_MAX_LENGTH", 256)
-    monkeypatch.setattr(cli, "bell_row", unbuilt)
+    monkeypatch.setattr(cli, "bell_row", unbuilt("bell_row"))
+    monkeypatch.setattr(cli, "make_context", unbuilt("make_context"))
     code, out, err = run_main(capsys, *argv)
     assert (code, out, err) == (2, "", "transform length 512 exceeds 256\n")
 
@@ -974,3 +978,46 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1 2 5 15 52 203 877 4140\n"
+
+
+def test_corrupt_table_entry_fails_exactly_its_reports_at_a_benchmark_prime():
+    """At p = 9973 one wrong entry of one table fails exactly the reports
+    that read it.  A Bell residue B_k moves every S_m by its term B_k u^k
+    and B_p by (-1)^k B_k; eq4 is left out there, since which chain steps
+    that breaks depends on k.  The slot of S_r fails the weights r and
+    r + p and the two chain steps that contain S_r.  D_j fails only the
+    weight j + 1 below p, and sigma[j] only the weight j + 1 + p above it:
+    the period split of the right side of Theorem 1."""
+    p = 9973
+    clean = cli.PrimeTables(p, SweepConfig(p, p, ()))
+
+    def failing(tokens, **tables):
+        t = cli.PrimeTables(p, SweepConfig(p, p, tokens))
+        for name in ("row", "sm", "drow", "sigma"):
+            setattr(t, name, tables.get(name, getattr(clean, name)))
+        return {
+            (b.identity, int(b.params["m"][i]) if "m" in b.params else None)
+            for token in tokens
+            for b in IDENTITIES[token](t)
+            for i in np.flatnonzero(~b.passed)
+        }
+
+    def bumped(table, i):
+        bad = table.copy()
+        bad[i] = (bad[i] + 1) % p
+        return bad
+
+    bell_side, chain = ("theorem1", "intro", "bellp"), ("theorem1", "intro", "bellp", "eq4")
+    weights = [m for m in range(1, 2 * p + 1) if m % p]
+    assert failing(chain) == set()
+    row = bumped(clean.row, 1234)
+    assert failing(bell_side, row=row, sm=cg.s_m_all_units(clean.ctx, row)) == {
+        *((Identity.THEOREM1, m) for m in weights), (Identity.INTRO_CONSTANT, 8), (Identity.BELL_P, None)
+    }
+    for r in (2, 5678, p - 2):
+        assert failing(chain, sm=bumped(clean.sm, r)) == {
+            (Identity.THEOREM1, r), (Identity.THEOREM1, r + p), (Identity.EQ4_STEP, r - 1), (Identity.EQ4_STEP, r)
+        }, r
+    for j in (0, 4321, p - 2):
+        assert failing(chain, drow=bumped(clean.drow, j)) == {(Identity.THEOREM1, j + 1)}, j
+        assert failing(chain, sigma=bumped(clean.sigma, j)) == {(Identity.THEOREM1, j + 1 + p)}, j

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,27 @@ def test_make_context_tables():
     assert list(ctx.fact) == [1, 1, 2, 6, 3, 1, 6]
     assert ctx.fact[6] == 6  # Wilson: (p-1)! = -1
     assert list(make_context(2).fact) == [1, 1]
-    for p in SMALL_PRIMES:
+    for p in primes_in_range(2, 3000) + [9949, 9967, 9973]:
         ctx = make_context(p)
-        for i in range(p):
-            assert ctx.fact[i] * ctx.inv_fact[i] % p == 1
+        running = [1]
+        for i in range(1, p):
+            running.append(running[-1] * i % p)
+        assert ctx.fact.tolist() == running, p
+        assert (ctx.fact * ctx.inv_fact % p == 1).all(), p
+
+
+def test_make_context_peak_memory():
+    """The context holds two int64 tables of p entries and builds them with
+    no p-entry Python list beside them: at most 24 bytes per entry."""
+    p = 99991
+    make_context(p)  # imports and caches warmed outside the trace
+    tracemalloc.start()
+    try:
+        make_context(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * p, peak / p
 
 
 def test_make_context_rejections():

@@ -277,6 +277,31 @@ MUTANTS = {
         "np.remainder(u, qb, out=v)\n        np.multiply(t, tw, out=t)\n        np.remainder(t, qb, out=u)",
         "the forward butterfly writes its sum into the difference's half and back",
     ),
+    # the context's two factorial tables, one pass and Wilson's reflection
+    "fact_factor_shifted": (
+        MODARITH,
+        "lambda f, i: f * i % p",
+        "lambda f, i: f * (i + 1) % p",
+        "the running product multiplies by i + 1 in place of i",
+    ),
+    "reflection_not_reversed": (
+        MODARITH,
+        "self.inv_fact = self.fact[::-1].copy()",
+        "self.inv_fact = self.fact.copy()",
+        "1/i! reads i! in place of (p-1-i)!",
+    ),
+    "reflection_on_odd_slots": (
+        MODARITH,
+        "np.subtract(p, self.inv_fact[0::2], out=self.inv_fact[0::2])",
+        "np.subtract(p, self.inv_fact[1::2], out=self.inv_fact[1::2])",
+        "the reflection negates the odd slots in place of the even ones",
+    ),
+    "seq_term_reads_other_table": (
+        CLI,
+        "derangement_mod(n, t.ctx, t.sigma)",
+        "derangement_mod(n, t.ctx, t.row)",
+        "seq derangement --mod reads the Bell row in place of the signed series",
+    ),
     "context_guard": (
         MODARITH,
         "        if p >= MAX_PRIME:",
@@ -611,9 +636,9 @@ MUTANTS = {
     ),
     "bench_skips_the_s_m_table_check": (
         CLI,
-        "    cg.require_s_m_table(p)  # refused",
+        "    cg.require_s_m_table(args.p)  # refused",
         "    pass  # refused",
-        "bench builds the Bell row before mod_convolve refuses p",
+        "bench builds the context and the Bell row before mod_convolve refuses p",
     ),
     "s_m_table_check_reads_other_lengths": (
         CONGRUENCES,
