@@ -58,8 +58,8 @@ X_ALL_LIMIT = 101
 X_SAMPLE_SIZE = 32
 # at most this many weights are recomputed by the direct s_m loop in bench
 BENCH_SAMPLE = 32
-# verify renders at most SPOOL_CELLS cells per call, a scalar row being one
-# cell and a polynomial row its lhs and rhs coefficient columns
+# verify renders at most SPOOL_CELLS value cells per call, and seq prints at
+# most SPOOL_CELLS terms per write
 SPOOL_CELLS = 1 << 12
 
 SEQ_FAMILIES = ("bell", "derangement", "stirling", "touchard")
@@ -453,16 +453,20 @@ def cmd_seq(args: argparse.Namespace) -> int:
         return 2
     term = _EXACT_TERMS[args.family] if t is None else partial(_MOD_TERMS[args.family], t)
     try:
-        # every term is built before the first is printed, so an index out
-        # of range leaves stdout empty
-        terms = [term(n, args.k) for n in range(lo, hi + 1)]
+        # a family refuses every index or every index from a cap up, so hi
+        # shows any refusal, and the walk from lo stops at the first refused
+        try:
+            term(hi, args.k)
+        except ValueError:
+            for n in range(lo, hi + 1):
+                term(n, args.k)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.family == "touchard":
-        print("\n".join("[" + ",".join(map(str, c)) + "]" for c in terms))
-    else:
-        print(" ".join(map(str, terms)))
+    spell, sep = (str, " ") if args.family != "touchard" else (lambda c: f"[{','.join(map(str, c))}]", "\n")
+    for i in range(lo, hi + 1, SPOOL_CELLS):
+        top = min(i + SPOOL_CELLS, hi + 1)
+        print(sep.join([spell(term(n, args.k)) for n in range(i, top)]), end="\n" if top > hi else sep)
     return 0
 
 
@@ -507,8 +511,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         spools = defaultdict(lambda: stack.enter_context(tempfile.TemporaryFile("w+", newline="")))
 
         def spool(b: ReportBlock) -> None:
-            # cells of a row: a polynomial row's coefficient columns, or 1
-            width = max(1, 2 * b.lhs.shape[1]) if b.lhs.ndim == 2 else 1
+            # a row's value cells: its params, both sides (a cell per coefficient) and pass word
+            width = len(b.params) + (2 * b.lhs.shape[1] if b.lhs.ndim == 2 else 2) + 1
             rows = max(1, SPOOL_CELLS // width)
             for i in range(0, len(b), rows):
                 text = render_reports([b[i : i + rows]], args.format, header=False)

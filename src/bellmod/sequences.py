@@ -32,15 +32,10 @@ __all__ = [
 # most _FLOAT_DOT_LIMIT: every product and every partial sum is then an
 # integer no larger than 2**53, which float64 holds exactly, so no step
 # rounds, in any summation order, with or without FMA.  Every prime with
-# (p - 1)**2 <= 2**53, that is up to 94,906,266, takes at least one product
-# per chunk; bell_row's longest dot, p - 1 terms, fits one chunk for every
-# prime up to 208,057.
+# (p - 1)**2 <= 2**53, that is up to 94,906,249, takes at least one product
+# per chunk, and _mod_matmul refuses every larger one; bell_row's longest
+# dot, p - 1 terms, fits one chunk for every prime up to 208,057.
 _FLOAT_DOT_LIMIT = 2**53
-
-# Past 94,906,266 no float64 product of two residues is exact.  int64
-# products stay below p**2 there, so a chunk of _DOT_LIMIT // p**2 of them
-# sums below 2**62, and adding the running residue to it cannot reach 2**63.
-_DOT_LIMIT = 2**62
 
 
 def _float_chunk(p: int) -> int:
@@ -57,12 +52,11 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     chunk of _float_chunk(p) terms at a time: each chunk is converted to
     float64, multiplied by np.einsum, whose loops run on one thread where
     a float64 matmul would start BLAS threads, and its exact integer sums
-    are reduced in int64.  Where the chunk is 0 the chunks stay int64 and
-    hold _DOT_LIMIT // p**2 terms.
+    are reduced in int64.  Raises OverflowError where the chunk is 0.
     """
-    chunk, dtype = _float_chunk(p), np.float64
+    chunk = _float_chunk(p)
     if not chunk:
-        chunk, dtype = max(1, _DOT_LIMIT // (p * p)), np.int64
+        raise OverflowError(f"residue products mod {p} need (p - 1)**2 <= {_FLOAT_DOT_LIMIT} to be exact")
     # 'ki,ij->kj', without k for a 1-D a and without j for a 1-D b
     spec = f"{'ki'[2 - a.ndim :]},{'ij'[: b.ndim]}->{'k'[: a.ndim - 1]}{'j'[: b.ndim - 1]}"
     acc = 0
@@ -70,7 +64,8 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         # the converted chunks are freed as einsum returns and the sum is
         # reduced in place, which keeps the peak to the chunks and the product
         part = np.einsum(
-            spec, a[..., i : i + chunk].astype(dtype, copy=False), b[i : i + chunk].astype(dtype, copy=False)
+            spec, a[..., i : i + chunk].astype(np.float64, copy=False),
+            b[i : i + chunk].astype(np.float64, copy=False),
         ).astype(np.int64, copy=False)
         part += acc
         part %= p

@@ -5,9 +5,11 @@ import gc
 import hashlib
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from concurrent.futures import Future
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellmod import cli, modarith, sequences
+from bellmod import cli, modarith, oracle, sequences
 from bellmod import congruences as cg
 from bellmod.cli import (
     IDENTITIES,
@@ -96,11 +98,40 @@ def test_seq_usage_errors(capsys):
     assert run_main(capsys, "seq", "bell", "30", "--mod", "5")[0] == 2  # 30 >= 25
     assert run_main(capsys, "seq", "bell", "3", "--mod", "4")[0] == 2
     assert run_main(capsys, "seq", "bell", "2000")[0] == 2  # oracle cap
-    # a range that runs out of bounds part way prints nothing
-    for argv in (("touchard", "0..2", "--mod", "2"), ("touchard", "399..401"), ("bell", "3..30", "--mod", "5")):
-        code, out, err = run_main(capsys, "seq", *argv)
-        assert (code, out) == (2, ""), argv
-        assert len(err.splitlines()) == 1, argv
+    # a range that runs out of bounds part way prints nothing but the line
+    # of its first refused index
+    refused = {
+        ("touchard", "0..2", "--mod", "2"): "index 2 needs n < p = 2\n",
+        ("touchard", "399..401"): "index 401 exceeds the oracle cap 400\n",
+        ("bell", "3..30", "--mod", "5"): "index 25 needs n < p**2 = 25\n",
+    }
+    for argv, line in refused.items():
+        assert run_main(capsys, "seq", *argv) == (2, "", line), argv
+
+
+def test_seq_streams_its_range(capsys, monkeypatch):
+    """seq prints a range a chunk of SPOOL_CELLS terms at a time, so its
+    peak memory does not grow with the range; the line is the same."""
+    with open(os.devnull, "w") as null:
+        monkeypatch.setattr(sys, "stdout", null)
+        assert main(["seq", "derangement", "0..8", "--mod", "7"]) == 0  # the imports and tables of p = 7
+        tracemalloc.start()
+        try:
+            code = main(["seq", "derangement", "0..200000", "--mod", "7"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 1 << 20, peak
+    monkeypatch.undo()
+    # chunks of 7 terms join into the one line of the exact values
+    monkeypatch.setattr(cli, "SPOOL_CELLS", 7)
+    code, out, _ = run_main(capsys, "seq", "derangement", "3..1200", "--mod", "7")
+    assert (code, out) == (0, " ".join(str(oracle.derangement_exact(n) % 7) for n in range(3, 1201)) + "\n")
+    code, out, _ = run_main(capsys, "seq", "touchard", "0..13")
+    rows = ("[" + ",".join(str(oracle.stirling2_exact(n, k)) for k in range(n + 1)) + "]" for n in range(14))
+    assert (code, out) == (0, "\n".join(rows) + "\n")
+    # an index refused past the first chunk still leaves stdout empty
+    assert run_main(capsys, "seq", "bell", "3..30", "--mod", "5") == (2, "", "index 25 needs n < p**2 = 25\n")
 
 
 def test_verify_theorem1_sweep(capsys):
@@ -670,6 +701,12 @@ def test_pool_keeps_at_most_its_size_of_primes_in_flight(monkeypatch):
     assert taken == submitted == primes
 
 
+def _cells_per_row(b):
+    """The value cells of one row of b: its params, both sides, a polynomial
+    side being its coefficient columns, and its pass word."""
+    return len(b.params) + (2 * b.lhs.shape[1] if b.lhs.ndim == 2 else 2) + 1
+
+
 @pytest.mark.parametrize("fmt", ALL_2_31_SHA256)
 def test_verify_renders_large_blocks_in_slices(capsys, monkeypatch, tmp_path, fmt):
     """A block of more than SPOOL_CELLS cells is rendered a slice of rows at
@@ -679,28 +716,32 @@ def test_verify_renders_large_blocks_in_slices(capsys, monkeypatch, tmp_path, fm
     rendered = []
 
     def recorded(blocks, fmt, header=True):
-        rendered.extend(map(len, blocks))
+        rendered.extend((len(b), _cells_per_row(b)) for b in blocks)
         return real(blocks, fmt, header)
 
-    monkeypatch.setattr(cli, "SPOOL_CELLS", 7)
+    monkeypatch.setattr(cli, "SPOOL_CELLS", 12)
     monkeypatch.setattr(cli, "render_reports", recorded)
     target = tmp_path / f"all.{fmt}"
     code, _, err = run_main(
         capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", fmt, "--out", str(target),
     )
     assert code == 0, err
-    assert max(rendered) == 7 and sum(rendered) == 23466
+    # a row wider than the budget is rendered on its own
+    assert all(rows * cells <= 12 or rows == 1 for rows, cells in rendered)
+    assert any(rows * cells == 12 for rows, cells in rendered)
+    assert sum(rows for rows, _ in rendered) == 23466
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
 
 
 def test_verify_renders_at_most_spool_rows_cells(capsys, monkeypatch, tmp_path):
-    """SPOOL_CELLS bounds the cells of one render call, not its rows: a
-    scalar row is one cell and a polynomial row its lhs and rhs
-    coefficients, so a call holds at most max(1, SPOOL_CELLS // width) rows
-    of a block whose widest row has width cells."""
+    """SPOOL_CELLS bounds the value cells of one render call, not its rows:
+    a row's cells are its params, both sides and its pass word, a polynomial
+    side counting one cell per coefficient column, so a call holds at most
+    max(1, SPOOL_CELLS // width) rows of a block whose rows have width
+    cells.  The widths of the polynomial rows are read off the whole sweep."""
     _, blocks = run_sweep(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
     widths = {
-        (b.identity, b.p): max(len(x) + len(y) for x, y in zip(b.lhs, b.rhs))
+        (b.identity, b.p): len(b.params) + max(len(x) + len(y) for x, y in zip(b.lhs, b.rhs)) + 1
         for b in blocks
         if b.lhs.ndim == 2
     }
@@ -708,7 +749,7 @@ def test_verify_renders_at_most_spool_rows_cells(capsys, monkeypatch, tmp_path):
     calls = []
 
     def recorded(blocks, fmt, header=True):
-        calls.extend((b.identity, b.p, len(b)) for b in blocks)
+        calls.extend((b.identity, b.p, len(b), _cells_per_row(b)) for b in blocks)
         return real(blocks, fmt, header)
 
     monkeypatch.setattr(cli, "SPOOL_CELLS", 64)
@@ -718,10 +759,11 @@ def test_verify_renders_at_most_spool_rows_cells(capsys, monkeypatch, tmp_path):
         capsys, "verify", "--identities", "all", "--primes", "2..31", "--format", "jsonl", "--out", str(target),
     )
     assert code == 0, err
-    poly = [(rows, widths[identity, p]) for identity, p, rows in calls if (identity, p) in widths]
-    assert all(rows <= max(1, 64 // width) for rows, width in poly)
-    assert max(rows for rows, _ in poly) > 1 and max(rows for _, _, rows in calls) == 64
-    assert sum(rows for _, _, rows in calls) == 23466
+    poly = [(rows, widths[identity, p]) for identity, p, rows, _ in calls if (identity, p) in widths]
+    assert all(rows <= max(1, 64 // width) for rows, width in poly) and max(rows for rows, _ in poly) > 1
+    assert all(rows * cells <= 64 for _, _, rows, cells in calls if rows > 1)
+    assert any(rows * cells == 64 for _, _, rows, cells in calls)
+    assert sum(rows for _, _, rows, _ in calls) == 23466
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256["jsonl"]
 
 
@@ -911,6 +953,24 @@ def test_past_the_transform_length_cap_exits_two_before_any_table(capsys, monkey
     monkeypatch.setattr(cli, "make_context", unbuilt("make_context"))
     code, out, err = run_main(capsys, *argv)
     assert (code, out, err) == (2, "", "transform length 512 exceeds 256\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--identities", "bellp", "--primes", "31", "--out", "F"), ("seq", "bell", "3", "--mod", "31")],
+    ids=["verify", "seq"],
+)
+def test_past_the_float_product_bound_exits_two(capsys, monkeypatch, tmp_path, argv):
+    """Where not even one product of two residues is exact in float64,
+    _mod_matmul refuses the Bell row's first step: the run exits 2 with one
+    line naming p and the bound, and writes no report and no --out file."""
+    monkeypatch.setattr(sequences, "_FLOAT_DOT_LIMIT", 30**2 - 1)  # one short of one product at p = 31
+    assert sequences._float_chunk(31) == 0
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "residue products mod 31 need (p - 1)**2 <= 899 to be exact\n"
+    assert not (tmp_path / "F").exists()
 
 
 def test_s_m_table_refusal_matches_its_convolution(monkeypatch):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from bellmod.modarith import (
     primes_in_range,
 )
 from bellmod.sequences import (
-    _DOT_LIMIT,
     _FLOAT_DOT_LIMIT,
     _mod_matmul,
     bell_mod,
@@ -268,36 +265,19 @@ def test_theorem1_rhs_periodicity_in_m():
             assert a % p == b % p, (p, m)
 
 
-def _first_chunked_prime(inner):
-    """The least prime p whose chunk size _DOT_LIMIT // p**2 falls below inner."""
-    p = math.isqrt(_DOT_LIMIT // inner)
-    while _DOT_LIMIT // (p * p) >= inner or not is_prime(p):
-        p += 1
-    return p
-
-
 @pytest.mark.parametrize("inner", [2, 3, 40])
-def test_mod_matmul_chunked_branches_are_exact(inner):
-    # at p = 2**31 - 1 the chunk is one term, and just past the threshold it
-    # is just below inner, so both reach the chunked loop; from three terms of
-    # (p - 1)**2 on, an unchunked int64 sum at p = 2**31 - 1 would wrap.  No
-    # float64 product of two residues is exact at either prime, so both take
-    # the int64 branch
-    rng = np.random.default_rng(inner)
-    for p in (2**31 - 1, _first_chunked_prime(inner)):
-        assert _DOT_LIMIT // (p * p) < inner
-        assert (p - 1) ** 2 >= _FLOAT_DOT_LIMIT
+def test_mod_matmul_refuses_where_no_product_is_exact(inner):
+    # from 94,906,297 up to the contexts' cap 2**31 - 1, (p - 1)**2 is past
+    # 2**53, so no float64 product of two residues is exact and the chunk is
+    # 0: every operand shape is refused before any product is taken
+    for p in (94906297, 2**31 - 1):
+        assert sequences._float_chunk(p) == 0
         top = np.full(inner, p - 1, dtype=np.int64)
-        vec = rng.integers(0, p, inner, dtype=np.int64)
-        mat = rng.integers(0, p, (inner, 5), dtype=np.int64)
-        mat[:, 0] = p - 1
-        left = rng.integers(0, p, (3, inner), dtype=np.int64)
-        left[0] = p - 1
-        for a, b in ((top, top), (vec, top), (top, mat), (vec, mat), (left, mat)):
-            exact = a.astype(object) @ b.astype(object) % p
-            got = _mod_matmul(a, b, p)
-            assert np.shape(got) == np.shape(exact)
-            assert np.array_equal(np.asarray(got, dtype=object), exact), (p, a.shape, b.shape)
+        mat = np.full((inner, 5), p - 1, dtype=np.int64)
+        left = np.full((3, inner), p - 1, dtype=np.int64)
+        for a, b in ((top, top), (top, mat), (left, mat)):
+            with pytest.raises(OverflowError, match=f"^residue products mod {p} need "):
+                _mod_matmul(a, b, p)
 
 
 def _assert_exact_products(p, inner):
@@ -329,20 +309,19 @@ def test_float_chunk_edges_are_exact(extra):
     _assert_exact_products(p, chunk + extra)
 
 
-def test_float_branch_ends_where_one_product_is_inexact(monkeypatch):
+def test_float_branch_ends_where_one_product_is_inexact():
     # 94,906,249 is the largest prime whose chunk is one product, and the
     # next prime, 94,906,297, the first whose chunk is 0.  Over 2048 terms
     # the chunks' residues are summed in int64 one at a time: summed
-    # unreduced, their products would pass 2**63.  Only the int64 branch
-    # reads _DOT_LIMIT, so with it unset the float64 branch still runs
+    # unreduced, their products would pass 2**63.  The next prime refuses
+    # even 3-element operands
     last, first = 94906249, 94906297
     assert is_prime(last) and is_prime(first)
     assert not any(is_prime(q) for q in range(last + 1, first))
     assert sequences._float_chunk(last) == 1 and sequences._float_chunk(first) == 0
-    _assert_exact_products(first, 2048)
-    monkeypatch.setattr(sequences, "_DOT_LIMIT", None)
+    _assert_exact_products(last, 3)
     _assert_exact_products(last, 2048)
-    with pytest.raises(TypeError):
+    with pytest.raises(OverflowError, match=f"^residue products mod {first} need"):
         _mod_matmul(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64), first)
 
 

@@ -124,9 +124,15 @@ MUTANTS = {
     ),
     "budget_ignores_width": (
         CLI,
-        "width = max(1, 2 * b.lhs.shape[1]) if b.lhs.ndim == 2 else 1",
+        "width = len(b.params) + (2 * b.lhs.shape[1] if b.lhs.ndim == 2 else 2) + 1",
         "width = 1",
         "a render call takes SPOOL_CELLS rows, however wide they are",
+    ),
+    "budget_skips_params": (
+        CLI,
+        "width = len(b.params) + (2 * b.lhs.shape[1] if b.lhs.ndim == 2 else 2) + 1",
+        "width = (2 * b.lhs.shape[1] if b.lhs.ndim == 2 else 2) + 1",
+        "a render call counts a row's sides and pass word but not its params",
     ),
     "shared_side_for_failing_rows": (
         CLI,
@@ -302,6 +308,24 @@ MUTANTS = {
         "derangement_mod(n, t.ctx, t.row)",
         "seq derangement --mod reads the Bell row in place of the signed series",
     ),
+    "seq_range_end_unchecked": (
+        CLI,
+        "            term(hi, args.k)\n",
+        "            pass\n",
+        "seq prints its first chunk before it finds a refused index",
+    ),
+    "seq_refusal_of_range_end": (
+        CLI,
+        "for n in range(lo, hi + 1):",
+        "for n in range(hi, hi + 1):",
+        "seq names the range's last index where an earlier one is the first refused",
+    ),
+    "seq_chunks_end_lines": (
+        CLI,
+        'end="\\n" if top > hi else sep)',
+        'end="\\n")',
+        "seq ends every chunk of terms with a newline, not only the last",
+    ),
     "context_guard": (
         MODARITH,
         "        if p >= MAX_PRIME:",
@@ -376,23 +400,23 @@ MUTANTS = {
         "",
         "the chunked product never reduces its running sum",
     ),
-    "chunk_size_4x": (
-        SEQUENCES,
-        "max(1, _DOT_LIMIT // (p * p))",
-        "max(1, 4 * _DOT_LIMIT // (p * p))",
-        "an int64 chunk sums four times too many products",
-    ),
     "float_chunk_2x": (
         SEQUENCES,
         "return _FLOAT_DOT_LIMIT // (p - 1) ** 2",
         "return 2 * _FLOAT_DOT_LIMIT // (p - 1) ** 2",
         "a float64 chunk sums twice too many products",
     ),
-    "int64_branch_under_the_bound": (
+    "refused_under_the_bound": (
         SEQUENCES,
         "    if not chunk:\n",
         "    if chunk <= 1:\n",
-        "a prime whose float64 chunk is one product takes the int64 branch",
+        "a prime whose float64 chunk is one product is refused",
+    ),
+    "product_refusal_skipped": (
+        SEQUENCES,
+        "        raise OverflowError(f\"residue products mod",
+        "        OverflowError(f\"residue products mod",
+        "a chunk of 0 products reaches range(..., 0) in place of the refusal",
     ),
     "float_chunks_summed_in_float64": (
         SEQUENCES,
