@@ -75,7 +75,7 @@ class SweepConfig:
     m_max: int | None = None
     m_single: int | None = None
     n_max: int | None = None
-    x_mode: str = "all"  # "all" or a decimal literal
+    x: int | None = None  # None checks every point
     workers: int = 1
     seed: int = 0
 
@@ -114,8 +114,8 @@ def _m_grid(cfg: SweepConfig, p: int) -> list[int]:
 
 
 def _x_grid(cfg: SweepConfig, p: int) -> list[int]:
-    if cfg.x_mode != "all":
-        x = int(cfg.x_mode) % p
+    if cfg.x is not None:
+        x = cfg.x % p
         return [x] if x else []
     if p <= X_ALL_LIMIT:
         return list(range(1, p))
@@ -263,9 +263,12 @@ def _prime_blocks(cfg: SweepConfig, primes: list[int]) -> Iterator[ReportBlock]:
             yield from ahead.popleft().result()
 
 
-def _sweep(cfg: SweepConfig, take: Callable[[ReportBlock], object]) -> SweepSummary:
-    """Sweep the range, handing each block to take and dropping it before the next
-    is built.  The tally's first failure has the lowest identity rank, then the
+def run_sweep(cfg: SweepConfig, take: Callable[[ReportBlock], object]) -> SweepSummary:
+    """Every selected verifier over every prime in the range, each block handed
+    to take and dropped before the next is built.  Blocks come prime-major,
+    each prime's in identity order; a stable sort by identity, or one spool
+    per identity as verify keeps, regroups them into the canonical order.
+    The tally's first failure has the lowest identity rank, then the
     earliest prime."""
     t0 = perf_counter()
     primes = primes_in_range(cfg.prime_lo, cfg.prime_hi)
@@ -285,14 +288,6 @@ def _sweep(cfg: SweepConfig, take: Callable[[ReportBlock], object]) -> SweepSumm
         take(b)
         b = None  # no block outlives its turn
     return SweepSummary(len(primes), total, failed, first[1] if first else None, perf_counter() - t0)
-
-
-def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list[ReportBlock]]:
-    """Every selected verifier over every prime in the range, its blocks
-    stable-sorted by identity into the canonical order."""
-    blocks = []
-    summary = _sweep(cfg, blocks.append)
-    return summary, sorted(blocks, key=lambda b: cg._IDENTITY_RANK[b.identity])
 
 
 # the common triage columns come first; rarer params are appended at the
@@ -353,10 +348,11 @@ def _side_strings(rows: np.ndarray, fmt: str) -> np.ndarray:
     return sides
 
 
-def _render_block(b: ReportBlock, fmt: str) -> str:
-    """Every line of one block by one join.  The block's line template splits
-    at its slots into the literal fragments (the identity, p, keys, quotes
-    and separators), which fill the even columns of a (rows, 2 * slots + 1)
+def render_reports(b: ReportBlock, fmt: str) -> str:
+    """Every line of one block in fmt ("text", "jsonl" or "csv"), without
+    the csv header, by one join.  The block's line template splits at its
+    slots into the literal fragments (the identity, p, keys, quotes and
+    separators), which fill the even columns of a (rows, 2 * slots + 1)
     object grid; the value strings (params, sides and pass words) fill the
     odd ones, every integer column of them spelled by one gather."""
     keys = [k for k in cg.PARAM_ORDER if k in b.params]
@@ -403,19 +399,11 @@ def _render_block(b: ReportBlock, fmt: str) -> str:
     return "".join(grid.ravel().tolist())
 
 
-def render_reports(blocks: list[ReportBlock], fmt: str, header: bool = True) -> str:
-    """The stream of blocks in fmt ("text", "jsonl" or "csv"); a csv stream
-    starts with its header line unless header is false."""
-    return (_CSV_HEADER if fmt == "csv" and header else "") + "".join(
-        [_render_block(b, fmt) for b in blocks]
-    )
-
-
 def _describe_failure(b: ReportBlock) -> str:
     """The text line of a one-row failing block; for a polynomial-valued
     one, also the first coefficient index where the zero-padded sides
     differ."""
-    line = render_reports([b], "text").strip()
+    line = render_reports(b, "text").strip()
     if b.lhs.ndim == 2 and (b.lhs != b.rhs).any():
         i = int(np.argmax(b.lhs[0] != b.rhs[0]))
         return f"{line}; first differing coefficient: index {i} (lhs {b.lhs[0, i]}, rhs {b.rhs[0, i]})"
@@ -481,12 +469,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.x != "all":
-        try:
-            int(args.x)
-        except ValueError:
-            print(f"--x must be an integer or 'all', got {args.x!r}", file=sys.stderr)
-            return 2
+    try:
+        x = None if args.x == "all" else int(args.x)
+    except ValueError:
+        print(f"--x must be an integer or 'all', got {args.x!r}", file=sys.stderr)
+        return 2
     if args.m is not None and args.m_max is not None:
         print("--m checks one weight, so it takes no --m-max", file=sys.stderr)
         return 2
@@ -502,7 +489,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         m_max=args.m_max,
         m_single=args.m,
         n_max=args.n_max,
-        x_mode=args.x,
+        x=x,
         workers=args.workers,
         seed=args.seed,
     )
@@ -515,10 +502,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             width = len(b.params) + (2 * b.lhs.shape[1] if b.lhs.ndim == 2 else 2) + 1
             rows = max(1, SPOOL_CELLS // width)
             for i in range(0, len(b), rows):
-                text = render_reports([b[i : i + rows]], args.format, header=False)
+                text = render_reports(b[i : i + rows], args.format)
                 spools[b.identity].write(text)
 
-        summary = _sweep(cfg, spool)
+        summary = run_sweep(cfg, spool)
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
             fh.write(_CSV_HEADER if args.format == "csv" else "")
             for identity in sorted(spools, key=cg._IDENTITY_RANK.get):

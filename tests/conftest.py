@@ -1,7 +1,7 @@
 import pytest
 
-from bellmod import make_context
-from bellmod.congruences import s_m_all_units, unit_power_table
+from bellmod import cli, make_context
+from bellmod.congruences import _IDENTITY_RANK, s_m_all_units, unit_power_table
 from bellmod.sequences import (
     bell_row,
     derangement_row,
@@ -68,6 +68,21 @@ class RowCache:
         if p not in self._jpow:
             self._jpow[p] = unit_power_table(self.ctx(p))
         return self._jpow[p]
+
+
+def sweep_blocks(cfg):
+    """run_sweep's summary and its blocks in canonical order: the
+    prime-major stream collected, then stable-sorted by identity, as
+    verify's spools regroup it."""
+    blocks = []
+    summary = cli.run_sweep(cfg, blocks.append)
+    return summary, sorted(blocks, key=lambda b: _IDENTITY_RANK[b.identity])
+
+
+def render_stream(blocks, fmt):
+    """The stream verify writes for these blocks: the csv header first for
+    csv, then each block rendered in turn."""
+    return (cli._CSV_HEADER if fmt == "csv" else "") + "".join(cli.render_reports(b, fmt) for b in blocks)
 
 
 def poly_eval(coeffs, x, p):

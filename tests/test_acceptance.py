@@ -8,7 +8,7 @@ from time import perf_counter
 
 from bellmod import congruences as cg
 from bellmod import oracle
-from bellmod.cli import SweepConfig, render_reports, run_sweep
+from bellmod.cli import SweepConfig
 from bellmod.modarith import make_context, primes_in_range
 from bellmod.sequences import (
     bell_mod,
@@ -22,6 +22,8 @@ from bellmod.sequences import (
     touchard_coeff_matrix,
     touchard_value_table,
 )
+
+from conftest import render_stream, sweep_blocks
 
 _ROWS: dict[int, tuple] = {}
 
@@ -201,16 +203,16 @@ def test_criterion_10_performance_and_determinism():
 
     t0 = perf_counter()
     cfg = SweepConfig(prime_lo=2, prime_hi=500, identities=("theorem1",), workers=4)
-    summary, blocks = run_sweep(cfg)
+    summary, blocks = sweep_blocks(cfg)
     t_sweep = perf_counter() - t0
     ok = ok and t_sweep <= 60.0 and summary.reports_failed == 0
     ok = ok and summary.reports_total == sum(map(len, blocks)) > 0
 
     small = dict(prime_lo=2, prime_hi=150, identities=("theorem1", "bellp"))
-    _, r1 = run_sweep(SweepConfig(workers=1, **small))
-    _, r4 = run_sweep(SweepConfig(workers=4, **small))
+    _, r1 = sweep_blocks(SweepConfig(workers=1, **small))
+    _, r4 = sweep_blocks(SweepConfig(workers=4, **small))
     streams_equal = all(
-        render_reports(r1, fmt) == render_reports(r4, fmt)
+        render_stream(r1, fmt) == render_stream(r4, fmt)
         for fmt in ("text", "jsonl", "csv")
     )
     ok = ok and streams_equal

@@ -35,6 +35,8 @@ from bellmod.cli import (
 from bellmod.congruences import Identity, report_sort_key
 from bellmod.modarith import make_context, primes_in_range
 
+from conftest import render_stream, sweep_blocks
+
 
 def run_main(capsys, *argv):
     try:
@@ -351,7 +353,7 @@ def test_sweep_builds_each_table_once_per_prime(monkeypatch, module, builder):
 
     monkeypatch.setattr(module, builder, counted)
     monkeypatch.setattr(cg, "WEIGHT_BLOCK", 7)
-    summary, _ = run_sweep(SweepConfig(prime_lo=2, prime_hi=13, identities=tuple(IDENTITIES)))
+    summary = run_sweep(SweepConfig(prime_lo=2, prime_hi=13, identities=tuple(IDENTITIES)), lambda b: None)
     assert summary.reports_failed == 0
     assert built == primes_in_range(2, 13)
 
@@ -499,12 +501,13 @@ ORDER_GRIDS = {
 @pytest.mark.parametrize("grid", ORDER_GRIDS)
 def test_run_sweep_returns_canonical_order(grid, workers):
     """run_sweep does not sort: each verifier must emit its (identity, p)
-    group in report_sort_key order, and the sweep only regroups by
-    identity.  This checks the result against the full key sort."""
+    group in report_sort_key order, and a stable sort by identity only
+    regroups the prime-major stream.  This checks the result against the
+    full key sort."""
     covered = set()
     for token in [*IDENTITIES, "all"]:
         tokens = tuple(IDENTITIES) if token == "all" else (token,)
-        _, blocks = run_sweep(SweepConfig(identities=tokens, workers=workers, **ORDER_GRIDS[grid]))
+        _, blocks = sweep_blocks(SweepConfig(identities=tokens, workers=workers, **ORDER_GRIDS[grid]))
         reports = [r for b in blocks for r in b]
         canonical = sorted(reports, key=report_sort_key)
         assert len(reports) == len(canonical) > 0, token
@@ -517,12 +520,12 @@ def test_run_sweep_deterministic_across_workers():
     cfg = dict(
         prime_lo=2, prime_hi=19, identities=("theorem1", "eq10", "special"),
     )
-    s1, r1 = run_sweep(SweepConfig(workers=1, **cfg))
-    s2, r2 = run_sweep(SweepConfig(workers=2, **cfg))
+    s1, r1 = sweep_blocks(SweepConfig(workers=1, **cfg))
+    s2, r2 = sweep_blocks(SweepConfig(workers=2, **cfg))
     assert s1.reports_total == s2.reports_total > 0
     assert s1.reports_failed == s2.reports_failed == 0
     for fmt in ("text", "jsonl", "csv"):
-        assert render_reports(r1, fmt) == render_reports(r2, fmt)
+        assert render_stream(r1, fmt) == render_stream(r2, fmt)
 
 
 # sha256 of `verify --identities all --primes 2..31` per format: jsonl pinned
@@ -591,8 +594,8 @@ def test_verify_writes_block_by_block(capsys, monkeypatch, fmt):
     assert main(argv) == 0
     stream = "".join(chunks).encode()
     assert hashlib.sha256(stream).hexdigest() == ALL_2_31_SHA256[fmt]
-    _, blocks = run_sweep(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
-    assert max(map(len, chunks)) <= max(len(render_reports([b], fmt)) for b in blocks) < len(stream)
+    _, blocks = sweep_blocks(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
+    assert max(map(len, chunks)) <= max(len(render_stream([b], fmt)) for b in blocks) < len(stream)
 
 
 # every verifier the sweep calls, each returning the blocks of one call
@@ -658,7 +661,7 @@ def test_weight_slices_keep_the_stream(capsys, monkeypatch, tmp_path, fmt, worke
     assert code == 0, err
     assert "checked 23466 reports across 11 primes" in err
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ALL_2_31_SHA256[fmt]
-    _, blocks = run_sweep(
+    _, blocks = sweep_blocks(
         SweepConfig(prime_lo=29, prime_hi=31, identities=tuple(IDENTITIES), workers=int(workers))
     )
     sliced = (Identity.THEOREM2_POLY, Identity.PROOF_INTERMEDIATE, Identity.FACTORIAL_LEMMA, Identity.GEOMETRIC_SUM)
@@ -715,9 +718,9 @@ def test_verify_renders_large_blocks_in_slices(capsys, monkeypatch, tmp_path, fm
     real = cli.render_reports
     rendered = []
 
-    def recorded(blocks, fmt, header=True):
-        rendered.extend((len(b), _cells_per_row(b)) for b in blocks)
-        return real(blocks, fmt, header)
+    def recorded(b, fmt):
+        rendered.append((len(b), _cells_per_row(b)))
+        return real(b, fmt)
 
     monkeypatch.setattr(cli, "SPOOL_CELLS", 12)
     monkeypatch.setattr(cli, "render_reports", recorded)
@@ -739,7 +742,7 @@ def test_verify_renders_at_most_spool_rows_cells(capsys, monkeypatch, tmp_path):
     side counting one cell per coefficient column, so a call holds at most
     max(1, SPOOL_CELLS // width) rows of a block whose rows have width
     cells.  The widths of the polynomial rows are read off the whole sweep."""
-    _, blocks = run_sweep(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
+    _, blocks = sweep_blocks(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
     widths = {
         (b.identity, b.p): len(b.params) + max(len(x) + len(y) for x, y in zip(b.lhs, b.rhs)) + 1
         for b in blocks
@@ -748,9 +751,9 @@ def test_verify_renders_at_most_spool_rows_cells(capsys, monkeypatch, tmp_path):
     real = cli.render_reports
     calls = []
 
-    def recorded(blocks, fmt, header=True):
-        calls.extend((b.identity, b.p, len(b), _cells_per_row(b)) for b in blocks)
-        return real(blocks, fmt, header)
+    def recorded(b, fmt):
+        calls.append((b.identity, b.p, len(b), _cells_per_row(b)))
+        return real(b, fmt)
 
     monkeypatch.setattr(cli, "SPOOL_CELLS", 64)
     monkeypatch.setattr(cli, "render_reports", recorded)
@@ -833,7 +836,7 @@ def test_run_sweep_first_failure_is_canonical(monkeypatch):
         return (real(ctx, ms, sm) + 1) % ctx.p
 
     monkeypatch.setattr(cg, "s_m_many", crooked)
-    summary, blocks = run_sweep(
+    summary, blocks = sweep_blocks(
         SweepConfig(prime_lo=3, prime_hi=13, identities=("theorem1",))
     )
     assert summary.reports_failed == summary.reports_total
@@ -867,7 +870,7 @@ def test_first_failure_is_canonical_across_identities(capsys, monkeypatch):
 
     monkeypatch.setattr(cg, "s_m_many", crooked_sums)
     monkeypatch.setattr(cg, "weighted_touchard_sum", crooked_weighted)
-    summary, blocks = run_sweep(SweepConfig(prime_lo=3, prime_hi=7, identities=("theorem2", "theorem1")))
+    summary, blocks = sweep_blocks(SweepConfig(prime_lo=3, prime_hi=7, identities=("theorem2", "theorem1")))
     failed = [r for b in blocks for r in b if not r.passed]
     fields = attrgetter("identity", "p", "params", "lhs", "rhs", "passed")
     assert {r.identity for r in failed} == {Identity.THEOREM1, Identity.THEOREM2_POLY}
@@ -897,6 +900,22 @@ def test_bench(capsys, monkeypatch):
     code, out, err = run_main(capsys, "bench", "101")
     assert code == 1
     assert "ROUTE MISMATCH at m = 1:" in err
+    assert "all weighted sums match" not in out
+    monkeypatch.undo()
+
+    # a wrong D_5 fails theorem1 at the one weight 6, in the weighted-sum sweep
+    real_drow = cli.derangement_row
+
+    def crooked_drow(ctx):
+        row = real_drow(ctx).copy()
+        row[5] = (row[5] + 1) % ctx.p
+        return row
+
+    monkeypatch.setattr(cli, "derangement_row", crooked_drow)
+    code, out, err = run_main(capsys, "bench", "101")
+    assert code == 1
+    assert err == "MISMATCHES: 1\n"
+    assert "weighted-sum sweep over 200 weights:" in out
     assert "all weighted sums match" not in out
 
 
@@ -1016,7 +1035,7 @@ def test_x_grid_modes():
     assert _x_grid(cfg, 103) == xs  # same seed, same sample
     other = SweepConfig(prime_lo=2, prime_hi=200, identities=("eq10",), seed=1)
     assert _x_grid(other, 103) != xs
-    pinned = SweepConfig(prime_lo=2, prime_hi=200, identities=("eq10",), x_mode="3")
+    pinned = SweepConfig(prime_lo=2, prime_hi=200, identities=("eq10",), x=3)
     assert _x_grid(pinned, 7) == [3]
     assert _x_grid(pinned, 3) == []  # 3 = 0 mod 3 has no inverse
 
@@ -1024,10 +1043,10 @@ def test_x_grid_modes():
 def test_render_text_format():
     ctx = make_context(7)
     rep = cg._block(Identity.THEOREM1, ctx, {"m": np.array([3])}, np.array([1]), np.array([1]))
-    assert render_reports([rep], "text") == "THEOREM1 p=7 m=3 lhs=1 rhs=1 PASS\n"
+    assert render_reports(rep, "text") == "THEOREM1 p=7 m=3 lhs=1 rhs=1 PASS\n"
     poly = cg._block(Identity.PROOF_INTERMEDIATE, ctx, {"m": np.array([2]), "r": np.array([5])},
                      np.array([[0, 2, 1, 0]]), np.array([[0, 2, 1, 0]]))
-    line = render_reports([poly], "text").strip()
+    line = render_reports(poly, "text").strip()
     assert line == "PROOF_INTERMEDIATE p=7 m=2 r=5 lhs=[0;2;1] rhs=[0;2;1] PASS"
 
 

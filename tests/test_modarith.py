@@ -57,6 +57,19 @@ def test_make_context_rejections():
         make_context(2**31)
     with pytest.raises(OverflowError):
         make_context(2**31 + 11)
+    for bad in (True, 7.0, "7"):
+        with pytest.raises(NotPrimeError, match="modulus must be an int"):
+            make_context(bad)
+
+
+def test_context_equality_and_hash():
+    """Contexts are equal, and hash equal, exactly when their primes are,
+    so a set or dict keyed by contexts holds one per prime."""
+    a, b = make_context(7), make_context(7)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != make_context(11) and a != 7
+    assert repr(a) == "PrimeContext(p=7)"
 
 
 def test_is_prime_against_trial_division():

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from bellmod import cli
-from bellmod.cli import IDENTITIES, SPOOL_CELLS, SweepConfig, render_reports, run_sweep
+from bellmod.cli import IDENTITIES, SPOOL_CELLS, SweepConfig, render_reports
 from bellmod.congruences import PARAM_ORDER, Identity, ReportBlock
+
+from conftest import render_stream, sweep_blocks
 
 
 def rows(blocks):
@@ -119,10 +121,10 @@ def hand_built_blocks():
 @pytest.mark.parametrize("fmt, reference", REFERENCES)
 def test_renderers_match_reference_on_hand_built_reports(fmt, reference):
     blocks = hand_built_blocks()
-    assert render_reports(blocks, fmt) == reference(rows(blocks))
+    assert render_stream(blocks, fmt) == reference(rows(blocks))
     for b in blocks:
-        assert render_reports([b], fmt) == reference(list(b))
-    assert render_reports([], fmt) == reference([])
+        assert render_stream([b], fmt) == reference(list(b))
+    assert render_stream([], fmt) == reference([])
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "text", "csv"])
@@ -140,16 +142,16 @@ def test_renderer_converts_only_the_rhs_rows_that_differ(monkeypatch, fmt):
         converted.clear()
         passed = (lhs == rhs).all(axis=1)
         block = ReportBlock(Identity.THEOREM2_POLY, 11, {"m": col(1, 2, 3, 4, 5)}, lhs, rhs, passed)
-        render_reports([block], fmt)
+        render_reports(block, fmt)
         assert sum(converted) == len(lhs) + k
 
 
 @pytest.mark.parametrize("fmt, reference", REFERENCES)
 def test_renderers_match_reference_on_a_sweep(fmt, reference):
-    _, blocks = run_sweep(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
+    _, blocks = sweep_blocks(SweepConfig(prime_lo=2, prime_hi=31, identities=tuple(IDENTITIES)))
     reports = rows(blocks)
     assert {r.identity for r in reports} == set(Identity)
-    assert render_reports(blocks, fmt) == reference(reports)
+    assert render_stream(blocks, fmt) == reference(reports)
 
 
 def test_renderers_match_reference_on_random_reports():
@@ -190,7 +192,7 @@ def test_renderers_match_reference_on_random_reports():
     @hypothesis.given(st.lists(blocks(), max_size=4))
     def check(batch):
         for fmt, reference in REFERENCES:
-            assert render_reports(batch, fmt) == reference(rows(batch))
+            assert render_stream(batch, fmt) == reference(rows(batch))
 
     check()
 
@@ -219,7 +221,7 @@ def test_renderers_match_reference_on_dense_blocks():
     @hypothesis.given(blocks())
     def check(block):
         for fmt, reference in REFERENCES:
-            assert render_reports([block], fmt) == reference(list(block))
+            assert render_stream([block], fmt) == reference(list(block))
 
     check()
 
@@ -254,5 +256,5 @@ def test_renderer_spells_only_the_cells_the_decimal_table_lacks(monkeypatch):
     for block, expected in cases:
         for fmt, reference in REFERENCES:
             spelled.clear()
-            assert render_reports([block], fmt) == reference(list(block))
+            assert render_stream([block], fmt) == reference(list(block))
             assert sorted(spelled) == sorted(expected), fmt

@@ -81,6 +81,32 @@ def test_tables_are_read_only_int64(cache, build):
         table[0] = 5
 
 
+# each refusal of a negative index or a count past a cap, as (call on the
+# context of 7, error, message)
+REFUSALS = {
+    "derangement_series_mod": (lambda ctx: derangement_series_mod(-1, ctx), ValueError, "nonnegative"),
+    "derangement_mod": (lambda ctx: derangement_mod(-1, ctx, signed_series_row(ctx)), ValueError, "nonnegative"),
+    "stirling2_mod_n": (lambda ctx: stirling2_mod(-1, 0, ctx), ValueError, "nonnegative"),
+    "stirling2_mod_k": (lambda ctx: stirling2_mod(0, -1, ctx), ValueError, "nonnegative"),
+    "touchard_poly": (lambda ctx: touchard_poly(-1, ctx), ValueError, "nonnegative"),
+    "touchard_polys_by_recursion": (lambda ctx: touchard_polys_by_recursion(-1, ctx), ValueError, "nonnegative"),
+    "touchard_polys_by_recursion_cap": (lambda ctx: touchard_polys_by_recursion(7, ctx), IndexTooLargeError, "n < p = 7"),
+    "derangement_series_exact": (lambda ctx: oracle.derangement_series_exact(-1), ValueError, "nonnegative"),
+    "stirling2_exact_n": (lambda ctx: oracle.stirling2_exact(-1, 0), ValueError, "nonnegative"),
+    "stirling2_exact_k": (lambda ctx: oracle.stirling2_exact(0, -1), ValueError, "nonnegative"),
+    "egf_bell_series_empty": (lambda ctx: oracle.egf_bell_series(0), ValueError, "at least one term"),
+    "egf_bell_series_cap": (lambda ctx: oracle.egf_bell_series(oracle.EGF_MAX + 2), IndexTooLargeError, "oracle cap"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_index_refusals(cache, case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message) as info:
+        call(cache.ctx(7))
+    assert info.type is error  # a cap refusal is not a bare ValueError, nor the reverse
+
+
 def test_factorial_tables_are_int64_and_residues_hold_ints(cache):
     """One read-only int64 copy of each factorial table, while every scalar
     route that reads them still returns Python ints."""

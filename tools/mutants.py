@@ -37,12 +37,6 @@ SEQUENCES = "src/bellmod/sequences.py"
 
 # name -> (file, exact old text, new text, what the mutant breaks)
 MUTANTS = {
-    "sort_key_dropped": (
-        CLI,
-        "sorted(blocks, key=lambda b: cg._IDENTITY_RANK[b.identity])",
-        "list(blocks)",
-        "run_sweep keeps the prime-major block order",
-    ),
     "corollary_order_swapped": (
         CONGRUENCES,
         """        blocks.append(_block(Identity.COROLLARY, ctx, {"n": ks[one]}, bell[one], closed[one]))
@@ -118,8 +112,8 @@ MUTANTS = {
     ),
     "spool_rows_overlap": (
         CLI,
-        "render_reports([b[i : i + rows]]",
-        "render_reports([b[i : i + rows + 1]]",
+        "render_reports(b[i : i + rows]",
+        "render_reports(b[i : i + rows + 1]",
         "each slice of a large block repeats the first row of the next",
     ),
     "budget_ignores_width": (
@@ -163,7 +157,7 @@ MUTANTS = {
         CLI,
         "    for b in _prime_blocks(cfg, primes):",
         "    for b in (b for q in primes for b in list(_prime_blocks(cfg, [q]))):",
-        "_sweep holds each prime's blocks in a list while it takes them",
+        "run_sweep holds each prime's blocks in a list while it takes them",
     ),
     "look_ahead_never_popped": (
         CLI,
@@ -820,6 +814,26 @@ MUTANTS = {
         "c = binomial_mod(n, k, ctx)",
         "c = binomial_mod(n + 1, k, ctx)",
         "the Touchard recursion weights T_k by C(n + 1, k) in place of C(n, k)",
+    ),
+    "context_eq_by_identity": (
+        MODARITH,
+        "return isinstance(other, PrimeContext) and other.p == self.p",
+        "return self is other",
+        "two contexts of one prime are unequal, though they hash equal",
+    ),
+    "bench_mismatch_exit_zero": (
+        CLI,
+        """        print(f"MISMATCHES: {bad}", file=sys.stderr)
+        return 1""",
+        """        print(f"MISMATCHES: {bad}", file=sys.stderr)
+        return 0""",
+        "bench exits 0 when a weighted sum misses its closed form",
+    ),
+    "recursion_negative_index_unguarded": (
+        SEQUENCES,
+        "    if n_max < 0:\n",
+        "    if False:\n",
+        "touchard_polys_by_recursion(-1) returns [T_0] in place of refusing",
     ),
 }
 
