@@ -276,8 +276,6 @@ def run_sweep(cfg: SweepConfig, take: Callable[[ReportBlock], object]) -> SweepS
         cap = primes[0] * primes[0] - primes[0] - 1  # the lowest prime's cap is the lowest
         if cfg.n_max > cap:
             raise IndexTooLargeError(f"--n-max {cfg.n_max} is above p*p - p - 1 = {cap} at p = {primes[0]}")
-    if {"theorem1", "eq4"} & set(cfg.identities) and primes:
-        cg.require_s_m_table(primes[-1])  # the largest prime's table needs the longest transform
     total = failed = 0
     first = None  # (identity rank, report) of the first failure so far
     for b in _prime_blocks(cfg, primes):
@@ -524,7 +522,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cg.require_s_m_table(args.p)  # refused before any table is built
     t = PrimeTables(args.p, SweepConfig(args.p, args.p, ("theorem1",)))
     ctx, p, ms = t.ctx, t.ctx.p, t.ms
     t0 = perf_counter()

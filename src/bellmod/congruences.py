@@ -20,7 +20,6 @@ from .modarith import (
     IndexTooLargeError,
     PrimeContext,
     mod_convolve,
-    ntt_plan,
     powers_mod,
     primitive_root,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "report_sort_key",
     "s_m",
     "s_m_all_units",
-    "require_s_m_table",
     "s_m_many",
     "s_m_chain",
     "theorem1_rhs",
@@ -218,8 +216,6 @@ def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> np.ndarray:
     jk = C(j+k, 2) - C(j, 2) - C(k, 2) turns it into one correlation, which
     mod_convolve computes exactly, so the whole table costs O(p log p).
     Weight m then reads E at dlog(1/(-m)) = dlog(-1) - dlog(m) (mod n).
-    Raises OverflowError where the convolution would not be exact; no
-    other route takes over there.
     """
     p = ctx.p
     n = p - 1
@@ -240,13 +236,6 @@ def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> np.ndarray:
     table[1:] = evals[(n // 2 - dlog[1:]) % n]
     table.setflags(write=False)
     return table
-
-
-def require_s_m_table(p: int) -> None:
-    """Raise OverflowError where s_m_all_units at p needs a convolution that
-    mod_convolve cannot take exactly, with the line mod_convolve would raise.
-    It reads p alone, so a caller refuses p before any table is built."""
-    ntt_plan(p - 1, 2 * p - 3, p)  # the lengths of x and chirp there
 
 
 def s_m_many(ctx: PrimeContext, ms: Sequence[int], sm: np.ndarray) -> np.ndarray:

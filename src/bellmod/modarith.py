@@ -2,13 +2,14 @@
 
 Everything else in the package builds on this module: verified prime
 contexts carrying factorial tables, binomials mod p, the prime sieve and
-primitive roots, and exact convolution of residue vectors.  A residue is
-a plain int in ``[0, p)``.
+primitive roots, and exact convolution of residue vectors, taken as one
+product of two decimal integers (Kronecker substitution) in the standard
+library's ``decimal``.  A residue is a plain int in ``[0, p)``.
 """
 
 from __future__ import annotations
 
-import bisect
+import decimal
 import math
 from itertools import accumulate
 import numpy as np
@@ -24,28 +25,18 @@ __all__ = [
     "primitive_root",
     "powers_mod",
     "mod_convolve",
-    "ntt_plan",
-    "CONV_EXACT_LIMIT",
 ]
 
 MAX_PRIME = 2**31  # exclusive upper bound for context moduli
 
-# NTT-friendly primes q = c * 2**k + 1, each with primitive root 3, largest
-# first.  All are below 2**30, so a product of two residues fits int64.
-_NTT_PRIMES = (998244353, 469762049, 167772161)
-_NTT_ROOT = 3
-# the largest power of two dividing every q - 1 caps the transform length
-_NTT_MAX_LENGTH = 2**23
-# _NTT_PRODUCTS[k - 1] is the product of the first k NTT primes
-_NTT_PRODUCTS = tuple(math.prod(_NTT_PRIMES[:k]) for k in range(1, len(_NTT_PRIMES) + 1))
-
-# A convolution taken modulo the first k NTT primes is exact when every
-# coefficient of the integer convolution is below their product, because the
-# CRT then recovers it uniquely.  With entries in [0, p) a coefficient sums
-# at most min(len(a), len(b)) products, so k primes suffice when
-# min(len(a), len(b)) * (p - 1)**2 < _NTT_PRODUCTS[k - 1], and mod_convolve
-# is exact whenever min(len(a), len(b)) * (p - 1)**2 < CONV_EXACT_LIMIT.
-CONV_EXACT_LIMIT = _NTT_PRODUCTS[-1]
+# Exact decimal arithmetic for mod_convolve's one product: a result that
+# would need rounding raises instead of being returned.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+)
 
 
 class NotPrimeError(ValueError):
@@ -127,7 +118,7 @@ class PrimeContext:
 
 
 def make_context(p: int) -> PrimeContext:
-    """Validate p and build its context; the only way to obtain one."""
+    """Validate p and build its context; the same as ``PrimeContext(p)``."""
     return PrimeContext(p)
 
 
@@ -208,134 +199,45 @@ def powers_mod(base, count: int, mod) -> np.ndarray:
     return out
 
 
-def _ntt_forward(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
-    """In-place decimation-in-frequency NTT along the last axis.
-
-    a has shape (..., k, n) with one row per NTT prime, w[:, i] is the
-    i-th power of that prime's primitive n-th root for i < n/2, and q is
-    the k primes as a (k, 1) column.  Output is in bit-reversed order.
-    Each butterfly writes into a or into one scratch array.  A difference
-    is offset by q before it is reduced: numpy's % is exact on a negative
-    dividend too, but about 3x slower there.
-    """
-    n = a.shape[-1]
-    qb = q[:, :, None]
-    scratch = np.empty(a.shape[:-1] + (n // 2,), dtype=np.int64)
-    h = n // 2
-    while h >= 1:
-        blocks = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        u, v = blocks[..., 0, :], blocks[..., 1, :]
-        t = scratch.reshape(u.shape)
-        tw = np.ascontiguousarray(w[:, None, :: n // (2 * h)])
-        np.subtract(u, v, out=t)
-        np.add(t, qb, out=t)
-        np.add(u, v, out=u)
-        np.remainder(u, qb, out=u)
-        np.multiply(t, tw, out=t)
-        np.remainder(t, qb, out=v)
-        h //= 2
-
-
-def _ntt_inverse(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
-    """In-place decimation-in-time transform, undoing _ntt_forward up to the
-    factor n when w holds the inverse roots; takes bit-reversed input.
-    Writes and offsets as _ntt_forward does."""
-    n = a.shape[-1]
-    qb = q[:, :, None]
-    scratch = np.empty(a.shape[:-1] + (n // 2,), dtype=np.int64)
-    h = 1
-    while h < n:
-        blocks = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        u, v = blocks[..., 0, :], blocks[..., 1, :]
-        t = scratch.reshape(u.shape)
-        tw = np.ascontiguousarray(w[:, None, :: n // (2 * h)])
-        np.multiply(v, tw, out=t)
-        np.remainder(t, qb, out=t)
-        np.subtract(u, t, out=v)
-        np.add(v, qb, out=v)
-        np.remainder(v, qb, out=v)
-        np.add(u, t, out=u)
-        np.remainder(u, qb, out=u)
-        h *= 2
-
-
-def ntt_plan(la: int, lb: int, p: int) -> tuple[int, int]:
-    """The transform length and the number of NTT primes with which
-    mod_convolve takes nonempty vectors of lengths la and lb mod p.  It
-    reads the sizes alone, so a caller can refuse a convolution before it
-    builds the inputs.  OverflowError where p is not below 2**31, where
-    min(la, lb) * (p - 1)**2 reaches CONV_EXACT_LIMIT, or where the
-    transform would be longer than _NTT_MAX_LENGTH."""
-    if p >= MAX_PRIME:
-        raise OverflowError(f"modulus {p} is not below 2**31")
-    bound = min(la, lb) * (p - 1) ** 2
-    if bound >= CONV_EXACT_LIMIT:
-        raise OverflowError(
-            f"a length-{min(la, lb)} convolution mod {p} can exceed CONV_EXACT_LIMIT"
-        )
-    n = 1 << (la + lb - 2).bit_length()
-    if n > _NTT_MAX_LENGTH:
-        raise OverflowError(f"transform length {n} exceeds {_NTT_MAX_LENGTH}")
-    return n, bisect.bisect_right(_NTT_PRODUCTS, bound) + 1
+def _pack(v: np.ndarray, d: int, p: int) -> decimal.Decimal:
+    """sum v[i] * 10**(d * i) as one Decimal: the digits of each residue
+    written into its own d-digit slot, the last entry's slot first."""
+    cells = np.zeros((len(v), d), dtype=np.uint8)
+    rest = v[::-1]
+    for j in range(1, len(str(p - 1)) + 1):
+        rest, cells[:, -j] = np.divmod(rest, 10)
+    cells += ord("0")
+    return decimal.Decimal(str(cells, "ascii"))
 
 
 def mod_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """The linear convolution of two residue vectors, reduced mod p.
 
-    Entries must lie in [0, p) with p < 2**31.  The integer convolution is
-    taken by number-theoretic transforms modulo the fewest leading NTT
-    primes whose product exceeds min(len(a), len(b)) * (p - 1)**2, and
-    recombined by the CRT, with integer arithmetic only, so the result is
-    exact whenever min(len(a), len(b)) * (p - 1)**2 < CONV_EXACT_LIMIT;
-    ntt_plan raises OverflowError when that bound or the transform length
-    cap fails.
+    Entries must lie in [0, p) with p < 2**31.  By Kronecker substitution
+    each vector becomes one integer, its entries in slots of d decimal
+    digits, d the length of min(len(a), len(b)) * (p - 1)**2.  A coefficient
+    of the integer convolution sums at most min(len(a), len(b)) products
+    below (p - 1)**2, so it is below 10**d and no slot carries into the
+    next: the one product of the two integers holds every coefficient in its
+    own slot.  _EXACT traps rounding, so a product it cannot hold exactly
+    raises rather than returns.  Each slot is read back mod p digit by
+    digit, every partial value below 10 * p, which fits int64.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     la, lb = a.shape[0], b.shape[0]
     if la == 0 or lb == 0:
         return np.zeros(0, dtype=np.int64)
-    n, primes = ntt_plan(la, lb, p)
+    if p >= MAX_PRIME:
+        raise OverflowError(f"modulus {p} is not below 2**31")
     for v in (a, b):
         if v.min() < 0 or v.max() >= p:
             raise ValueError(f"entries must be residues in [0, {p})")
+    d = len(str(min(la, lb) * (p - 1) ** 2))
     size = la + lb - 1
-
-    qs = _NTT_PRIMES[:primes]
-    q = np.array(qs, dtype=np.int64)[:, None]
-    roots = [pow(_NTT_ROOT, (qi - 1) // n, qi) for qi in qs]
-    inv_roots = [pow(r, -1, qi) for r, qi in zip(roots, qs)]
-    w = powers_mod(roots, n // 2, qs)
-    w_inv = powers_mod(inv_roots, n // 2, qs)
-
-    spec = np.zeros((2, len(qs), n), dtype=np.int64)
-    spec[0, :, :la] = a % q
-    spec[1, :, :lb] = b % q
-    _ntt_forward(spec, w, q)
-    # the pointwise product and the 1/n scaling overwrite spec[0], so the
-    # transform's peak memory is spec and the butterflies' scratch
-    prod = spec[0]
-    np.multiply(prod, spec[1], out=prod)
-    np.remainder(prod, q, out=prod)
-    _ntt_inverse(prod, w_inv, q)
-    n_inv = np.array([[pow(n, -1, qi)] for qi in qs], dtype=np.int64)
-    r = prod[:, :size]
-    np.multiply(r, n_inv, out=r)
-    np.remainder(r, q, out=r)
-
-    # Garner: c = x_0 + x_1 Q_1 + x_2 Q_2 + ... with Q_i = q_0 ... q_{i-1}
-    # and digits x_i in [0, q_i).  Once digit x_i is known, row j > i of r
-    # becomes (r_j - x_i) / q_i mod q_j, so row i + 1 is the next digit.
-    # The difference is offset by the least multiple of q_j that is at least
-    # q_0 > x_i, which keeps the dividend of % nonnegative, as the butterflies
-    # keep theirs, and its residue unchanged.  Every product stays under 2**61.
+    text = str(_EXACT.multiply(_pack(a, d, p), _pack(b, d, p))).zfill(size * d).encode()
+    cells = np.frombuffer(text, dtype=np.uint8).reshape(size, d)[::-1]  # the top slot comes first
     out = np.zeros(size, dtype=np.int64)
-    big = 1  # Q_i
-    for i, qi in enumerate(qs):
-        x = r[i]
-        for j in range(i + 1, len(qs)):
-            offset = qs[j] * -(-qs[0] // qs[j])
-            r[j] = (r[j] - x + offset) % qs[j] * pow(qi, -1, qs[j]) % qs[j]
-        out = (out + x * (big % p)) % p
-        big *= qi
+    for j in range(d):
+        out = (10 * out + cells[:, j] - ord("0")) % p
     return out

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellmod import cli, modarith, oracle, sequences
+from bellmod import cli, oracle, sequences
 from bellmod import congruences as cg
 from bellmod.cli import (
     IDENTITIES,
@@ -935,47 +935,6 @@ def test_bench_builds_the_s_m_table_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "--identities", "theorem1", "--primes", "101"), ("bench", "101")],
-    ids=["verify", "bench"],
-)
-def test_past_the_convolution_bound_exits_two(capsys, monkeypatch, argv):
-    """Where the S_m table's convolution would not be exact, no other route
-    takes over: the run exits 2 with one line and prints nothing else."""
-    monkeypatch.setattr(modarith, "CONV_EXACT_LIMIT", 100 * 100**2)  # one term short at p = 101
-    code, out, err = run_main(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "--identities", "theorem1", "--primes", "2..101"),
-        ("verify", "--identities", "bellp,eq4", "--primes", "2..101"),
-        ("bench", "101"),
-    ],
-    ids=["theorem1", "eq4", "bench"],
-)
-def test_past_the_transform_length_cap_exits_two_before_any_table(capsys, monkeypatch, argv):
-    """The S_m table at p = 101 needs a length-512 transform and at p = 83
-    one of 256; with the cap at 256 the largest prime is refused before
-    any table, even its context, is built, with the line mod_convolve
-    would raise."""
-    def unbuilt(name):
-        def build(arg):
-            raise AssertionError(f"{name}({arg}) was built")
-        return build
-
-    monkeypatch.setattr(modarith, "_NTT_MAX_LENGTH", 256)
-    monkeypatch.setattr(cli, "bell_row", unbuilt("bell_row"))
-    monkeypatch.setattr(cli, "make_context", unbuilt("make_context"))
-    code, out, err = run_main(capsys, *argv)
-    assert (code, out, err) == (2, "", "transform length 512 exceeds 256\n")
-
-
-@pytest.mark.parametrize(
-    "argv",
     [("verify", "--identities", "bellp", "--primes", "31", "--out", "F"), ("seq", "bell", "3", "--mod", "31")],
     ids=["verify", "seq"],
 )
@@ -990,20 +949,6 @@ def test_past_the_float_product_bound_exits_two(capsys, monkeypatch, tmp_path, a
     assert (code, out) == (2, "")
     assert err == "residue products mod 31 need (p - 1)**2 <= 899 to be exact\n"
     assert not (tmp_path / "F").exists()
-
-
-def test_s_m_table_refusal_matches_its_convolution(monkeypatch):
-    """require_s_m_table refuses exactly the primes whose S_m table
-    mod_convolve refuses: at p = 101 the table's transform is 512 long."""
-    ctx = make_context(101)
-    row = sequences.bell_row(ctx)
-    monkeypatch.setattr(modarith, "_NTT_MAX_LENGTH", 512)
-    cg.require_s_m_table(101)
-    assert len(cg.s_m_all_units(ctx, row)) == 101
-    monkeypatch.setattr(modarith, "_NTT_MAX_LENGTH", 256)
-    for build in (lambda: cg.require_s_m_table(101), lambda: cg.s_m_all_units(ctx, row)):
-        with pytest.raises(OverflowError, match="^transform length 512 exceeds 256$"):
-            build()
 
 
 def test_parse_range():

@@ -103,14 +103,6 @@ def test_s_m_many_all_units_route(cache):
         assert s_m_all_units(ctx, row)[1:].tolist() == got
 
 
-def test_s_m_all_units_raises_past_the_bound(cache, monkeypatch):
-    # no other route takes over: the sweep and bench exit 2 (test_cli)
-    ctx, row = cache.ctx(101), cache.bell(101)
-    monkeypatch.setattr(modarith, "CONV_EXACT_LIMIT", 100 * 100**2)  # one term short
-    with pytest.raises(OverflowError):
-        s_m_all_units(ctx, row)
-
-
 def test_s_m_depends_only_on_m_mod_p(cache):
     for p in primes_in_range(2, 101):
         ctx, sm = cache.ctx(p), cache.sm(p)

@@ -1,3 +1,4 @@
+import decimal
 import random
 import tracemalloc
 
@@ -134,8 +135,8 @@ def test_primitive_root():
         orders = [len({pow(h, e, p) for e in range(p - 1)}) for h in range(1, g + 1)]
         assert orders[-1] == p - 1, p  # g generates GF(p)*
         assert all(k < p - 1 for k in orders[:-1]), p  # and is the least one
-    for q in modarith._NTT_PRIMES:
-        assert primitive_root(q) == modarith._NTT_ROOT
+    for q in (998244353, 469762049, 167772161):
+        assert primitive_root(q) == 3
 
 
 def test_powers_mod():
@@ -176,45 +177,32 @@ def test_mod_convolve_long_extreme_vectors():
     assert got == [(p - 1) ** 2 * k % p for k in terms]
 
 
-@pytest.mark.parametrize("k, p", [(1, 3001), (2, 4999), (3, 100000007)])
-def test_mod_convolve_takes_the_fewest_primes(monkeypatch, k, p):
+@pytest.mark.parametrize("p, length", [(101, 100), (3001, 64), (4999, 64), (100000007, 64)])
+def test_mod_convolve_slot_width(p, length):
     # all-(p-1) inputs make the middle coefficients exactly the bound
-    # min(len) * (p-1)**2.  For k primes it lies between the product of the
-    # first k - 1 and twice it (for one prime, within a factor 2 below the
-    # first), so one prime fewer, or a bound loosened 2x, gives wrong values
-    length = 64
-    bound = length * (p - 1) ** 2
-    low, high = (1, *modarith._NTT_PRODUCTS)[k - 1 : k + 1]
-    assert low < bound < high
-    assert bound < 2 * low if k > 1 else 2 * bound > high
-    used = []
-    forward = modarith._ntt_forward
-
-    def spy(a, w, q):
-        used.append(q.ravel().tolist())
-        forward(a, w, q)
-
-    monkeypatch.setattr(modarith, "_ntt_forward", spy)
+    # min(len) * (p-1)**2, which has d digits, the slot width; at p = 101
+    # it is 10**6, so a slot one digit short carries into the next
     a, b = [p - 1] * length, [p - 1] * 100
-    assert mod_convolve(a, b, p).tolist() == [c % p for c in _exact_convolution(a, b)]
-    assert used == [list(modarith._NTT_PRIMES[:k])]
+    exact = _exact_convolution(a, b)
+    assert max(exact) == length * (p - 1) ** 2
+    assert mod_convolve(a, b, p).tolist() == [c % p for c in exact]
 
 
-def test_mod_convolve_bounds(monkeypatch):
+def test_mod_convolve_bounds():
     p = 101
-    a, b = [p - 1] * 4, [p - 1] * 9
+    b = [p - 1] * 9
     with pytest.raises(ValueError):
         mod_convolve([p], b, p)
     with pytest.raises(ValueError):
         mod_convolve([-1], b, p)
     with pytest.raises(OverflowError):
         mod_convolve([1], [1], 2**31)
-    monkeypatch.setattr(modarith, "CONV_EXACT_LIMIT", 4 * (p - 1) ** 2 + 1)
-    assert mod_convolve(a, b, p).tolist() == [c % p for c in _exact_convolution(a, b)]
-    with pytest.raises(OverflowError):
-        mod_convolve(a + [0], b, p)
-    monkeypatch.setattr(modarith, "CONV_EXACT_LIMIT", 10**30)
-    monkeypatch.setattr(modarith, "_NTT_MAX_LENGTH", 16)
-    assert len(mod_convolve(a, b, p)) == 12
-    with pytest.raises(OverflowError):
-        mod_convolve(a, b + [0] * 5, p)
+
+
+def test_mod_convolve_never_rounds(monkeypatch):
+    # at a precision of six digits, a 6-digit product is still exact and a
+    # 15-digit one must raise rather than round
+    monkeypatch.setattr(modarith._EXACT, "prec", 6)
+    assert mod_convolve([1, 2], [3], 101).tolist() == [3, 6]
+    with pytest.raises(decimal.DecimalException):
+        mod_convolve([100, 100], [100, 100], 101)

@@ -229,53 +229,41 @@ MUTANTS = {
         "the Stirling triangle multiplies by k + 1 in place of k",
     ),
     # the chirp-z table of the weighted Bell sums and its exact convolution
-    "crt_digit": (
+    "slot_one_digit_short": (
         MODARITH,
-        "r[j] = (r[j] - x + offset) % qs[j]",
-        "r[j] = (r[j] + x + offset) % qs[j]",
-        "Garner adds each digit to the later residues in place of subtracting it",
+        "d = len(str(min(la, lb) * (p - 1) ** 2))",
+        "d = len(str(min(la, lb) * (p - 1) ** 2)) - 1",
+        "a coefficient with as many digits as the bound carries into the next slot",
     ),
-    "ntt_product_squares_one_side": (
+    "rounding_untrapped": (
         MODARITH,
-        "np.multiply(prod, spec[1], out=prod)",
-        "np.multiply(prod, prod, out=prod)",
-        "the in-place pointwise product squares the first transform",
+        "traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],",
+        "traps=[],",
+        "a product too long for the context is rounded and returned",
     ),
-    "ntt_scaling_unreduced": (
+    "packing_not_reversed": (
         MODARITH,
-        "    np.remainder(r, q, out=r)\n",
-        "",
-        "the 1/n scaling leaves the CRT residues unreduced",
+        "    rest = v[::-1]\n",
+        "    rest = v\n",
+        "each vector is packed first entry first, so its slots hold it reversed",
     ),
-    "garner_offset_not_a_multiple": (
+    "slots_read_unreduced": (
         MODARITH,
-        "offset = qs[j] * -(-qs[0] // qs[j])",
-        "offset = qs[0]",
-        "Garner offsets each difference by q_0, which shifts its residue mod q_j",
+        "out = (10 * out + cells[:, j] - ord(\"0\")) % p",
+        "out = 10 * out + cells[:, j] - ord(\"0\")",
+        "each slot is read as its whole coefficient, not reduced mod p",
+    ),
+    "residue_digits_short": (
+        MODARITH,
+        "for j in range(1, len(str(p - 1)) + 1):",
+        "for j in range(1, len(str(p - 1))):",
+        "each residue is packed without its leading digit",
     ),
     "dlog_offset": (
         CONGRUENCES,
         "evals[(n // 2 - dlog[1:]) % n]",
         "evals[(n // 2 - dlog[1:] + 1) % n]",
         "weight m reads the table one discrete log off",
-    ),
-    "conv_bound_check": (
-        MODARITH,
-        "if bound >= CONV_EXACT_LIMIT:",
-        "if bound > CONV_EXACT_LIMIT:",
-        "a convolution exactly at the bound runs, not raises",
-    ),
-    "twiddles": (
-        MODARITH,
-        "tw = np.ascontiguousarray(w[:, None, :: n // (2 * h)])\n        np.subtract(u, v, out=t)",
-        "tw = np.ascontiguousarray(w[:, None, :h])\n        np.subtract(u, v, out=t)",
-        "the forward transform takes the wrong roots",
-    ),
-    "ntt_outputs_swapped": (
-        MODARITH,
-        "np.remainder(u, qb, out=u)\n        np.multiply(t, tw, out=t)\n        np.remainder(t, qb, out=v)",
-        "np.remainder(u, qb, out=v)\n        np.multiply(t, tw, out=t)\n        np.remainder(t, qb, out=u)",
-        "the forward butterfly writes its sum into the difference's half and back",
     ),
     # the context's two factorial tables, one pass and Wilson's reflection
     "fact_factor_shifted": (
@@ -430,7 +418,7 @@ MUTANTS = {
         "if p < X_ALL_LIMIT:",
         "p = 101 samples its points in place of checking all",
     ),
-    # the Bell row as one dot per step, and only as many NTT primes as needed
+    # the Bell row as one dot per step
     "bell_reversed_offset": (
         SEQUENCES,
         "x, y = b[: n + 1], rev[p - 1 - n :]",
@@ -472,18 +460,6 @@ MUTANTS = {
         "values = b.astype(np.int64) * ctx.fact % p",
         "values = b.astype(np.int64) % p",
         "the row returns B_k / k! in place of B_k",
-    ),
-    "prime_count_bound_2x": (
-        MODARITH,
-        "bisect.bisect_right(_NTT_PRODUCTS, bound)",
-        "bisect.bisect_right(_NTT_PRODUCTS, bound // 2)",
-        "the convolution takes its primes for half the coefficient bound",
-    ),
-    "garner_skips_last_prime": (
-        MODARITH,
-        "for i, qi in enumerate(qs):",
-        "for i, qi in enumerate(qs[:-1]):",
-        "the CRT drops the last chosen prime's digit",
     ),
     "unit_check_dropped": (
         CONGRUENCES,
@@ -632,37 +608,6 @@ MUTANTS = {
         "    out[~held] = _spell(cells[~held].tolist())\n",
         "",
         "a cell the table does not hold renders as entry 0, \"0\"",
-    ),
-    # the S_m table's transform length, refused before any table is built
-    "sweep_skips_the_s_m_table_check": (
-        CLI,
-        "        cg.require_s_m_table(primes[-1])",
-        "        pass",
-        "verify builds Bell rows before mod_convolve refuses the largest prime",
-    ),
-    "sweep_checks_the_s_m_table_for_theorem1_only": (
-        CLI,
-        """if {"theorem1", "eq4"} & set(cfg.identities) and primes:""",
-        """if {"theorem1"} & set(cfg.identities) and primes:""",
-        "verify --identities eq4 builds Bell rows before mod_convolve refuses",
-    ),
-    "sweep_checks_the_s_m_table_at_the_smallest_prime": (
-        CLI,
-        "cg.require_s_m_table(primes[-1])",
-        "cg.require_s_m_table(primes[0])",
-        "verify checks the smallest prime's transform, which is the shortest",
-    ),
-    "bench_skips_the_s_m_table_check": (
-        CLI,
-        "    cg.require_s_m_table(args.p)  # refused",
-        "    pass  # refused",
-        "bench builds the context and the Bell row before mod_convolve refuses p",
-    ),
-    "s_m_table_check_reads_other_lengths": (
-        CONGRUENCES,
-        "ntt_plan(p - 1, 2 * p - 3, p)",
-        "ntt_plan(p - 1, p - 1, p)",
-        "the S_m check plans a shorter transform than the table takes",
     ),
     "corollary_builds_own_drow": (
         CLI,
