@@ -62,7 +62,7 @@ for rep in geometric:
 # (-6 + 6x - 3x^2 + x^3) / x^3, checked here at every x
 print()
 print("low-weight rational forms at every point of the field:")
-[reports] = verify_special_cases(ctx, range(1, P), touchard_value_table(ctx, matrix))
+[reports] = verify_special_cases(ctx, range(1, P), touchard_value_table(ctx, matrix, range(1, P)))
 for x in range(1, P):
     marks = [
         f"m={r.params['m']}:{'ok' if r.passed else 'BAD'}"

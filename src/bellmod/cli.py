@@ -153,7 +153,7 @@ class PrimeTables:
 
     @cached_property
     def values(self):
-        return touchard_value_table(self.ctx, self.matrix)
+        return touchard_value_table(self.ctx, self.matrix, self.xs)
 
     @cached_property
     def jpow(self):
@@ -207,7 +207,7 @@ IDENTITIES: dict[str, Callable[[PrimeTables], Iterable[ReportBlock]]] = {
     "touchard": _touchard,
     "theorem1": lambda t: cg.verify_theorem1(t.ctx, t.ms, t.sm, t.drow, t.sigma) if t.ms else [],
     "intro": _intro,
-    "corollary": lambda t: cg.verify_corollary(t.ctx, t.row, t.drow),
+    "corollary": lambda t: cg.verify_corollary(t.ctx, t.row, t.drow, t.jpow),
     "eq4": lambda t: cg.verify_eq4(t.ctx, t.sm) if t.ctx.p >= 3 else [],
     "bellp": lambda t: cg.verify_bell_p(t.ctx, t.row),
     "theorem2": _by_weight_slice(lambda t, ms, rows: cg.verify_theorem2(t.ctx, ms, t.sums[rows])),

@@ -215,14 +215,12 @@ def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> np.ndarray:
     length-n DFT of (B_{p-1}, B_1, ..., B_{n-1}).  Bluestein's identity
     jk = C(j+k, 2) - C(j, 2) - C(k, 2) turns it into one correlation, which
     mod_convolve computes exactly, so the whole table costs O(p log p).
-    Weight m then reads E at dlog(1/(-m)) = dlog(-1) - dlog(m) (mod n).
+    Weight m = g^j reads E at n/2 - j (mod n), as 1/(-m) = g^(n/2) / g^j.
     """
     p = ctx.p
     n = p - 1
     g = primitive_root(p)
     pw = powers_mod(g, n, p)  # pw[e] = g^e
-    dlog = np.zeros(p, dtype=np.int64)
-    dlog[pw] = np.arange(n, dtype=np.int64)
     # tri[t] = C(t, 2) mod n; the partial sums stay below n**2 < 2**62
     tri = np.zeros(2 * n - 1, dtype=np.int64)
     tri[1:] = np.cumsum(np.arange(2 * n - 2, dtype=np.int64) % n) % n
@@ -233,7 +231,7 @@ def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> np.ndarray:
     corr = mod_convolve(x[::-1], chirp, p)[n - 1 : 2 * n - 1]
     evals = corr * unchirp % p
     table = np.zeros(p, dtype=np.int64)
-    table[1:] = evals[(n // 2 - dlog[1:]) % n]
+    table[pw] = evals[(n // 2 - np.arange(n)) % n]
     table.setflags(write=False)
     return table
 
@@ -285,16 +283,17 @@ def verify_intro_constant(ctx: PrimeContext, m: int, row: np.ndarray) -> list[Re
     return [_block(Identity.INTRO_CONSTANT, ctx, params, np.array([lhs]), np.array([rhs]))]
 
 
-def verify_corollary(ctx: PrimeContext, row: np.ndarray, drow: np.ndarray) -> list[ReportBlock]:
+def verify_corollary(
+    ctx: PrimeContext, row: np.ndarray, drow: np.ndarray, jpow: np.ndarray
+) -> list[ReportBlock]:
     """Check the closed form B_n = sum_{0<m<p} (-1)^m D_{m-1} (-m)^n (mod p)
     for 0 < n < p, plus the power-sum kernel it rests on:
-    sum_{0<m<p} (-m)^(n-k) = -[n = k] (mod p) for 0 < n, k < p.
-    """
+    sum_{0<m<p} (-m)^(n-k) = -[n = k] (mod p) for 0 < n, k < p.  Both read
+    (-m)^e = (p - m)^e from the unit_power_table jpow, J[e, j-1] = j^e."""
     p = ctx.p
-    base = (p - np.arange(1, p, dtype=np.int64)) % p  # (-m) mod p for m = 1..p-1
     weights = drow[: p - 1].copy()  # D_{m-1} for m = 1..p-1
     weights[::2] = (p - weights[::2]) % p  # odd m gets the minus sign
-    pw = powers_mod(base, p, p)  # pw[m-1, e] = (-m)^e
+    pw = jpow[:, ::-1].T  # pw[m-1, e] = (-m)^e, a view
     closed = _mod_matmul(weights, pw[:, 1:], p)  # n = 1..p-1
     # kernel power sums K[e] = sum_m (-m)^e; p - 1 residues sum below p**2
     kernel = pw[:, : p - 1].sum(axis=0) % p
@@ -499,7 +498,7 @@ def verify_theorem2_eval(
 
     sum_{0<n<p} T_n(x) / (-m)^n = -x^p sum_l ((m-1)!/l!) (-x)^l / (-x)^m.
 
-    The left side weights the tabulated T_n(x).  On the right,
+    The left side weights values[:, i] = T_n(xs[i]).  On the right,
     R_m(y) = sum_{l<m} ((m-1)!/l!) y^l follows the closed form's own
     recurrence R_1 = 1, R_{m+1} = m R_m + y^m, taken at y = -x for every m
     up to max(ms) at once; each weight's R_m(-x) is multiplied by -x^p and
@@ -509,7 +508,7 @@ def verify_theorem2_eval(
     xs = _require_points(ctx, xs)
     if not ms or not xs:
         return []
-    lhs = _weighted_power_rows(ctx, -_require_units(ctx, ms) % p, values[:, xs])
+    lhs = _weighted_power_rows(ctx, -_require_units(ctx, ms) % p, values)
     w = np.asarray(ms, dtype=np.int64)
     y = p - np.array(xs, dtype=np.int64)  # -x mod p
     rm = _zeros(int(w.max()), len(xs))  # rm[m-1] = R_m(-x)
@@ -537,14 +536,15 @@ def verify_special_cases(
 ) -> list[ReportBlock]:
     """Check the displayed m = 2, 3, 4 evaluations of the weighted sum
     against their hard-coded rational forms, at every point of xs coprime
-    to p, in m-major order.  Weights divisible by p are skipped.
+    to p, in m-major order, from values[:, i] = T_n(xs[i]).  Weights
+    divisible by p are skipped.
     """
     p = ctx.p
     xs = _require_points(ctx, xs)
     if not xs:
         return []
     ms = [m for m in _SPECIAL_NUMERATORS if m % p]
-    lhs = _weighted_power_rows(ctx, -_require_units(ctx, ms) % p, values[:, xs])
+    lhs = _weighted_power_rows(ctx, -_require_units(ctx, ms) % p, values)
     num = _mod_matmul(np.array([_SPECIAL_NUMERATORS[m] for m in ms]) % p, powers_mod(xs, 4, p).T, p)
     rhs = num * _inv_pow(ctx, xs, [m - 1 for m in ms]) % p
     grid = {"m": np.repeat(ms, len(xs)), "x": np.tile(xs, len(ms))}

@@ -8,6 +8,8 @@ instead of trusting a single code path.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .modarith import IndexTooLargeError, PrimeContext, binomial_mod, powers_mod
@@ -308,12 +310,9 @@ def touchard_polys_from_matrix(ctx: PrimeContext, matrix: np.ndarray) -> list[tu
     return [tuple(matrix[n, : n + 1].tolist()) for n in range(ctx.p)]
 
 
-def touchard_value_table(ctx: PrimeContext, matrix: np.ndarray) -> np.ndarray:
-    """Table E with E[n, x] = T_n(x) mod p for all n, x < p."""
+def touchard_value_table(ctx: PrimeContext, matrix: np.ndarray, xs: Sequence[int]) -> np.ndarray:
+    """Table E with E[n, i] = T_n(xs[i]) mod p for all n < p, one column per point of xs."""
     p = ctx.p
-    # powers[k, x] = x^k, kept in float64, which holds residues exactly, so
-    # that the product converts only the matrix
-    powers = powers_mod(np.arange(p), p, p).T.astype(np.float64)
-    table = _mod_matmul(matrix, powers, p)
+    table = _mod_matmul(matrix, powers_mod(xs, p, p).T, p)  # M @ X with X[k, i] = xs[i]^k
     table.setflags(write=False)
     return table

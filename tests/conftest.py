@@ -60,8 +60,9 @@ class RowCache:
         return self._matrix[p]
 
     def values(self, p):
+        # every x < p; a verifier takes the columns of its own points
         if p not in self._values:
-            self._values[p] = touchard_value_table(self.ctx(p), self.matrix(p))
+            self._values[p] = touchard_value_table(self.ctx(p), self.matrix(p), range(p))
         return self._values[p]
 
     def jpow(self, p):

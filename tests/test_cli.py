@@ -358,6 +358,23 @@ def test_sweep_builds_each_table_once_per_prime(monkeypatch, module, builder):
     assert built == primes_in_range(2, 13)
 
 
+def test_value_table_holds_only_the_points_eq10_reads(capsys, monkeypatch):
+    """Past X_ALL_LIMIT eq10 reads X_SAMPLE_SIZE seeded points, and the
+    value table holds a column for each of them and for no other x."""
+    shapes, real = [], cli.touchard_value_table
+
+    def spy(*args):
+        table = real(*args)
+        shapes.append(table.shape)
+        return table
+
+    monkeypatch.setattr(cli, "touchard_value_table", spy)
+    code, _, err = run_main(capsys, "verify", "--identities", "eq10", "--primes", "211")
+    assert code == 0, err
+    assert "failures: 0" in err
+    assert shapes == [(211, 32)]
+
+
 def test_tracer_names_resolve():
     """Every (module, attribute) the benchmark's tracer wraps exists, read
     from perfbench/child.py without running it, so renaming or removing a

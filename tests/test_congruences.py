@@ -192,17 +192,30 @@ def test_intro_constant_is_minus_1853(cache):
 
 def test_corollary_all_pass(cache):
     for p in primes_in_range(2, 31):
-        reports = rows(verify_corollary(cache.ctx(p), cache.bell(p), cache.drow(p)))
+        reports = rows(verify_corollary(cache.ctx(p), cache.bell(p), cache.drow(p), cache.jpow(p)))
         assert len(reports) == (p - 1) + (p - 1) ** 2
         assert all(r.passed for r in reports), p
 
 
 def test_corollary_kernel_reports_carry_both_indices(cache):
-    reports = rows(verify_corollary(cache.ctx(5), cache.bell(5), cache.drow(5)))
+    reports = rows(verify_corollary(cache.ctx(5), cache.bell(5), cache.drow(5), cache.jpow(5)))
     kernel = [r for r in reports if "k" in r.params]
     assert len(kernel) == 16
     diag = [r for r in kernel if r.params["n"] == r.params["k"]]
     assert all(r.lhs == 4 for r in diag)  # -1 mod 5 on the diagonal
+
+
+def test_corollary_reads_its_powers_from_the_unit_power_table(cache, monkeypatch):
+    p = 13
+    tables = cache.ctx(p), cache.bell(p), cache.drow(p), cache.jpow(p)
+
+    def refuse(*args):
+        raise AssertionError("verify_corollary built a power table of its own")
+
+    monkeypatch.setattr(cg, "powers_mod", refuse)
+    reports = rows(verify_corollary(*tables))
+    assert len(reports) == (p - 1) + (p - 1) ** 2
+    assert all(r.passed for r in reports)
 
 
 def test_eq4_chain(cache):
@@ -304,12 +317,12 @@ def test_theorem2_sweep(cache):
 
 
 def test_theorem2_eval_examples(cache):
-    [rep] = rows(verify_theorem2_eval(cache.ctx(5), [2], [2], cache.values(5)))
+    [rep] = rows(verify_theorem2_eval(cache.ctx(5), [2], [2], cache.values(5)[:, [2]]))
     assert rep.lhs == rep.rhs == 3
-    [rep] = rows(verify_theorem2_eval(cache.ctx(7), [3], [1], cache.values(7)))
+    [rep] = rows(verify_theorem2_eval(cache.ctx(7), [3], [1], cache.values(7)[:, [1]]))
     assert rep.lhs == rep.rhs == 1
     with pytest.raises(BadPointError):
-        verify_theorem2_eval(cache.ctx(5), [2], [10], cache.values(5))
+        verify_theorem2_eval(cache.ctx(5), [2], [10], cache.values(5)[:, [10 % 5]])
 
 
 def test_theorem2_eval_matches_polynomial_route(cache):
@@ -318,7 +331,7 @@ def test_theorem2_eval_matches_polynomial_route(cache):
         values = cache.values(p)
         polys = touchard_polys_from_matrix(ctx, cache.matrix(p))
         ms, xs = _weights(p), list(range(1, p))
-        reports = iter(rows(verify_theorem2_eval(ctx, ms, xs, values)))
+        reports = iter(rows(verify_theorem2_eval(ctx, ms, xs, values[:, xs])))
         lhs_rows = theorem2_lhs(ctx, ms, weighted_touchard_sum(ctx, ms, _matrix_of(polys, p)))
         for m, lhs_row in zip(ms, lhs_rows):
             for x in xs:
@@ -338,29 +351,31 @@ def test_theorem2_eval_at_one_is_theorem1(cache):
         row, drow = cache.bell(p), cache.drow(p)
         ms = list(range(1, p))
         rhs = theorem1_rhs(ctx, ms, drow, cache.sigma(p)).tolist()
-        for m, rep, want in zip(ms, rows(verify_theorem2_eval(ctx, ms, [1], values)), rhs):
+        for m, rep, want in zip(ms, rows(verify_theorem2_eval(ctx, ms, [1], values[:, [1]])), rhs):
             assert rep.lhs == s_m(ctx, m, row)
             assert rep.rhs == want
 
 
 def test_special_cases(cache):
-    reports = rows(verify_special_cases(cache.ctx(7), [1], cache.values(7)))
+    reports = rows(verify_special_cases(cache.ctx(7), [1], cache.values(7)[:, [1]]))
     by_m = {r.params["m"]: r for r in reports}
     assert set(by_m) == {2, 3, 4}
     assert by_m[4].lhs == by_m[4].rhs == 5
     assert all(r.passed for r in reports)
     # weights divisible by p are skipped
-    assert {r.params["m"] for r in rows(verify_special_cases(cache.ctx(2), [1], cache.values(2)))} == {3}
-    assert {r.params["m"] for r in rows(verify_special_cases(cache.ctx(3), [1], cache.values(3)))} == {2, 4}
+    at_one = {p: rows(verify_special_cases(cache.ctx(p), [1], cache.values(p)[:, [1]])) for p in (2, 3)}
+    assert {r.params["m"] for r in at_one[2]} == {3}
+    assert {r.params["m"] for r in at_one[3]} == {2, 4}
     with pytest.raises(BadPointError):
-        verify_special_cases(cache.ctx(5), [0], cache.values(5))
+        verify_special_cases(cache.ctx(5), [0], cache.values(5)[:, [0]])
 
 
 def test_special_cases_sweep(cache):
     for p in primes_in_range(2, 31):
         ctx = cache.ctx(p)
         values = cache.values(p)
-        reports = rows(verify_special_cases(ctx, list(range(1, p)), values))
+        xs = list(range(1, p))
+        reports = rows(verify_special_cases(ctx, xs, values[:, xs]))
         assert {r.params["x"] for r in reports} == set(range(1, p))
         assert all(r.passed for r in reports), p
 
@@ -369,7 +384,7 @@ def test_special_cases_at_one_match_theorem1(cache):
     for p in primes_in_range(5, 61):
         ctx = cache.ctx(p)
         row = cache.bell(p)
-        for rep in rows(verify_special_cases(ctx, [1], cache.values(p))):
+        for rep in rows(verify_special_cases(ctx, [1], cache.values(p)[:, [1]])):
             assert rep.lhs == s_m(ctx, rep.params["m"], row), p
 
 
@@ -400,8 +415,8 @@ def _touchard_grid(ctx, ms, xs, values, sums):
     """Every Touchard-sum report of one prime, as the sweep builds them."""
     return (
         rows(verify_theorem2(ctx, ms, sums))
-        + rows(verify_theorem2_eval(ctx, ms, xs, values))
-        + rows(verify_special_cases(ctx, xs, values))
+        + rows(verify_theorem2_eval(ctx, ms, xs, values[:, xs]))
+        + rows(verify_special_cases(ctx, xs, values[:, xs]))
         + rows(verify_proof_intermediate(ctx, ms, sums))
     )
 
@@ -414,9 +429,10 @@ def test_batched_eval_matches_polynomial_route(cache):
         ms, xs = _weights(p), list(range(1, p))
         polys = touchard_polys_by_recursion(p - 1, ctx)
         values = cache.values(p)
-        evals = rows(verify_theorem2_eval(ctx, ms, xs, values))
+        evals = rows(verify_theorem2_eval(ctx, ms, xs, values[:, xs]))
         assert [(r.params["m"], r.params["x"]) for r in evals] == [(m, x) for m in ms for x in xs]
-        special = {(r.params["m"], r.params["x"]): r for r in rows(verify_special_cases(ctx, xs, values))}
+        special = rows(verify_special_cases(ctx, xs, values[:, xs]))
+        special = {(r.params["m"], r.params["x"]): r for r in special}
         assert set(special) == {(m, x) for m in (2, 3, 4) if m % p for x in xs}
         sums = weighted_touchard_sum(ctx, ms, touchard_coeff_matrix(ctx))
         lhs_rows = theorem2_lhs(ctx, ms, weighted_touchard_sum(ctx, ms, _matrix_of(polys, p)))
@@ -438,7 +454,7 @@ def test_eq10_recurrence_matches_theorem2_rhs(cache):
     for p in primes_in_range(2, 13):
         ctx = cache.ctx(p)
         ms, xs = [m for m in range(1, 3 * p + 1) if m % p], list(range(1, p))
-        evals = rows(verify_theorem2_eval(ctx, ms, xs, cache.values(p)))
+        evals = rows(verify_theorem2_eval(ctx, ms, xs, cache.values(p)[:, xs]))
         got = {(r.params["m"], r.params["x"]): r.rhs for r in evals}
         for m, coeffs in zip(ms, theorem2_rhs(ctx, ms)):
             poly = coeffs.tolist()
@@ -454,6 +470,7 @@ def test_corrupt_table_entry_fails_exactly_its_point(cache):
     ms, xs = _weights(p), list(range(1, p))
     values = cache.values(p).copy()
     values[6, bad_x] = (values[6, bad_x] + 1) % p
+    values = values[:, xs]
     reports = rows(verify_theorem2_eval(ctx, ms, xs, values)) + rows(verify_special_cases(ctx, xs, values))
     failed = [r for r in reports if not r.passed]
     assert failed == [r for r in reports if r.params["x"] == bad_x]
@@ -491,9 +508,9 @@ def test_batched_report_sides_are_python_ints(cache):
 def test_batched_verifiers_on_empty_grids(cache):
     ctx = cache.ctx(7)
     values = cache.values(7)
-    assert rows(verify_theorem2_eval(ctx, [], [1, 2], values)) == []
-    assert rows(verify_theorem2_eval(ctx, [1, 2], [], values)) == []
-    assert rows(verify_special_cases(ctx, [], values)) == []
+    assert rows(verify_theorem2_eval(ctx, [], [1, 2], values[:, [1, 2]])) == []
+    assert rows(verify_theorem2_eval(ctx, [1, 2], [], values[:, []])) == []
+    assert rows(verify_special_cases(ctx, [], values[:, []])) == []
     none = weighted_touchard_sum(ctx, [], cache.matrix(7))
     assert none.shape == (0, 7)
     assert rows(verify_theorem2(ctx, [], none)) == []
@@ -503,9 +520,9 @@ def test_batched_verifiers_on_empty_grids(cache):
     with pytest.raises(BadModulusError):
         geometric_sum_lemma_check(ctx, [1, 14], cache.jpow(7))
     with pytest.raises(BadPointError):
-        verify_theorem2_eval(ctx, [1], [3, 14], values)
+        verify_theorem2_eval(ctx, [1], [3, 14], values[:, [3, 14 % 7]])
     with pytest.raises(BadModulusError):
-        verify_theorem2_eval(ctx, [1, 14], [3], values)
+        verify_theorem2_eval(ctx, [1, 14], [3], values[:, [3]])
     with pytest.raises(BadModulusError):
         weighted_touchard_sum(ctx, [7], cache.matrix(7))
     with pytest.raises(BadModulusError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellmod import oracle, sequences
+from bellmod import cli, oracle, sequences
 from bellmod.congruences import s_m, s_m_all_units
 from bellmod.modarith import (
     IndexTooLargeError,
@@ -56,7 +56,7 @@ def test_bell_rows_cross_path():
         derangement_row,
         signed_series_row,
         touchard_coeff_matrix,
-        lambda ctx: touchard_value_table(ctx, touchard_coeff_matrix(ctx)),
+        lambda ctx: touchard_value_table(ctx, touchard_coeff_matrix(ctx), range(ctx.p)),
         lambda ctx: s_m_all_units(ctx, bell_row(ctx)),
     ],
     ids=[
@@ -273,11 +273,22 @@ def test_touchard_polys_from_matrix(cache):
 def test_touchard_value_table(cache):
     for p in (2, 5, 13, 31, 101):
         ctx = cache.ctx(p)
-        table = touchard_value_table(ctx, cache.matrix(p))
+        table = touchard_value_table(ctx, cache.matrix(p), range(p))
         polys = touchard_polys_from_matrix(ctx, cache.matrix(p))
         for n in range(p):
             for x in range(p):
                 assert int(table[n, x]) == poly_eval(polys[n], x, p), (p, n, x)
+
+
+def test_touchard_value_table_at_the_sampled_points(cache):
+    """Past X_ALL_LIMIT the table holds one column per seeded point of the
+    sweep, in order, and each column is T_n at that point."""
+    p = 211
+    xs = cli._x_grid(cli.SweepConfig(p, p, ("eq10",)), p)
+    table = touchard_value_table(cache.ctx(p), cache.matrix(p), xs)
+    assert table.shape == (211, 32)
+    for n, coeffs in enumerate(cache.matrix(p).tolist()):
+        assert table[n].tolist() == [poly_eval(coeffs, x, p) for x in xs], n
 
 
 def test_theorem1_rhs_periodicity_in_m():

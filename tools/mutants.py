@@ -259,11 +259,11 @@ MUTANTS = {
         "for j in range(1, len(str(p - 1))):",
         "each residue is packed without its leading digit",
     ),
-    "dlog_offset": (
+    "sm_scatter_off_by_one": (
         CONGRUENCES,
-        "evals[(n // 2 - dlog[1:]) % n]",
-        "evals[(n // 2 - dlog[1:] + 1) % n]",
-        "weight m reads the table one discrete log off",
+        "evals[(n // 2 - np.arange(n)) % n]",
+        "evals[(n // 2 + 1 - np.arange(n)) % n]",
+        "weight g^j reads the table one discrete log off",
     ),
     # the context's two factorial tables, one pass and Wilson's reflection
     "fact_factor_shifted": (
@@ -611,9 +611,15 @@ MUTANTS = {
     ),
     "corollary_builds_own_drow": (
         CLI,
-        "cg.verify_corollary(t.ctx, t.row, t.drow)",
-        "cg.verify_corollary(t.ctx, t.row, derangement_row(t.ctx))",
+        "cg.verify_corollary(t.ctx, t.row, t.drow, t.jpow)",
+        "cg.verify_corollary(t.ctx, t.row, derangement_row(t.ctx), t.jpow)",
         "corollary builds a second derangement row at each prime",
+    ),
+    "corollary_powers_unreversed": (
+        CONGRUENCES,
+        "pw = jpow[:, ::-1].T",
+        "pw = jpow.T",
+        "the corollary weights m^n in place of (-m)^n",
     ),
     # the identity registry and the tables of one prime
     "walk_cfg_identities": (
@@ -645,9 +651,15 @@ MUTANTS = {
     # the tables and grid defaults that only cli decides
     "values_builds_own_matrix": (
         CLI,
-        "touchard_value_table(self.ctx, self.matrix)",
-        "touchard_value_table(self.ctx, touchard_coeff_matrix(self.ctx))",
+        "touchard_value_table(self.ctx, self.matrix, self.xs)",
+        "touchard_value_table(self.ctx, touchard_coeff_matrix(self.ctx), self.xs)",
         "the value table builds a second Touchard matrix at each prime",
+    ),
+    "values_at_every_point": (
+        CLI,
+        "touchard_value_table(self.ctx, self.matrix, self.xs)",
+        "touchard_value_table(self.ctx, self.matrix, range(self.ctx.p))",
+        "the value table holds every x below p, not only the points eq10 and special read",
     ),
     "intro_weight_7": (
         CLI,
