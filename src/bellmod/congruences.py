@@ -21,6 +21,7 @@ from .modarith import (
     PrimeContext,
     mod_convolve,
     powers_mod,
+    prime_factors,
     primitive_root,
 )
 from .sequences import _bell_triangle, _mod_matmul, bell_mod
@@ -206,30 +207,82 @@ def s_m(ctx: PrimeContext, m: int, row: np.ndarray) -> int:
     return acc
 
 
+# A prime stage of length r of the S_m table's DFT (see _dft_stage) takes
+# its DFT matrix while r * r is at most _DFT_BLOCK_CAP * (p - 1), that is in
+# at most about _DFT_BLOCK_CAP blocks, and one Bluestein correlation per
+# column past that.  The matrix costs r * r entries, r * (p - 1) products
+# and a numpy pass per block; the correlations cost about the same for
+# every r.  Timed on whole tables (2-vCPU container, numpy 2.4), the matrix
+# was faster up to r * r / (p - 1) of about 70 near p = 10^4 and 10^5 but
+# below 35 near 10^6 (r = 5879 at p = 999,431); 32 is the largest power of
+# two below every measured turn.
+_DFT_BLOCK_CAP = 32
+
+
+def _dft_stage(src: np.ndarray, pw: np.ndarray, p: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The length-r DFT over GF(p) of every column of src, r = len(src)
+    dividing n = p - 1, with root g^(n/r) read from pw[e] = g^e; yields
+    (first row, rows of the output) until every row is out.
+
+    A short stage multiplies by the DFT matrix W[j, k] = g^((jk mod r) n/r)
+    through _mod_matmul, n // r rows of W at a time, so no block holds more
+    than n entries.  A long one turns each column's DFT into one
+    correlation by Bluestein's identity jk = C(j+k, 2) - C(j, 2) - C(k, 2),
+    which mod_convolve computes exactly.
+    """
+    n = p - 1
+    r = len(src)
+    step = n // r  # the stage root g^step has order r
+    if r * r <= _DFT_BLOCK_CAP * n:
+        k = np.arange(r)
+        for lo in range(0, r, step):
+            # each exponent jk (below r**2) is reduced mod r, then scaled below n
+            yield lo, _mod_matmul(pw[np.outer(k[lo : lo + step], k) % r * step], src, p)
+        return
+    # tri[t] = C(t, 2) mod r; the partial sums stay below 2 * r**2 < 2**62
+    tri = np.zeros(2 * r - 1, dtype=np.int64)
+    tri[1:] = np.cumsum(np.arange(2 * r - 2, dtype=np.int64) % r) % r
+    chirp = pw[tri * step]
+    unchirp = pw[-tri[:r] % r * step]
+    out = np.empty_like(src)
+    for c in range(src.shape[1]):
+        x = src[:, c] * unchirp % p
+        out[:, c] = mod_convolve(x[::-1], chirp, p)[r - 1 : 2 * r - 1] * unchirp % p
+    yield 0, out
+
+
 def s_m_all_units(ctx: PrimeContext, row: np.ndarray) -> np.ndarray:
     """S_m for every unit weight at once, as a read-only int64 array
     indexed by m mod p (slot 0 unused).
 
     S_m is f(u) = sum_{0<k<p} B_k u^k at u = 1/(-m), and u^(p-1) = 1, so
     with a generator g and n = p - 1 the values E_j = f(g^j) form one
-    length-n DFT of (B_{p-1}, B_1, ..., B_{n-1}).  Bluestein's identity
-    jk = C(j+k, 2) - C(j, 2) - C(k, 2) turns it into one correlation, which
-    mod_convolve computes exactly, so the whole table costs O(p log p).
+    length-n DFT over GF(p) of (B_{p-1}, B_1, ..., B_{n-1}) with root g.
+    It is taken by mixed-radix Cooley-Tukey over the prime factors of n: a
+    length-N DFT with root w and N = r * m, at k = k1 m + k2 and
+    j = j1 + r j2, is r DFTs of length m with root w^r, taken after one
+    stage of length-r DFTs with root w^m = g^(n/r) (_dft_stage) and the
+    twiddles w^(j1 k2).  Every stage writes its output transposed, so the
+    last one leaves E in natural order.  Every array holds residues below p,
+    at most p of them, and every int64 product stays below 2**62.
     Weight m = g^j reads E at n/2 - j (mod n), as 1/(-m) = g^(n/2) / g^j.
     """
     p = ctx.p
     n = p - 1
-    g = primitive_root(p)
-    pw = powers_mod(g, n, p)  # pw[e] = g^e
-    # tri[t] = C(t, 2) mod n; the partial sums stay below n**2 < 2**62
-    tri = np.zeros(2 * n - 1, dtype=np.int64)
-    tri[1:] = np.cumsum(np.arange(2 * n - 2, dtype=np.int64) % n) % n
-    chirp = pw[tri]
-    unchirp = pw[-tri[:n] % n]
-    coeffs = np.roll(row[1:], 1)  # B_{p-1} stands in for B_0 u^0
-    x = coeffs * unchirp % p
-    corr = mod_convolve(x[::-1], chirp, p)[n - 1 : 2 * n - 1]
-    evals = corr * unchirp % p
+    pw = powers_mod(primitive_root(p), n, p)  # pw[e] = g^e
+    a = np.roll(row[1:], 1)  # B_{p-1} stands in for B_0 u^0
+    size, batch = n, 1  # a holds batch DFTs of length size, entry k of DFT b at a[k, b]
+    for r in prime_factors(n):
+        m = size // r
+        # w = g^(n/size); the exponents j1 k2 n/size stay below n
+        twiddle = pw[np.outer(np.arange(r), np.arange(m)) * (n // size)]
+        dst = np.empty((m, r, batch), dtype=np.int64)
+        for lo, block in _dft_stage(a.reshape(r, m * batch), pw, p):
+            rows = len(block)
+            block = block.reshape(rows, m, batch) * twiddle[lo : lo + rows, :, None] % p
+            dst[:, lo : lo + rows] = block.transpose(1, 0, 2)
+        a, size, batch = dst, m, batch * r
+    evals = a.reshape(n)
     table = np.zeros(p, dtype=np.int64)
     table[pw] = evals[(n // 2 - np.arange(n)) % n]
     table.setflags(write=False)

@@ -1,10 +1,12 @@
 """Prime-field arithmetic on plain ints and int64 arrays.
 
 Everything else in the package builds on this module: verified prime
-contexts carrying factorial tables, binomials mod p, the prime sieve and
-primitive roots, and exact convolution of residue vectors, taken as one
-product of two decimal integers (Kronecker substitution) in the standard
-library's ``decimal``.  A residue is a plain int in ``[0, p)``.
+contexts carrying factorial tables, binomials mod p, the prime sieve,
+factorization and primitive roots, tables of powers, and exact convolution
+of residue vectors, taken as one product of two decimal integers (Kronecker
+substitution) in the standard library's ``decimal``.  The S_m table's DFT
+over GF(p) runs on int64 residues and reaches ``mod_convolve`` only for its
+long prime stages.  A residue is a plain int in ``[0, p)``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "is_prime",
     "binomial_mod",
     "primes_in_range",
+    "prime_factors",
     "primitive_root",
     "powers_mod",
     "mod_convolve",
@@ -154,24 +157,29 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [lo + i for i, flag in enumerate(seg) if flag]
 
 
+def prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1 with multiplicity, in ascending order,
+    by trial division; [] for n = 1."""
+    factors = []
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            factors.append(q)
+            n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 def primitive_root(p: int) -> int:
     """The least generator of GF(p)* for a prime p.
 
     g generates exactly when g**((p-1)/q) != 1 for every prime q dividing
-    p - 1; the primes come from trial division of p - 1.
+    p - 1.
     """
     n = p - 1
-    factors = []
-    rest = n
-    q = 2
-    while q * q <= rest:
-        if rest % q == 0:
-            factors.append(q)
-            while rest % q == 0:
-                rest //= q
-        q += 1
-    if rest > 1:
-        factors.append(rest)
+    factors = set(prime_factors(n))
     for g in range(1, p):
         if all(pow(g, n // q, p) != 1 for q in factors):
             return g

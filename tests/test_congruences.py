@@ -1,5 +1,6 @@
 import inspect
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,10 +88,17 @@ def test_s_m_many_matches_scalar(cache):
     assert s_m_many(cache.ctx(7), [], cache.sm(7)).tolist() == []
 
 
-def test_s_m_many_all_units_route(cache):
+def test_s_m_many_all_units_route(cache, monkeypatch):
     # the chain never touches a Bell number and s_m sums powers directly,
-    # so both are independent of the chirp-z table behind s_m_many
-    for p in (2, 3, 5, 1009, 9973):
+    # so both are independent of the DFT behind s_m_many's table.  Every
+    # prime below 3000 runs the default stage routes; so do the sampled
+    # primes, p - 1 = 2^8, 2^4 5^2, 2^5 5^3, 2^2 3 829 and 2 5003 among
+    # them, and where it is cheap they also take every prime stage through
+    # Bluestein (cap 0) and through the DFT matrix (cap p)
+    for p in primes_in_range(3, 3000):
+        assert cache.sm(p)[1:].tolist() == s_m_chain(cache.ctx(p))[1:], p
+    forced = {2: (0, 2), 3: (0, 3), 5: (0, 5), 257: (0, 257), 401: (0, 401), 4001: (), 9949: (9949,), 10007: ()}
+    for p, caps in forced.items():
         ctx, row = cache.ctx(p), cache.bell(p)
         units = list(range(1, p))
         got = s_m_many(ctx, units, cache.sm(p)).tolist()
@@ -100,7 +108,44 @@ def test_s_m_many_all_units_route(cache):
         assert [got[m - 1] for m in sample] == [s_m(ctx, m, row) for m in sample]
         above = [m + k * p for m, k in zip(sample, (1, 2, 7, 10**30) * 6)]
         assert s_m_many(ctx, above, cache.sm(p)).tolist() == [got[m - 1] for m in sample], p
-        assert s_m_all_units(ctx, row)[1:].tolist() == got
+        for cap in caps:
+            monkeypatch.setattr(cg, "_DFT_BLOCK_CAP", cap)
+            assert s_m_all_units(ctx, row)[1:].tolist() == got, (p, cap)
+        monkeypatch.undo()
+
+
+def test_s_m_table_stage_routes(cache, monkeypatch):
+    """A prime stage of length r takes the DFT matrix while r * r is at
+    most _DFT_BLOCK_CAP * (p - 1), else one Bluestein correlation per
+    column: with the cap at 32, p - 1 = 2 * 53 keeps its 53 stage on the
+    matrix and p - 1 = 2 * 83 runs its 83 stage as two correlations."""
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(len(a))
+        return modarith.mod_convolve(a, b, p)
+
+    monkeypatch.setattr(cg, "mod_convolve", counted)
+    for p, want in ((107, []), (167, [83, 83])):
+        calls.clear()
+        s_m_all_units(cache.ctx(p), cache.bell(p))
+        assert calls == want, p
+
+
+def test_s_m_table_peak_memory(cache):
+    """The S_m table's DFT holds a few int64 and float64 arrays of at most
+    p entries at a time: at most 128 bytes per entry (one correlation of the
+    whole row through mod_convolve takes about 180)."""
+    for p in (9949, 9967, 9973):
+        ctx, row = cache.ctx(p), cache.bell(p)
+        s_m_all_units(ctx, row)  # imports and caches warmed outside the trace
+        tracemalloc.start()
+        try:
+            s_m_all_units(ctx, row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * p, (p, peak / p)
 
 
 def test_s_m_depends_only_on_m_mod_p(cache):

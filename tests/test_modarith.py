@@ -1,4 +1,5 @@
 import decimal
+import math
 import random
 import tracemalloc
 
@@ -15,6 +16,7 @@ from bellmod.modarith import (
     mod_convolve,
     powers_mod,
     primes_in_range,
+    prime_factors,
     primitive_root,
 )
 
@@ -127,6 +129,15 @@ def test_primes_in_range():
     assert primes_in_range(10, 2) == []
     assert primes_in_range(0, 300) == [n for n in range(301) if is_prime(n)]
     assert primes_in_range(9970, 9980) == [9973]
+
+
+def test_prime_factors():
+    assert prime_factors(1) == []
+    for n in list(range(2, 2000)) + [2**31 - 2, 2**31 - 1, 999982, 3 * 5**2 * 46337]:
+        fs = prime_factors(n)
+        assert math.prod(fs) == n and fs == sorted(fs), n
+        assert all(is_prime(q) for q in fs), n
+    assert prime_factors(4000) == [2] * 5 + [5] * 3
 
 
 def test_primitive_root():

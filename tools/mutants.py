@@ -228,7 +228,7 @@ MUTANTS = {
         "((k + 1) * m[n - 1, 1:]",
         "the Stirling triangle multiplies by k + 1 in place of k",
     ),
-    # the chirp-z table of the weighted Bell sums and its exact convolution
+    # the exact convolution behind the Bluestein stages of the S_m table
     "slot_one_digit_short": (
         MODARITH,
         "d = len(str(min(la, lb) * (p - 1) ** 2))",
@@ -258,6 +258,49 @@ MUTANTS = {
         "for j in range(1, len(str(p - 1)) + 1):",
         "for j in range(1, len(str(p - 1))):",
         "each residue is packed without its leading digit",
+    ),
+    # the S_m table's mixed-radix DFT over GF(p)
+    "dft_matrix_exponent_unreduced": (
+        CONGRUENCES,
+        "pw[np.outer(k[lo : lo + step], k) % r * step]",
+        "pw[np.outer(k[lo : lo + step], k) * step]",
+        "the DFT matrix scales jk before reducing it mod r",
+    ),
+    "twiddle_exponent_off_by_one": (
+        CONGRUENCES,
+        "pw[np.outer(np.arange(r), np.arange(m)) * (n // size)]",
+        "pw[np.outer(np.arange(1, r + 1), np.arange(m)) * (n // size)]",
+        "the twiddles are w^((j1 + 1) k2) in place of w^(j1 k2)",
+    ),
+    "stage_root_wrong_stride": (
+        CONGRUENCES,
+        "    step = n // r  # the stage root g^step has order r\n",
+        "    step = r\n",
+        "a stage's DFT takes root g^r in place of g^(n/r)",
+    ),
+    "dft_block_rows_off_by_one": (
+        CONGRUENCES,
+        "np.outer(k[lo : lo + step], k)",
+        "np.outer(k[lo + 1 : lo + step + 1], k)",
+        "each DFT-matrix block holds the rows one below the ones it is written to",
+    ),
+    "bluestein_stage_never_taken": (
+        CONGRUENCES,
+        "    if r * r <= _DFT_BLOCK_CAP * n:\n",
+        "    if True:\n",
+        "every prime stage takes the DFT matrix, however long",
+    ),
+    "dft_cap_doubled": (
+        CONGRUENCES,
+        "_DFT_BLOCK_CAP = 32\n",
+        "_DFT_BLOCK_CAP = 64\n",
+        "stages up to twice the measured cap take the DFT matrix",
+    ),
+    "dft_cap_halved": (
+        CONGRUENCES,
+        "_DFT_BLOCK_CAP = 32\n",
+        "_DFT_BLOCK_CAP = 16\n",
+        "stages above half the measured cap take Bluestein",
     ),
     "sm_scatter_off_by_one": (
         CONGRUENCES,
